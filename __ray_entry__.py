@@ -284,6 +284,11 @@ def _q_kg_subgraph(sf_dir: str, k: int = 2):
         batch_format="pandas",
         batch_size=None,
     ).to_pandas()
+    if mins.empty:
+        # a NaN seed would fail later, obscurely, in the string-keyed BFS
+        raise ValueError(
+            "kg_subgraph needs a seed entity, but the edge table is empty"
+        )
     seeds = ray.data.from_pandas(pd.DataFrame({"node": [mins.m.min()]}))
     return khop_subgraph(edges, seeds, k=k)
 
@@ -2354,8 +2359,9 @@ def _q_media_dedup(sf_dir: str):
 
 def _q_kg_incremental(sf_dir: str):
     """Id-stable incremental KG merge: even-doc_id shard builds the base
-    graph, odd shard merges in (rows-only; id assignment is engine
-    lineage, not SQL)."""
+    graph, odd shard merges in.  The merged node set must equal a full
+    recompute, so it shares the kg_nodes oracle; id stability (engine
+    lineage, not SQL) is pinned by tests/test_incremental_kg.py."""
     import pyarrow.compute as pc
 
     from kgray.pipelines.kg import incremental_update, run_kg_pipeline
@@ -2388,7 +2394,7 @@ def _q_kg_incremental(sf_dir: str):
     merged = incremental_update(
         base.nodes, delta_docs, generic_kg_config()
     )
-    return merged.nodes
+    return merged.nodes.select_columns(["name", "label", "type", "url"])
 
 
 def _q_pretrain_corpus(sf_dir: str):
@@ -2826,6 +2832,8 @@ def oracle_sql() -> dict[str, str]:
     # the label-propagation components op is the distributed twin of the
     # driver-union-find one — same (doc_id, rep_id) contract and oracle
     d["near_dup_dedup_lp"] = d["near_dup_dedup"]
+    # an incremental merge must yield the node set of a full recompute
+    d["kg_incremental"] = d["kg_nodes"]
     return d
 
 

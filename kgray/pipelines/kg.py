@@ -7,7 +7,7 @@ documents (doc_id, spans)                       # read_parquet / read_lance
   → ├─ map_batches(extractions_to_edges)        # edges table
   │  ├─ map_batches(extractions_to_unary_nodes) # node-only records
   │  └─ map_batches(extractions_to_annotation_urls)
-  → groupby(name) canonicalization (combiner-first shuffle) → nodes table
+  → node canonicalization (stages/nodes.py: four keyed exchanges) → nodes
 
 Mirrors reference lifecycle main.py:31-118 (§3.2 of SURVEY.md) as a
 streaming DAG; per-stage checkpointing lives in pipelines/checkpoint.py.
@@ -25,7 +25,13 @@ from ..stages import edges as edge_stage
 from ..stages.annotate import DictionaryAnnotator
 from ..stages.chunk import explode_spans
 from ..stages.extract import BELExtractor
-from ..stages.nodes import node_tables
+from ..stages.nodes import (
+    NAMES,
+    assign_node_ids,
+    build_url_agg,
+    first_seen_names,
+    node_tables,
+)
 
 
 class AnnotateExtract:
@@ -73,9 +79,9 @@ class KGResult:
     unary_nodes: "ray.data.Dataset"
     annotation_urls: "ray.data.Dataset"
     nodes: "ray.data.Dataset"
-    # first-seen (entry_name, url) aggregate — a DATASET: the production
-    # node-URL attach is an entry_name-keyed join (stages/nodes.attach_urls),
-    # never a driver-side dict (r3 verdict: the dict grew with the entity
+    # first-seen (entry_name, url) aggregate — a DATASET: nodes pick up
+    # their URLs through keyed exchanges (stages/nodes.py), never a
+    # driver-side dict (r3 verdict: the dict grew with the entity
     # vocabulary at web scale)
     annotation_url_agg: "ray.data.Dataset"
 
@@ -147,6 +153,26 @@ def run_extractions(
     )
 
 
+def _graph_inputs(extractions: "ray.data.Dataset", materialize: bool):
+    """EXTRACTIONS → (edges, unary, annotation_urls)."""
+    edges = extractions.map_batches(
+        edge_stage.extractions_to_edges, batch_format="pyarrow"
+    )
+    if materialize:
+        # edges feeds ≥2 consumers (canonicalization + the user's sink);
+        # pinning it avoids re-running the BEL parse per consumer.  unary /
+        # ann_urls are each consumed exactly once downstream — they stream
+        # (an extra materialize barrier each was pure overhead).
+        edges = edges.materialize()
+    unary = extractions.map_batches(
+        edge_stage.extractions_to_unary_nodes, batch_format="pyarrow"
+    )
+    ann_urls = extractions.map_batches(
+        edge_stage.extractions_to_annotation_urls, batch_format="pyarrow"
+    )
+    return edges, unary, ann_urls
+
+
 def run_graph_stages(
     extractions: "ray.data.Dataset", materialize: bool = True
 ) -> KGResult:
@@ -161,21 +187,7 @@ def run_graph_stages(
     """
     if materialize:
         extractions = extractions.materialize()
-    edges = extractions.map_batches(
-        edge_stage.extractions_to_edges, batch_format="pyarrow"
-    )
-    unary = extractions.map_batches(
-        edge_stage.extractions_to_unary_nodes, batch_format="pyarrow"
-    )
-    ann_urls = extractions.map_batches(
-        edge_stage.extractions_to_annotation_urls, batch_format="pyarrow"
-    )
-    if materialize:
-        # edges feeds ≥2 consumers (canonicalization + the user's sink);
-        # pinning it avoids re-running the BEL parse per consumer.  unary /
-        # ann_urls are each consumed exactly once downstream — they stream
-        # (an extra materialize barrier each was pure overhead).
-        edges = edges.materialize()
+    edges, unary, ann_urls = _graph_inputs(extractions, materialize)
     nodes, url_agg = node_tables(edges, unary, ann_urls)
     return KGResult(
         chunks=None,
@@ -207,93 +219,37 @@ def incremental_update(
     id-stability contract that lets daily ingest append to node/edge
     tables other systems already reference.
 
-    Plan: the new shard runs the normal extraction prefix; its canonical
-    mention names ANTI-join the existing node names (utils.smart_join —
-    the node table is the compact entity vocabulary, broadcast when
-    small, shuffled when not), the survivors take ids
-    ``max(existing)+1 …`` in first-seen order, and the returned
-    ``nodes`` is existing ∪ new.  Edges/extractions in the result are
-    the NEW shard's only — the caller appends them to its stores.
+    Plan: the new shard runs the normal extraction prefix and the full
+    build's ``first_seen_names``; its names ANTI-join the existing node
+    names (utils.smart_join — the node table is the compact entity
+    vocabulary, broadcast when small, shuffled when not), and the
+    survivors go through the full build's ``assign_node_ids`` from
+    ``max(existing)+1``.  The returned ``nodes`` is existing ∪ new.
+    Edges/extractions in the result are the NEW shard's only — the
+    caller appends them to its stores.
     """
-    from ..stages.nodes import (
-        attach_urls,
-        build_url_agg,
-        edge_node_mentions,
-        unary_node_mentions,
-    )
-    from ..functions.bel import term_label, term_type
-    from ..utils import coarse_grouped_map, smart_join, zip_with_index
+    from ..utils import smart_join
 
     extractions = run_extractions(new_docs, cfg).materialize()
-    edges = extractions.map_batches(
-        edge_stage.extractions_to_edges, batch_format="pyarrow"
-    ).materialize()
-    unary = extractions.map_batches(
-        edge_stage.extractions_to_unary_nodes, batch_format="pyarrow"
-    )
-    ann_urls = extractions.map_batches(
-        edge_stage.extractions_to_annotation_urls, batch_format="pyarrow"
-    )
-    # materialize: vocabulary-sized; feeds the attach_urls join and the
-    # result field without re-running the extraction prefix per consumer
+    edges, unary, ann_urls = _graph_inputs(extractions, materialize=True)
+    # materialize: feeds both probes and the result field without
+    # re-running the extraction prefix per consumer
     url_agg = build_url_agg(ann_urls).materialize()
-
-    mentions = edges.map_batches(
-        edge_node_mentions, batch_format="pyarrow"
-    ).union(unary.map_batches(unary_node_mentions, batch_format="pyarrow"))
-    canonical = coarse_grouped_map(
-        mentions.repartition(8),
-        "name",
-        lambda df: df.groupby("name", as_index=False).agg(
-            first_key=("first_key", "min")
-        ),
-        num_partitions=8,
-        coalesce_blocks=None,
-    )
 
     existing_nodes = existing_nodes.materialize()
     fresh = smart_join(
-        canonical,
+        first_seen_names(edges, unary, url_agg),
         existing_nodes.select_columns(["name"]),
         "name",
         "name",
-        {"name": pa.string(), "first_key": pa.string()},
+        {f.name: f.type for f in NAMES},
         {"name": pa.string()},
         how="anti",
-    ).repartition(4).sort("first_key")
-
-    n_existing = existing_nodes.count()
-    next_id = (
-        (existing_nodes.max("node_id") + 1) if n_existing else 0
     )
-    with_ids = zip_with_index(fresh, "node_id", offset=int(next_id))
-
-    def add_label_type(batch: pa.Table) -> pa.Table:
-        names = batch.column("name").to_pylist()
-        return pa.table(
-            {
-                "name": batch.column("name"),
-                "label": pa.array(
-                    [term_label(n) for n in names], pa.string()
-                ),
-                "type": pa.array(
-                    [term_type(n) for n in names], pa.string()
-                ),
-                "node_id": batch.column("node_id"),
-            }
-        )
-
-    from ..utils import schema_floor
-    from .. import schemas
-
-    new_nodes = schema_floor(
-        attach_urls(
-            with_ids.map_batches(add_label_type, batch_format="pyarrow"),
-            url_agg,
-        ),
-        schemas.NODES,
+    next_id = existing_nodes.max("node_id") if existing_nodes.count() else -1
+    merged = existing_nodes.union(
+        assign_node_ids(fresh, url_agg, offset=int(next_id) + 1)
     )
-    merged = existing_nodes.union(new_nodes)
 
     return KGResult(
         chunks=None,

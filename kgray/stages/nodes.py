@@ -5,40 +5,59 @@ a binary statement plus every unary term becomes a node; ids are dense ints
 in first-seen order; ``annotation_map`` is a first-wins entry_name → URL
 dict probed by node name then by extracted label (convert_to_cx2.py:159).
 
-Scale design (SURVEY.md §2.7, §7.3):
-- "first-seen" is redefined order-independently as the MINIMUM of a total
-  ordering key (doc_id, span_seq, stmt_seq, side) so parallel execution is
-  deterministic (reference arrival order == this key on a single process).
-- Skew (hot entities like TP53 appearing in a large fraction of docs) is
-  handled by a **partial per-batch aggregate**: each map_batches task first
-  collapses its batch to one row per distinct name, so the groupby shuffle
-  moves at most (#distinct names × #blocks) rows instead of every edge row.
-  This is the combiner form of salting: hot keys arrive at the reducer
-  pre-collapsed per partition.
-- The URL map (unique entry_names — vocabulary-sized) stays a DATASET
-  end to end: node URLs are attached by an entry_name-keyed
-  ``repartition_join`` over a two-probe table (name first, label
-  fallback — convert_to_cx2.py:159's probe order), never by a
-  driver-side dict.  On an unpruned web-scale entity vocabulary the
-  aggregate grows with the data; a collected dict would not.
-- Dense ids come from sort-by-first-seen-key + ``zip_with_index`` on the
-  (small) canonical nodes table.
+"First-seen" is the MINIMUM of a total ordering key (doc_id, span_seq,
+stmt_seq, side), so parallel execution is deterministic (the reference's
+single-process arrival order is this key).  Every map task first collapses
+its batch to one row per distinct name (a combiner), so a hot entity ships
+one row per block, not one per mention.
+
+An unsalted build runs four all-to-all exchanges, each a keyed reduce over
+combiner output; the URL aggregate and the nodes stay Datasets end to end:
+
+1. ``build_url_agg``: first-seen URL per ``entry_name``.
+2. ``first_seen_names``: first-seen key per name.  The URL aggregate rides
+   the same exchange, so each name leaves with its name-probe URL.
+3. ``assign_node_ids``: a global sort by first-seen key, then
+   ``zip_with_index`` from an offset (0 for a full build; past the existing
+   maximum in ``pipelines.kg.incremental_update``, which calls the same two
+   functions).
+4. One label-keyed left join against the URL aggregate, for the nodes whose
+   name probe missed.
+
+When one name holds more than ``SALT_SHARE_THRESHOLD`` of the post-combiner
+mention rows, a salted pre-reduce on (name, salt) first splits that name's
+reducer fan-in: one more exchange.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
-from ray.data.aggregate import Min
 
 from .. import schemas
 from ..functions.bel import term_label, term_type
-from ..utils import zip_with_index
+from ..utils import (
+    coarse_grouped_map,
+    repartition_join,
+    schema_floor,
+    zip_with_index,
+)
 
 _SEP = "\x00"
+
+# one row per canonical name: its first-seen key, name-probe URL (null on a
+# miss), label and type
+NAMES = pa.schema(
+    [
+        pa.field("name", pa.string()),
+        pa.field("first_key", pa.string()),
+        pa.field("url", pa.string()),
+        pa.field("label", pa.string()),
+        pa.field("type", pa.string()),
+    ]
+)
 
 
 def _order_key(
@@ -56,6 +75,16 @@ def _partial_first_seen(batch: pa.Table, name_col: str, key_col: str) -> pa.Tabl
     """Per-batch combiner: one row per name with its min order key."""
     return batch.group_by(name_col).aggregate([(key_col, "min")]).rename_columns(
         [name_col, key_col]
+    )
+
+
+def _keyed_reduce(ds, keys, fn, num_partitions: int = 8):
+    """One exchange: ``fn`` over each coarse hash partition of ``keys``.
+    Not Ray's ``.aggregate()``: key cardinality is the corpus vocabulary,
+    and per-group Python in Ray's reducer grows with it.  Inputs are
+    combiner output, so no coalescing repartition goes first."""
+    return coarse_grouped_map(
+        ds, keys, fn, num_partitions=num_partitions, coalesce_blocks=None
     )
 
 
@@ -101,7 +130,7 @@ def build_url_agg(annotation_urls: "ray.data.Dataset") -> "ray.data.Dataset":
     of the *earliest* occurrence wins (Min of the concatenation is the Min of
     the key since the key prefix is unique per row position).  The result —
     columns (entry_name, url) — stays distributed; consumers attach it by
-    an entry_name-keyed join, never a collected dict (on web-scale corpora
+    entry_name-keyed exchanges, never a collected dict (on web-scale corpora
     the entity vocabulary grows with the data).
     """
 
@@ -116,17 +145,12 @@ def build_url_agg(annotation_urls: "ray.data.Dataset") -> "ray.data.Dataset":
         t = pa.table({"entry_name": batch.column("entry_name"), "ku": keyed})
         return _partial_first_seen(t, "entry_name", "ku")
 
-    from ..utils import coarse_grouped_map
-
-    # coarse keyed reduce, not .aggregate(): entry_name cardinality is the
-    # corpus vocabulary — per-group Python in Ray's reducer grows with it
-    agg = coarse_grouped_map(
+    agg = _keyed_reduce(
         annotation_urls.map_batches(partial, batch_format="pyarrow"),
         "entry_name",
         lambda df: df.groupby("entry_name", as_index=False).agg(
             ku=("ku", "min")
         ),
-        num_partitions=8,
     )
 
     def split(batch: pa.Table) -> pa.Table:
@@ -153,14 +177,13 @@ def measure_top_key_share(
     reduce; the driver sees two scalars (max count, total count) — the
     per-name count table itself stays distributed.
     """
-    from ..utils import coarse_grouped_map
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select(["name"])
         g = t.group_by("name").aggregate([("name", "count")])
         return g.rename_columns(["name", "c"])
 
-    counts = coarse_grouped_map(
+    counts = _keyed_reduce(
         mentions.map_batches(partial, batch_format="pyarrow"),
         "name",
         lambda df: df.groupby("name", as_index=False).agg(c=("c", "sum")),
@@ -180,94 +203,36 @@ SALT_MIN_ROWS = 50_000
 AUTO_SALT_BUCKETS = 16
 
 
-def attach_urls(
-    nodes: "ray.data.Dataset",
-    url_agg: "ray.data.Dataset",
-    num_partitions: int = 8,
-) -> "ray.data.Dataset":
-    """Attach ``url`` to a (name, label, type, node_id) nodes dataset by
-    the reference's name-then-label probe (convert_to_cx2.py:159) —
-    fully distributed, no driver-side dict.
-
-    Each node emits up to two PROBE rows — (probe_key=name, prio=0) and,
-    when the label differs, (probe_key=label, prio=1) — carrying the
-    whole node row; one entry_name-keyed ``repartition_join`` (left)
-    matches probes against the URL aggregate, and one tiny node_id-keyed
-    reduce picks the lowest-prio hit per node.  Two small all-to-alls
-    over vocabulary-sized tables replace the former collected dict.
-    """
-    import numpy as np
-
-    from ..utils import coarse_grouped_map, repartition_join
-
-    def probes(batch: pa.Table) -> pa.Table:
-        name = batch.column("name")
-        label = batch.column("label")
-        base = {
-            "probe_key": name,
-            "prio": pa.array(
-                np.zeros(batch.num_rows, np.int32), pa.int32()
-            ),
-            "name": name,
-            "label": label,
-            "type": batch.column("type"),
-            "node_id": batch.column("node_id"),
-        }
-        out = [pa.table(base)]
-        differs = pc.not_equal(name, label)
-        lab = batch.filter(differs)
-        if lab.num_rows:
-            out.append(
-                pa.table(
-                    {
-                        "probe_key": lab.column("label"),
-                        "prio": pa.array(
-                            np.ones(lab.num_rows, np.int32), pa.int32()
-                        ),
-                        "name": lab.column("name"),
-                        "label": lab.column("label"),
-                        "type": lab.column("type"),
-                        "node_id": lab.column("node_id"),
-                    }
-                )
-            )
-        return pa.concat_tables(out)
-
-    probed = nodes.map_batches(probes, batch_format="pyarrow")
-    joined = repartition_join(
-        probed,
-        url_agg,
-        "probe_key",
-        "entry_name",
-        {
-            "probe_key": pa.string(),
-            "prio": pa.int32(),
-            "name": pa.string(),
-            "label": pa.string(),
-            "type": pa.string(),
-            "node_id": pa.int64(),
-        },
-        {"entry_name": pa.string(), "url": pa.string()},
-        num_partitions=num_partitions,
-        how="left",
+def _reduce_input(batch: pa.Table) -> pa.Table:
+    """A mention (name, first_key) or a URL entry (entry_name, url) as a
+    (name, first_key, url) name-reduce row; the side it lacks is null."""
+    none = pa.nulls(batch.num_rows, pa.string())
+    if "entry_name" in batch.column_names:
+        return pa.table(
+            {"name": batch["entry_name"], "first_key": none, "url": batch["url"]}
+        )
+    return pa.table(
+        {"name": batch["name"], "first_key": batch["first_key"], "url": none}
     )
 
-    def pick(df):
-        import pandas as pd
 
-        # lowest-prio NON-NULL url per node; nodes with no hit keep null
-        df = df.sort_values(["node_id", "prio"])
-        hit = df[df.url.notna()].drop_duplicates("node_id")
-        miss = df[~df.node_id.isin(hit.node_id)].drop_duplicates("node_id")
-        out = pd.concat([hit, miss], ignore_index=True)
-        out = out[["name", "label", "type", "url", "node_id"]]
-        out["node_id"] = out.node_id.astype("int64")
-        return out
+def _first_seen(df) -> pa.Table:
+    """Per partition: each MENTIONED name's min first-seen key, its
+    name-probe URL, label and type.  URL rows of unmentioned entry names
+    drop out here."""
+    seen = df[df.first_key.notna()].groupby("name", as_index=False).agg(
+        first_key=("first_key", "min")
+    )
+    # entry names are unique in the aggregate: at most one URL per name
+    out = seen.merge(
+        df.loc[df.url.notna(), ["name", "url"]], on="name", how="left"
+    )
+    out["label"] = out.name.map(term_label)
+    out["type"] = out.name.map(term_type)
+    return pa.Table.from_pandas(out, schema=NAMES, preserve_index=False)
 
-    return coarse_grouped_map(joined, "node_id", pick, num_partitions=4)
 
-
-def canonicalize_nodes(
+def first_seen_names(
     edges: "ray.data.Dataset",
     unary: "ray.data.Dataset",
     url_agg: "ray.data.Dataset",
@@ -275,41 +240,32 @@ def canonicalize_nodes(
     salt_share_threshold: float = SALT_SHARE_THRESHOLD,
     salt_min_rows: int = SALT_MIN_ROWS,
 ) -> "ray.data.Dataset":
-    """edges + unary mentions → NODES dataset with dense first-seen ids.
+    """edges + unary mentions → one ``NAMES`` row per canonical name.
 
-    ``salt_buckets=None`` (default) triggers automatically from measured
-    skew: when ``measure_top_key_share`` reports one name holding more
-    than ``salt_share_threshold`` of the mention rows (and the table has
-    at least ``salt_min_rows`` rows), the salted two-phase aggregate
-    engages with ``AUTO_SALT_BUCKETS``; pass an int to force either way.
+    ``salt_buckets=None`` (default) decides from measured skew: when
+    ``measure_top_key_share`` reports one name holding more than
+    ``salt_share_threshold`` of the mention rows (and the table has at
+    least ``salt_min_rows`` rows), a salted pre-reduce with
+    ``AUTO_SALT_BUCKETS`` runs first; pass an int to force either way.
     """
     mentions = edges.map_batches(
         edge_node_mentions, batch_format="pyarrow"
     ).union(unary.map_batches(unary_node_mentions, batch_format="pyarrow"))
-    # after the per-batch combiner the mentions table holds ≤ (#distinct
-    # names × #blocks) rows — coalesce before the shuffle so the groupby /
-    # sort don't fan out into hundreds of near-empty partitions (a pure
-    # scheduling tax measured at ~20s on a 32-CPU node)
-    mentions = mentions.repartition(8)
     if salt_buckets is None:
-        # pin the combiner output once: the skew probe and the aggregate
-        # below both consume it (lazy lineage would re-run extraction)
+        # pin the combiner output once: the skew probe and the reduce
+        # below both consume it, and count() is then metadata-only
         mentions = mentions.materialize()
-        # count() on a materialized dataset is metadata-only — small
-        # tables skip the keyed probe reduce entirely
         if mentions.count() < salt_min_rows:
             salt_buckets = 1
         else:
-            share, total = measure_top_key_share(mentions)
+            share, _ = measure_top_key_share(mentions)
             salt_buckets = (
                 AUTO_SALT_BUCKETS if share > salt_share_threshold else 1
             )
     if salt_buckets > 1:
-        # explicit salted two-phase aggregation for hot keys: phase 1
-        # reduces (name, salt) partials, phase 2 unsalts.  The per-batch
-        # combiner already bounds reducer fan-in to one row per name per
-        # block; salting additionally splits a hot name's reducer row set
-        # across `salt_buckets` reducers when block counts are huge.
+        # the combiner bounds a name's reducer fan-in to one row per block;
+        # a (name, salt) pre-reduce splits a hot name's rows across
+        # ``salt_buckets`` reducers when block counts are huge
         def add_salt(batch: pa.Table) -> pa.Table:
             import zlib
 
@@ -321,48 +277,80 @@ def canonicalize_nodes(
                 "salt", pa.array(salts, pa.int32())
             )
 
-        mentions = (
-            mentions.map_batches(add_salt, batch_format="pyarrow")
-            .groupby(["name", "salt"])
-            .aggregate(Min("first_key", alias_name="first_key"))
-            .drop_columns(["salt"])
-            .repartition(8)
+        mentions = _keyed_reduce(
+            mentions.map_batches(add_salt, batch_format="pyarrow"),
+            ["name", "salt"],
+            lambda df: df.groupby(["name", "salt"], as_index=False).agg(
+                first_key=("first_key", "min")
+            ),
         )
-    from ..utils import coarse_grouped_map
-
-    canonical = coarse_grouped_map(
-        mentions,
-        "name",
-        lambda df: df.groupby("name", as_index=False).agg(
-            first_key=("first_key", "min")
-        ),
-        num_partitions=8,
-        coalesce_blocks=None,  # mentions was just repartitioned above
-    ).repartition(4).sort("first_key")
-
-    def add_label_type(batch: pa.Table) -> pa.Table:
-        names = batch.column("name").to_pylist()
-        return pa.table(
-            {
-                "name": batch.column("name"),
-                "label": pa.array(
-                    [term_label(n) for n in names], pa.string()
-                ),
-                "type": pa.array(
-                    [term_type(n) for n in names], pa.string()
-                ),
-                "node_id": batch.column("node_id"),
-            }
-        )
-
-    with_ids = zip_with_index(canonical, "node_id").map_batches(
-        add_label_type, batch_format="pyarrow"
+    rows = mentions.map_batches(_reduce_input, batch_format="pyarrow").union(
+        url_agg.map_batches(_reduce_input, batch_format="pyarrow")
     )
-    from ..utils import schema_floor
+    return _keyed_reduce(rows, "name", _first_seen)
 
-    # schema_floor: an empty corpus must still yield the typed NODES
-    # schema (the join + reduce otherwise collapse to zero columns)
-    return schema_floor(attach_urls(with_ids, url_agg), schemas.NODES)
+
+def _name_hits(batch: pa.Table) -> pa.Table:
+    return batch.filter(pc.is_valid(batch["url"])).select(schemas.NODES.names)
+
+
+def _name_misses(batch: pa.Table) -> pa.Table:
+    return batch.filter(pc.is_null(batch["url"])).select(
+        ["label", "name", "type", "node_id"]
+    )
+
+
+def _as_nodes(batch: pa.Table) -> pa.Table:
+    return batch.select(schemas.NODES.names).cast(schemas.NODES)
+
+
+def assign_node_ids(
+    names: "ray.data.Dataset",
+    url_agg: "ray.data.Dataset",
+    offset: int = 0,
+) -> "ray.data.Dataset":
+    """``NAMES`` rows → NODES with dense ids ``offset, offset+1, …`` in
+    first-seen order.  A node whose name probe missed takes the URL of its
+    label (convert_to_cx2.py:159's fallback) from one label-keyed left
+    join; ``url_agg`` has one row per entry name, so every node yields
+    exactly one row."""
+    ranked = zip_with_index(names.sort("first_key"), "node_id", offset)
+    probed = repartition_join(
+        ranked.map_batches(_name_misses, batch_format="pyarrow"),
+        url_agg,
+        "label",
+        "entry_name",
+        {
+            "label": pa.string(),
+            "name": pa.string(),
+            "type": pa.string(),
+            "node_id": pa.int64(),
+        },
+        {"entry_name": pa.string(), "url": pa.string()},
+        num_partitions=8,
+        coalesce_blocks=None,
+        how="left",
+    ).map_batches(_as_nodes, batch_format="pyarrow", batch_size=None)
+    hits = ranked.map_batches(_name_hits, batch_format="pyarrow")
+    # schema_floor: an empty corpus must still yield the typed NODES schema
+    return schema_floor(hits.union(probed), schemas.NODES)
+
+
+def canonicalize_nodes(
+    edges: "ray.data.Dataset",
+    unary: "ray.data.Dataset",
+    url_agg: "ray.data.Dataset",
+    salt_buckets: int | None = None,
+    salt_share_threshold: float = SALT_SHARE_THRESHOLD,
+    salt_min_rows: int = SALT_MIN_ROWS,
+) -> "ray.data.Dataset":
+    """edges + unary mentions → NODES dataset with dense first-seen ids
+    (salting as in ``first_seen_names``)."""
+    names = first_seen_names(
+        edges, unary, url_agg, salt_buckets, salt_share_threshold,
+        salt_min_rows,
+    )
+    return assign_node_ids(names, url_agg)
 
 
 def node_tables(
@@ -374,8 +362,8 @@ def node_tables(
     """(canonical nodes, entry_name→url aggregate) — BOTH datasets; the
     URL aggregate never lands on the driver (r3 verdict 'What's wrong
     #1': the collected dict grew with the entity vocabulary)."""
-    # materialize: the vocabulary-sized aggregate feeds the attach_urls
-    # join and (optionally) the caller's CX2/export path; lazy lineage
-    # would re-run the whole extraction prefix once per consumer
+    # materialize: the aggregate feeds both probes and (optionally) the
+    # caller's CX2/export path; lazy lineage would re-run the whole
+    # extraction prefix once per consumer
     url_agg = build_url_agg(annotation_urls).materialize()
     return canonicalize_nodes(edges, unary, url_agg, salt_buckets), url_agg

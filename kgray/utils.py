@@ -8,12 +8,10 @@ import ray.data
 
 
 @ray.remote
-def _num_rows(t: pa.Table) -> int:
-    return t.num_rows
+def _append_index(block, col: str, offset: int) -> pa.Table:
+    from ray.data.block import BlockAccessor
 
-
-@ray.remote
-def _append_index(t: pa.Table, col: str, offset: int) -> pa.Table:
+    t = BlockAccessor.for_block(block).to_arrow()
     return t.append_column(
         col, pa.array(np.arange(offset, offset + t.num_rows), pa.int64())
     )
@@ -24,18 +22,18 @@ def zip_with_index(
 ) -> "ray.data.Dataset":
     """Append a dense global row index in current block order.
 
-    Ray Data has no zipWithIndex; this is the standard two-pass pattern:
-    count rows per block (tiny metadata tasks), cumsum offsets on the driver,
-    then one remote task per block appends ``offset + arange``.  Blocks never
-    move to the driver — intended for SMALL sorted outputs (e.g. the nodes
-    table after canonicalization), not the main corpus.
+    Ray Data has no zipWithIndex.  The input runs ONCE (``materialize``:
+    ``to_arrow_refs`` on a lazy plan streams it and then re-executes it
+    for the schema); block row counts come from the block metadata, and
+    one remote task per block appends ``offset + arange``.  Blocks never
+    move to the driver — intended for SMALL sorted outputs (e.g. the
+    nodes table after canonicalization), not the main corpus.
     """
-    refs = ds.to_arrow_refs()
-    counts = ray.get([_num_rows.remote(r) for r in refs])
-    offsets = np.concatenate([[0], np.cumsum(counts[:-1])]) + offset if counts else []
-    out = [
-        _append_index.remote(r, col, int(o)) for r, o in zip(refs, offsets)
-    ]
+    out = []
+    for bundle in ds.materialize().iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            out.append(_append_index.remote(ref, col, offset))
+            offset += meta.num_rows
     return ray.data.from_arrow_refs(out)
 
 

@@ -173,9 +173,18 @@ def test_incremental_update_from_empty_graph():
             }
         )
     )
+    cols = ["name", "label", "type", "url", "node_id"]
+
+    def frame(nodes):
+        return nodes.to_pandas()[cols].sort_values("node_id").reset_index(
+            drop=True
+        )
+
     merged = incremental_update(empty_nodes, ds)
-    direct = run_kg_pipeline(ds)
-    got = merged.nodes.to_pandas().sort_values("node_id")
-    exp = direct.nodes.to_pandas().sort_values("node_id")
-    assert got.name.tolist() == exp.name.tolist()
-    assert got.node_id.tolist() == exp.node_id.tolist()
+    got = frame(merged.nodes)
+    # incremental from an empty graph IS the full build
+    pd.testing.assert_frame_equal(got, frame(run_kg_pipeline(ds).nodes))
+    # and an empty delta shard leaves the existing nodes as they are
+    no_docs = ray.data.from_arrow(docs.slice(0, 0))
+    again = incremental_update(merged.nodes, no_docs)
+    pd.testing.assert_frame_equal(frame(again.nodes), got)

@@ -130,6 +130,29 @@ def test_salted_canonicalization_identical(pipeline_result):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_node_tables_exchange_budget(pipeline_result):
+    """An unsalted build canonicalizes nodes in at most four all-to-all
+    exchanges (URL reduce, name reduce, sort, label join), counted from
+    every plan node_tables executes, barriers included."""
+    from kgray.stages.nodes import node_tables
+    from perfbench.trace import Tracer
+
+    _, _, _, res = pipeline_result
+    tr = Tracer("exchange-budget")
+    # credit the fixture's own exchanges (its input repartition) elsewhere
+    tr.collect("inputs", res.extractions)
+    tr.collect("inputs", res.edges)
+    with tr.watch_plans():
+        nodes, _ = node_tables(
+            res.edges, res.unary_nodes, res.annotation_urls
+        )
+        nodes = nodes.materialize()
+    tr.collect("nodes", nodes)
+    assert len(tr.exchanges("nodes")) <= 4, [
+        o["operator"] for o in tr.exchanges("nodes")
+    ]
+
+
 def test_span_invariant_through_pipeline(pipeline_result):
     docs, _, _, res = pipeline_result
     chunk_cols = ["doc_id", "span_seq", "kind", "text", "media_ref", "offset"]

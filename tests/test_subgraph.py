@@ -124,3 +124,21 @@ def test_prompt_guard():
     )
     with pytest.raises(ValueError, match="prompt would collect"):
         assemble_prompt(ev, max_rows=0)
+
+
+def test_kg_subgraph_query_on_empty_edge_table(monkeypatch):
+    """No edges means no seed entity: a clear error, not a NaN seed that
+    fails later inside the string-keyed BFS join."""
+    import types
+
+    import ray.data
+
+    import __ray_entry__ as entry
+    from kgray import schemas
+
+    empty = types.SimpleNamespace(
+        edges=ray.data.from_arrow(schemas.EDGES.empty_table())
+    )
+    monkeypatch.setattr(entry, "_kg_result", lambda sf_dir: empty)
+    with pytest.raises(ValueError, match="edge table is empty"):
+        entry._q_kg_subgraph("unused")
