@@ -540,47 +540,6 @@ def _q_simhash_pairs_portable(sf_dir: str):
     )
 
 
-def _q_events_quantiles_approx_check(sf_dir: str):
-    """HASH-EXACT certificate for the histogram-sketch quantiles: the
-    sketch's selected bin is, by construction, exactly the bin
-    containing the ceil(q·n)-th order statistic (searchsorted over
-    integer cumulative counts ≥ q·n ⟺ rank ≥ ceil(q·n)) — a
-    deterministic function of the data the SQL oracle recomputes from
-    the raw values via a windowed rank, promoting the approx-quantile
-    lane from rows-only to value-hash-exact (r4 verdict ask #7)."""
-    from kgray.pipelines.relational import events_value_quantiles_approx
-
-    return events_value_quantiles_approx(sf_dir, emit="bin")
-
-
-def _q_events_distinct_hll_check(sf_dir: str):
-    """Error-bound certificate for the HLL distinct-user sketch: the
-    sketch estimate is compared against the DISTRIBUTED exact distinct
-    count; rows carry (exact count, within_bound at 5σ of the b=10
-    standard error) and the oracle recomputes the exact counts and
-    asserts TRUE (r4 verdict ask #7)."""
-    import pandas as pd
-
-    from kgray.pipelines.relational import (
-        events_distinct_users,
-        events_distinct_users_hll,
-    )
-
-    exact = events_distinct_users(sf_dir).to_pandas()
-    approx = events_distinct_users_hll(sf_dir).to_pandas()
-    m = exact.merge(approx, on="event_type")
-    # 5 sigma of the b=10 HLL standard error (1.04/sqrt(1024) ≈ 3.25%)
-    tol = (0.1625 * m.n_users).clip(lower=5)
-    m["within_bound"] = (m.n_users_approx - m.n_users).abs() <= tol
-    return pd.DataFrame(
-        {
-            "event_type": m.event_type,
-            "n_users": m.n_users,
-            "within_bound": m.within_bound,
-        }
-    )
-
-
 def _load_queries(sf_dir: str, n: int = 10):
     import os
 
@@ -1102,42 +1061,6 @@ def _q_surface_clusters(sf_dir: str):
     return cluster_surface_forms(ds, threshold=0.55)
 
 
-def _q_pricing_summary(sf_dir: str):
-    from kgray.pipelines.relational import pricing_summary
-
-    return pricing_summary(sf_dir)
-
-
-def _q_revenue_by_nation(sf_dir: str):
-    from kgray.pipelines.relational import revenue_by_nation
-
-    return revenue_by_nation(sf_dir)
-
-
-def _q_top_parts(sf_dir: str):
-    from kgray.pipelines.relational import top_parts_by_revenue
-
-    return top_parts_by_revenue(sf_dir, k=10)
-
-
-def _q_events_hourly(sf_dir: str):
-    from kgray.pipelines.relational import events_hourly
-
-    return events_hourly(sf_dir)
-
-
-def _q_events_sessions(sf_dir: str):
-    from kgray.pipelines.relational import events_sessions
-
-    return events_sessions(sf_dir, gap_minutes=30)
-
-
-def _q_supplier_balance(sf_dir: str):
-    from kgray.pipelines.relational import supplier_balance_stats
-
-    return supplier_balance_stats(sf_dir)
-
-
 def _q_media_video_real(sf_dir: str):
     """REAL video frame sampling (rows-only): a deterministic synthetic
     corpus of MJPEG-AVI containers probes (avih header → true duration)
@@ -1224,133 +1147,6 @@ def _q_media_frames(sf_dir: str):
         explode_spans, batch_format="pyarrow"
     )
     return sample_video_frames(chunks, interval_ms=1000, max_frames=8)
-
-
-def _q_customers_semi(sf_dir: str):
-    from kgray.pipelines.relational import customers_with_high_value_orders
-
-    return customers_with_high_value_orders(sf_dir)
-
-
-def _q_customers_anti(sf_dir: str):
-    from kgray.pipelines.relational import (
-        customers_without_high_value_orders,
-    )
-
-    return customers_without_high_value_orders(sf_dir)
-
-
-def _q_customer_left_counts(sf_dir: str):
-    from kgray.pipelines.relational import customer_high_value_counts
-
-    return customer_high_value_counts(sf_dir)
-
-
-def _q_events_rolling(sf_dir: str):
-    from kgray.pipelines.relational import events_rolling
-
-    return events_rolling(sf_dir)
-
-
-def _q_events_distinct_users(sf_dir: str):
-    from kgray.pipelines.relational import events_distinct_users
-
-    return events_distinct_users(sf_dir)
-
-
-def _q_top_customers_per_nation(sf_dir: str):
-    from kgray.pipelines.relational import top_customers_per_nation
-
-    return top_customers_per_nation(sf_dir)
-
-
-def _q_events_distinct_users_hll(sf_dir: str):
-    """HyperLogLog approximate distinct (sketch — rows-only by design;
-    the 1.04/sqrt(m) error contract is pytest-checked vs the exact op)."""
-    from kgray.pipelines.relational import events_distinct_users_hll
-
-    return events_distinct_users_hll(sf_dir)
-
-
-def _q_top_tokens(sf_dir: str):
-    from kgray.pipelines.relational import top_tokens
-
-    return top_tokens(sf_dir)
-
-
-def _q_events_quantiles(sf_dir: str):
-    from kgray.pipelines.relational import events_value_quantiles
-
-    return events_value_quantiles(sf_dir)
-
-
-def _q_events_quantiles_approx(sf_dir: str):
-    """Histogram-sketch quantiles (approximate by design — rows-only;
-    the error-bound contract is pytest-checked against the exact op)."""
-    from kgray.pipelines.relational import events_value_quantiles_approx
-
-    return events_value_quantiles_approx(sf_dir)
-
-
-def _q_orders_top100(sf_dir: str):
-    from kgray.pipelines.relational import orders_top100_global_sort
-
-    return orders_top100_global_sort(sf_dir)
-
-
-def _q_events_asof(sf_dir: str):
-    from kgray.pipelines.relational import events_asof_join
-
-    return events_asof_join(sf_dir)
-
-
-def _q_events_range_join(sf_dir: str):
-    from kgray.pipelines.relational import events_range_join
-
-    return events_range_join(sf_dir, window_minutes=60)
-
-
-def _q_orders_high_value(sf_dir: str):
-    from kgray.pipelines.relational import filter_orders_high_value
-
-    return filter_orders_high_value(sf_dir, cutoff=100000.0)
-
-
-def _q_q3_shipping_priority(sf_dir: str):
-    from kgray.pipelines.analytics import shipping_priority
-
-    return shipping_priority(sf_dir, segment="BUILDING",
-                             cutoff="1998-01-01", k=10)
-
-
-def _q_pricing_rollup(sf_dir: str):
-    from kgray.pipelines.analytics import pricing_rollup
-
-    return pricing_rollup(sf_dir)
-
-
-def _q_events_pivot(sf_dir: str):
-    from kgray.pipelines.analytics import events_type_pivot
-
-    return events_type_pivot(sf_dir)
-
-
-def _q_customer_order_statuses(sf_dir: str):
-    from kgray.pipelines.analytics import customer_order_statuses
-
-    return customer_order_statuses(sf_dir)
-
-
-def _q_part_copurchase(sf_dir: str):
-    from kgray.pipelines.analytics import part_copurchase_degree
-
-    return part_copurchase_degree(sf_dir, k=20)
-
-
-def _q_user_activity_outer(sf_dir: str):
-    from kgray.pipelines.analytics import user_activity_outer
-
-    return user_activity_outer(sf_dir, cutoff=450000.0)
 
 
 def _q_bioc_ingest(sf_dir: str):
@@ -1468,15 +1264,6 @@ def _q_top_tokens_mg(sf_dir: str):
     return top_tokens_mg(sf_dir, k=20)
 
 
-def _q_customers_semi_bloom(sf_dir: str):
-    """Bloom-prefiltered semi join: exact same answer as
-    customers_semi_join (the Bloom stage only shrinks the join input),
-    so it shares that oracle."""
-    from kgray.pipelines.analytics import customers_semi_join_bloom
-
-    return customers_semi_join_bloom(sf_dir, cutoff=350000.0)
-
-
 def _q_pack_sequences(sf_dir: str):
     from kgray.stages.pack import pack_sequences
 
@@ -1501,30 +1288,6 @@ def _q_repetition_stats(sf_dir: str):
     return repetition_stats(sf_dir)
 
 
-def _q_large_orders(sf_dir: str):
-    from kgray.pipelines.tpch_extra import large_orders
-
-    return large_orders(sf_dir)
-
-
-def _q_promo_revenue(sf_dir: str):
-    from kgray.pipelines.tpch_extra import promo_revenue
-
-    return promo_revenue(sf_dir)
-
-
-def _q_idle_rich_customers(sf_dir: str):
-    from kgray.pipelines.tpch_extra import idle_rich_customers
-
-    return idle_rich_customers(sf_dir)
-
-
-def _q_customer_running_total(sf_dir: str):
-    from kgray.pipelines.tpch_extra import customer_running_total
-
-    return customer_running_total(sf_dir)
-
-
 def _q_zipf_slope(sf_dir: str):
     from kgray.stages.corpus_stats import zipf_slope
 
@@ -1541,18 +1304,6 @@ def _q_source_lang_chi2(sf_dir: str):
     from kgray.stages.corpus_stats import source_lang_chi2
 
     return source_lang_chi2(sf_dir)
-
-
-def _q_event_transitions(sf_dir: str):
-    from kgray.pipelines.analytics import event_transitions
-
-    return event_transitions(sf_dir)
-
-
-def _q_session_stats(sf_dir: str):
-    from kgray.pipelines.analytics import session_stats
-
-    return session_stats(sf_dir)
 
 
 def _q_embedding_covariance(sf_dir: str):
@@ -1573,112 +1324,16 @@ def _q_source_token_entropy(sf_dir: str):
     return source_token_entropy(sf_dir)
 
 
-def _q_events_wau(sf_dir: str):
-    from kgray.pipelines.relational import events_wau
-
-    return events_wau(sf_dir)
-
-
-def _q_last_event_per_user(sf_dir: str):
-    from kgray.pipelines.relational import last_event_per_user
-
-    return last_event_per_user(sf_dir)
-
-
-def _q_event_anomalies(sf_dir: str):
-    from kgray.pipelines.analytics import event_anomalies
-
-    return event_anomalies(sf_dir)
-
-
-def _q_repurchase_latency(sf_dir: str):
-    from kgray.pipelines.analytics import repurchase_latency
-
-    return repurchase_latency(sf_dir)
-
-
 def _q_bpe_merges(sf_dir: str):
     from kgray.stages.pack import learn_bpe_merges
 
     return learn_bpe_merges(sf_dir)
 
 
-def _q_key_skew(sf_dir: str):
-    from kgray.pipelines.analytics import key_skew_profile
-
-    return key_skew_profile(sf_dir)
-
-
-def _q_revenue_gini(sf_dir: str):
-    from kgray.pipelines.relational import revenue_gini
-
-    return revenue_gini(sf_dir)
-
-
-def _q_events_gapfill(sf_dir: str):
-    from kgray.pipelines.relational import events_gapfill
-
-    return events_gapfill(sf_dir)
-
-
-def _q_integrity_audit(sf_dir: str):
-    from kgray.pipelines.analytics import integrity_audit
-
-    return integrity_audit(sf_dir)
-
-
-def _q_returned_item_ranking(sf_dir: str):
-    from kgray.pipelines.tpch_more import returned_item_ranking
-
-    return returned_item_ranking(sf_dir)
-
-
-def _q_nation_trade_volume(sf_dir: str):
-    from kgray.pipelines.tpch_more import nation_trade_volume
-
-    return nation_trade_volume(sf_dir)
-
-
-def _q_order_priority_exists(sf_dir: str):
-    from kgray.pipelines.tpch_more import order_priority_exists
-
-    return order_priority_exists(sf_dir)
-
-
-def _q_events_cube(sf_dir: str):
-    from kgray.pipelines.relational import events_cube
-
-    return events_cube(sf_dir)
-
-
 def _q_temperature_mix(sf_dir: str):
     from kgray.stages.corpus_stats import temperature_mix
 
     return temperature_mix(sf_dir)
-
-
-def _q_latency_priority_counts(sf_dir: str):
-    from kgray.pipelines.tpch_more import latency_priority_counts
-
-    return latency_priority_counts(sf_dir)
-
-
-def _q_dominant_suppliers(sf_dir: str):
-    from kgray.pipelines.tpch_more import dominant_suppliers
-
-    return dominant_suppliers(sf_dir)
-
-
-def _q_waiting_suppliers(sf_dir: str):
-    from kgray.pipelines.tpch_more import waiting_suppliers
-
-    return waiting_suppliers(sf_dir)
-
-
-def _q_copurchase_components(sf_dir: str):
-    from kgray.pipelines.analytics import copurchase_components
-
-    return copurchase_components(sf_dir)
 
 
 def _q_duplicate_ngrams(sf_dir: str):
@@ -1747,18 +1402,6 @@ def _q_quality_percentile(sf_dir: str):
     return quality_percentile_filter(sf_dir, pct=0.9)
 
 
-def _q_events_interarrival(sf_dir: str):
-    from kgray.pipelines.analytics import events_interarrival
-
-    return events_interarrival(sf_dir)
-
-
-def _q_events_props_stats(sf_dir: str):
-    from kgray.pipelines.analytics import events_props_stats
-
-    return events_props_stats(sf_dir)
-
-
 def _q_near_dup_dedup_lp(sf_dir: str):
     """Distributed-components variant of near_dup_dedup (min-label
     propagation instead of driver union-find) — identical output,
@@ -1773,23 +1416,6 @@ def _q_near_dup_dedup_lp(sf_dir: str):
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
     return near_dup_groups_distributed(docs, threshold=0.5)
-
-
-def _q_copurchase_triangles(sf_dir: str):
-    """Triangle count over the part co-purchase graph (distinct ordered
-    pairs) — wedge join + composite-key closure, all distributed."""
-    import pyarrow as pa
-
-    from kgray.pipelines.analytics import part_copurchase_pairs
-    from kgray.stages.graph_algos import count_triangles
-
-    edges = part_copurchase_pairs(sf_dir).map_batches(
-        lambda b: pa.table(
-            {"src": b.column("part_a"), "dst": b.column("part_b")}
-        ),
-        batch_format="pyarrow",
-    )
-    return count_triangles(edges)
 
 
 def _q_dedup_incremental(sf_dir: str):
@@ -1846,112 +1472,10 @@ def _q_semantic_dedup(sf_dir: str):
     return semantic_dedup(sf_dir, k=8, iters=5, threshold=0.45)
 
 
-def _q_lineitem_corr(sf_dir: str):
-    from kgray.pipelines.analytics import lineitem_qty_price_corr
-
-    return lineitem_qty_price_corr(sf_dir)
-
-
-def _q_spearman_corr(sf_dir: str):
-    from kgray.pipelines.analytics import spearman_qty_price
-
-    return spearman_qty_price(sf_dir)
-
-
-def _q_events_acf(sf_dir: str):
-    from kgray.pipelines.analytics import events_acf
-
-    return events_acf(sf_dir)
-
-
-def _q_lineitem_unpivot(sf_dir: str):
-    from kgray.pipelines.analytics import lineitem_unpivot
-
-    return lineitem_unpivot(sf_dir)
-
-
-def _q_diversified_topk(sf_dir: str):
-    from kgray.pipelines.analytics import diversified_topk
-
-    return diversified_topk(sf_dir)
-
-
-def _q_weighted_median(sf_dir: str):
-    from kgray.pipelines.analytics import weighted_median
-
-    return weighted_median(sf_dir)
-
-
-def _q_lines_in_flight(sf_dir: str):
-    from kgray.pipelines.analytics import lines_in_flight
-
-    return lines_in_flight(sf_dir)
-
-
-def _q_user_modal_event(sf_dir: str):
-    from kgray.pipelines.analytics import user_modal_event
-
-    return user_modal_event(sf_dir)
-
-
-def _q_open_lines_at_order(sf_dir: str):
-    from kgray.pipelines.analytics import open_lines_at_order
-
-    return open_lines_at_order(sf_dir)
-
-
-def _q_user_streaks(sf_dir: str):
-    from kgray.pipelines.analytics import user_streaks
-
-    return user_streaks(sf_dir)
-
-
-def _q_local_supplier_volume(sf_dir: str):
-    from kgray.pipelines.tpch_more import local_supplier_volume
-
-    return local_supplier_volume(sf_dir)
-
-
-def _q_concurrent_sessions(sf_dir: str):
-    from kgray.pipelines.analytics import concurrent_sessions_peak
-
-    return concurrent_sessions_peak(sf_dir)
-
-
-def _q_orders_above_cust_avg(sf_dir: str):
-    from kgray.pipelines.analytics import orders_above_cust_avg
-
-    return orders_above_cust_avg(sf_dir)
-
-
-def _q_revenue_mom_growth(sf_dir: str):
-    from kgray.pipelines.analytics import revenue_mom_growth
-
-    return revenue_mom_growth(sf_dir)
-
-
-def _q_events_histogram(sf_dir: str):
-    from kgray.pipelines.analytics import events_histogram
-
-    return events_histogram(sf_dir)
-
-
 def _q_kwic(sf_dir: str):
     from kgray.stages.text_analysis import kwic_snippets
 
     return kwic_snippets(sf_dir)
-
-
-def _q_rolling_active_users(sf_dir: str):
-    from kgray.pipelines.analytics import rolling_active_users
-
-    return rolling_active_users(sf_dir)
-
-
-def _q_association_rules(sf_dir: str):
-    from kgray.pipelines.analytics import association_rules
-
-    return association_rules(sf_dir)
 
 
 def _q_span_corrupt(sf_dir: str):
@@ -1968,12 +1492,6 @@ def _q_label_centroids(sf_dir: str):
     from kgray.stages.similarity import label_centroids
 
     return label_centroids(sf_dir)
-
-
-def _q_events_funnel(sf_dir: str):
-    from kgray.pipelines.analytics import events_funnel
-
-    return events_funnel(sf_dir)
 
 
 def _q_encode_token_ids(sf_dir: str):
@@ -2016,42 +1534,6 @@ def _q_bm25_topk(sf_dir: str):
     return bm25_topk(sf_dir)
 
 
-def _q_events_twap(sf_dir: str):
-    """Time-weighted average per event type (trapezoid integral /
-    duration): global (type, t, id) sort, block partials with exact
-    python-int cents×micros sums, driver stitches only block
-    boundaries."""
-    from kgray.pipelines.analytics import events_twap
-
-    return events_twap(sf_dir)
-
-
-def _q_user_journeys(sf_dir: str):
-    """Ordered string aggregation: per-user '>'-joined event-type
-    sequence in (ts, event_id) order — string_agg ORDER BY parity."""
-    from kgray.pipelines.relational import user_journeys
-
-    return user_journeys(sf_dir)
-
-
-def _q_part_skyline(sf_dir: str):
-    """2-D Pareto skyline of parts minimising (retailprice, size):
-    block-local frontier combiner, frontier-bounded final scan,
-    comparison-only semantics (bit-exact vs the NOT EXISTS oracle)."""
-    from kgray.pipelines.tpch_extra import part_skyline
-
-    return part_skyline(sf_dir)
-
-
-def _q_lineitem_profile(sf_dir: str):
-    """One-pass numeric column profiler over lineitem's four measures;
-    exact-cents moment partials as hi/lo int64 pairs (HUGEINT
-    discipline), closed forms in arbitrary precision."""
-    from kgray.pipelines.analytics import lineitem_profile
-
-    return lineitem_profile(sf_dir)
-
-
 def _q_kg_pagerank(sf_dir: str):
     """PageRank (4 power iterations, d=0.85) over the KG's distinct
     subj→obj edge graph; oracle unrolls the identical iterations in SQL
@@ -2084,12 +1566,6 @@ def _q_kg_hits(sf_dir: str):
         batch_format="pyarrow",
     )
     return hits(edges, iters=4)
-
-
-def _q_cohort_retention(sf_dir: str):
-    from kgray.pipelines.analytics import cohort_retention
-
-    return cohort_retention(sf_dir)
 
 
 def _q_fuzzy_part_names(sf_dir: str):
@@ -2141,30 +1617,10 @@ def _q_sliding_chunks(sf_dir: str):
     return sliding_chunks(docs, window=20, stride=10)
 
 
-def _q_users_intersect(sf_dir: str):
-    from kgray.pipelines.analytics import user_event_sets
-
-    return user_event_sets(sf_dir, "view", "purchase", mode="intersect")
-
-
-def _q_users_except(sf_dir: str):
-    from kgray.pipelines.analytics import user_event_sets
-
-    return user_event_sets(
-        sf_dir, "view", "purchase", mode="except", b_min_value=90.0
-    )
-
-
 def _q_source_percent_rank(sf_dir: str):
     from kgray.stages.corpus_stats import source_percent_rank
 
     return source_percent_rank(sf_dir)
-
-
-def _q_events_winsorized(sf_dir: str):
-    from kgray.pipelines.relational import events_winsorized
-
-    return events_winsorized(sf_dir)
 
 
 def _q_kg_two_hop(sf_dir: str):
@@ -2242,40 +1698,10 @@ def _q_kg_closeness(sf_dir: str):
                               max_depth=3)
 
 
-def _q_copurchase_kcore(sf_dir: str):
-    import pyarrow as pa
-
-    from kgray.pipelines.analytics import part_copurchase_pairs
-    from kgray.stages.graph_algos import k_core
-
-    pairs = part_copurchase_pairs(sf_dir).map_batches(
-        lambda b: pa.table(
-            {"doc_a": b.column("part_a"), "doc_b": b.column("part_b")}
-        ),
-        batch_format="pyarrow",
-    )
-    # the sf co-purchase graph is dense (min raw degree ≈ 40 at sf0.01);
-    # k=80 sits where the peel actually cascades (drops ~7% of nodes over
-    # several rounds) while leaving a nonempty core
-    return k_core(pairs, k=80)
-
-
-def _q_ship_latency_quantiles(sf_dir: str):
-    from kgray.pipelines.tpch_extra import ship_latency_quantiles
-
-    return ship_latency_quantiles(sf_dir)
-
-
 def _q_knn_label_purity(sf_dir: str):
     from kgray.stages.similarity import knn_label_purity
 
     return knn_label_purity(sf_dir)
-
-
-def _q_event_value_trend(sf_dir: str):
-    from kgray.pipelines.analytics import event_value_trend
-
-    return event_value_trend(sf_dir)
 
 
 def _q_kg_comention(sf_dir: str):
@@ -2299,46 +1725,10 @@ def _q_bpe_encode(sf_dir: str):
     return bpe_encode(sf_dir)
 
 
-def _q_nation_revenue_share(sf_dir: str):
-    from kgray.pipelines.relational import nation_revenue_share
-
-    return nation_revenue_share(sf_dir)
-
-
-def _q_user_value_ewma(sf_dir: str):
-    from kgray.pipelines.relational import user_value_ewma
-
-    return user_value_ewma(sf_dir)
-
-
 def _q_tfidf_similar_docs(sf_dir: str):
     from kgray.stages.corpus_stats import tfidf_similar_docs
 
     return tfidf_similar_docs(sf_dir)
-
-
-def _q_ks_statistic(sf_dir: str):
-    from kgray.pipelines.analytics import ks_statistic
-
-    return ks_statistic(sf_dir)
-
-
-def _q_benford_digits(sf_dir: str):
-    from kgray.pipelines.analytics import benford_digits
-
-    return benford_digits(sf_dir)
-
-
-def _q_running_distinct_users(sf_dir: str):
-    from kgray.pipelines.analytics import running_distinct_users
-
-    return running_distinct_users(sf_dir)
-
-
-def _q_events_mad(sf_dir: str):
-    from kgray.pipelines.analytics import events_mad
-
-    return events_mad(sf_dir)
 
 
 def _q_media_dedup(sf_dir: str):
@@ -2401,36 +1791,6 @@ def _q_pretrain_corpus(sf_dir: str):
     from kgray.pipelines.curate import pretrain_corpus
 
     return pretrain_corpus(sf_dir)
-
-
-def _q_events_hopping(sf_dir: str):
-    from kgray.pipelines.analytics import events_hopping_counts
-
-    return events_hopping_counts(sf_dir)
-
-
-def _q_events_window_topk(sf_dir: str):
-    from kgray.pipelines.analytics import events_window_topk_types
-
-    return events_window_topk_types(sf_dir)
-
-
-def _q_event_dedup_tolerance(sf_dir: str):
-    from kgray.pipelines.analytics import event_dedup_tolerance
-
-    return event_dedup_tolerance(sf_dir)
-
-
-def _q_user_hour_throttle(sf_dir: str):
-    from kgray.pipelines.analytics import user_hour_throttle
-
-    return user_hour_throttle(sf_dir)
-
-
-def _q_weighted_sample(sf_dir: str):
-    from kgray.pipelines.analytics import weighted_sample
-
-    return weighted_sample(sf_dir)
 
 
 def _q_mips_topk(sf_dir: str):
@@ -2497,72 +1857,6 @@ def _q_top_tokens_by_lang(sf_dir: str):
     from kgray.stages.corpus_stats import top_tokens_by_lang
 
     return top_tokens_by_lang(sf_dir)
-
-
-def _q_forecast_revenue(sf_dir: str):
-    from kgray.pipelines.tpch_final import forecast_revenue
-
-    return forecast_revenue(sf_dir)
-
-
-def _q_customer_order_distribution(sf_dir: str):
-    from kgray.pipelines.tpch_final import customer_order_distribution
-
-    return customer_order_distribution(sf_dir)
-
-
-def _q_top_supplier(sf_dir: str):
-    from kgray.pipelines.tpch_final import top_supplier
-
-    return top_supplier(sf_dir)
-
-
-def _q_small_quantity_revenue(sf_dir: str):
-    from kgray.pipelines.tpch_final import small_quantity_revenue
-
-    return small_quantity_revenue(sf_dir)
-
-
-def _q_disjunctive_brand_revenue(sf_dir: str):
-    from kgray.pipelines.tpch_final import disjunctive_brand_revenue
-
-    return disjunctive_brand_revenue(sf_dir)
-
-
-def _q_cheapest_supplier(sf_dir: str):
-    from kgray.pipelines.tpch_final import cheapest_supplier_per_part
-
-    return cheapest_supplier_per_part(sf_dir)
-
-
-def _q_nation_market_share(sf_dir: str):
-    from kgray.pipelines.tpch_final import nation_market_share
-
-    return nation_market_share(sf_dir)
-
-
-def _q_product_profit(sf_dir: str):
-    from kgray.pipelines.tpch_final import product_profit
-
-    return product_profit(sf_dir)
-
-
-def _q_important_parts(sf_dir: str):
-    from kgray.pipelines.tpch_final import important_parts
-
-    return important_parts(sf_dir)
-
-
-def _q_supplier_count_by_part(sf_dir: str):
-    from kgray.pipelines.tpch_final import supplier_count_by_part
-
-    return supplier_count_by_part(sf_dir)
-
-
-def _q_excess_suppliers(sf_dir: str):
-    from kgray.pipelines.tpch_final import excess_suppliers
-
-    return excess_suppliers(sf_dir)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
@@ -2633,37 +1927,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "knn_ivf": _q_knn_ivf,
         "embedding_near_dup": _q_embedding_near_dup,
         "embedding_near_dup_exact": _q_embedding_near_dup_exact,
-        # relational / events
-        "pricing_summary": _q_pricing_summary,
-        "revenue_by_nation": _q_revenue_by_nation,
-        "top_parts": _q_top_parts,
-        "events_hourly": _q_events_hourly,
-        "events_sessions": _q_events_sessions,
-        "events_asof": _q_events_asof,
-        "events_range": _q_events_range_join,
-        "events_rolling": _q_events_rolling,
-        "events_distinct_users": _q_events_distinct_users,
-        "top_customers_per_nation": _q_top_customers_per_nation,
-        "events_distinct_users_hll": _q_events_distinct_users_hll,
-        "top_tokens": _q_top_tokens,
-        "events_quantiles": _q_events_quantiles,
-        "events_quantiles_approx": _q_events_quantiles_approx,
-        "events_quantiles_approx_check": _q_events_quantiles_approx_check,
-        "events_distinct_hll_check": _q_events_distinct_hll_check,
-        "orders_top100": _q_orders_top100,
-        "customers_semi_join": _q_customers_semi,
-        "customers_anti_join": _q_customers_anti,
-        "customer_left_join_counts": _q_customer_left_counts,
-        "supplier_balance": _q_supplier_balance,
-        "orders_high_value": _q_orders_high_value,
-        # composite analytics (multi-join / rollup / pivot / string-agg /
-        # self-join pairs / full-outer)
-        "q3_shipping_priority": _q_q3_shipping_priority,
-        "pricing_rollup": _q_pricing_rollup,
-        "events_pivot": _q_events_pivot,
-        "customer_order_statuses": _q_customer_order_statuses,
-        "part_copurchase": _q_part_copurchase,
-        "user_activity_outer": _q_user_activity_outer,
         # XML sources (BioC ingestion + E-utilities metadata kernels)
         "bioc_ingest": _q_bioc_ingest,
         "eutils_metadata": _q_eutils_metadata,
@@ -2672,43 +1935,20 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "bigram_pmi": _q_bigram_pmi,
         "stratified_sample": _q_stratified_sample,
         "top_tokens_mg": _q_top_tokens_mg,
-        "customers_semi_join_bloom": _q_customers_semi_bloom,
         # training-data assembly / curation
         "pack_sequences": _q_pack_sequences,
         "shuffle_order": _q_shuffle_order,
         "decontaminate": _q_decontaminate,
         "repetition_stats": _q_repetition_stats,
         "duplicate_ngrams": _q_duplicate_ngrams,
-        "large_orders": _q_large_orders,
-        "returned_item_ranking": _q_returned_item_ranking,
         "zipf_slope": _q_zipf_slope,
         "embedding_covariance": _q_embedding_covariance,
         "pca_spectrum": _q_pca_spectrum,
         "source_token_entropy": _q_source_token_entropy,
-        "events_wau": _q_events_wau,
-        "last_event_per_user": _q_last_event_per_user,
-        "integrity_audit": _q_integrity_audit,
-        "revenue_gini": _q_revenue_gini,
-        "event_anomalies": _q_event_anomalies,
         "bpe_merges": _q_bpe_merges,
-        "key_skew": _q_key_skew,
-        "repurchase_latency": _q_repurchase_latency,
-        "events_gapfill": _q_events_gapfill,
         "trigram_topk": _q_trigram_topk,
         "source_lang_chi2": _q_source_lang_chi2,
-        "event_transitions": _q_event_transitions,
-        "session_stats": _q_session_stats,
-        "nation_trade_volume": _q_nation_trade_volume,
-        "order_priority_exists": _q_order_priority_exists,
-        "latency_priority_counts": _q_latency_priority_counts,
         "temperature_mix": _q_temperature_mix,
-        "events_cube": _q_events_cube,
-        "dominant_suppliers": _q_dominant_suppliers,
-        "waiting_suppliers": _q_waiting_suppliers,
-        "copurchase_components": _q_copurchase_components,
-        "promo_revenue": _q_promo_revenue,
-        "idle_rich_customers": _q_idle_rich_customers,
-        "customer_running_total": _q_customer_running_total,
         "quality_filter": _q_quality_filter,
         "importance_sample": _q_importance_sample,
         # scrubbing / windowed / semi-structured extensions
@@ -2716,88 +1956,32 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "chunk_dedup": _q_chunk_dedup,
         "quota_sample": _q_quota_sample,
         "quality_percentile": _q_quality_percentile,
-        "events_interarrival": _q_events_interarrival,
-        "events_props_stats": _q_events_props_stats,
         "unigram_nll": _q_unigram_nll,
         "bigram_nll": _q_bigram_nll,
         "length_deciles": _q_length_deciles,
         "ccnet_buckets": _q_ccnet_buckets,
         "bm25_topk": _q_bm25_topk,
-        "part_skyline": _q_part_skyline,
-        "lineitem_profile": _q_lineitem_profile,
-        "user_journeys": _q_user_journeys,
-        "events_twap": _q_events_twap,
         "kg_pagerank": _q_kg_pagerank,
         "kg_hits": _q_kg_hits,
         "kg_two_hop": _q_kg_two_hop,
-        "events_winsorized": _q_events_winsorized,
         "sliding_chunks": _q_sliding_chunks,
-        "cohort_retention": _q_cohort_retention,
         "fuzzy_part_names": _q_fuzzy_part_names,
-        "users_intersect": _q_users_intersect,
-        "users_except": _q_users_except,
         "source_percent_rank": _q_source_percent_rank,
         "near_dup_dedup_lp": _q_near_dup_dedup_lp,
         "encode_token_ids": _q_encode_token_ids,
         "label_centroids": _q_label_centroids,
-        "events_funnel": _q_events_funnel,
-        "copurchase_triangles": _q_copurchase_triangles,
         "dedup_incremental": _q_dedup_incremental,
-        "lineitem_corr": _q_lineitem_corr,
-        "spearman_corr": _q_spearman_corr,
-        "events_acf": _q_events_acf,
-        "lineitem_unpivot": _q_lineitem_unpivot,
-        "diversified_topk": _q_diversified_topk,
-        "weighted_median": _q_weighted_median,
-        "lines_in_flight": _q_lines_in_flight,
-        "user_modal_event": _q_user_modal_event,
-        "open_lines_at_order": _q_open_lines_at_order,
-        "user_streaks": _q_user_streaks,
-        "local_supplier_volume": _q_local_supplier_volume,
-        "concurrent_sessions": _q_concurrent_sessions,
-        "orders_above_cust_avg": _q_orders_above_cust_avg,
-        "revenue_mom_growth": _q_revenue_mom_growth,
-        "association_rules": _q_association_rules,
-        "rolling_active_users": _q_rolling_active_users,
-        "events_histogram": _q_events_histogram,
         "kwic": _q_kwic,
         "span_corrupt": _q_span_corrupt,
         "kmeans_embeddings": _q_kmeans_embeddings,
         "semantic_dedup": _q_semantic_dedup,
-        # final TPC-H-shape sweep (Q6/Q13/Q15/Q17/Q19 shapes)
-        "forecast_revenue": _q_forecast_revenue,
-        "customer_order_distribution": _q_customer_order_distribution,
-        "top_supplier": _q_top_supplier,
-        "small_quantity_revenue": _q_small_quantity_revenue,
-        "disjunctive_brand_revenue": _q_disjunctive_brand_revenue,
-        "cheapest_supplier": _q_cheapest_supplier,
-        "nation_market_share": _q_nation_market_share,
-        "product_profit": _q_product_profit,
-        "important_parts": _q_important_parts,
-        "supplier_count_by_part": _q_supplier_count_by_part,
-        "excess_suppliers": _q_excess_suppliers,
         "pretrain_corpus": _q_pretrain_corpus,
         "media_dedup": _q_media_dedup,
         "kg_incremental": _q_kg_incremental,
         "tfidf_similar_docs": _q_tfidf_similar_docs,
         "bpe_encode": _q_bpe_encode,
         "kg_comention": _q_kg_comention,
-        "event_value_trend": _q_event_value_trend,
         "knn_label_purity": _q_knn_label_purity,
-        "ship_latency_quantiles": _q_ship_latency_quantiles,
-        "nation_revenue_share": _q_nation_revenue_share,
-        "user_value_ewma": _q_user_value_ewma,
-        # distribution statistics
-        "ks_statistic": _q_ks_statistic,
-        "benford_digits": _q_benford_digits,
-        "running_distinct_users": _q_running_distinct_users,
-        "events_mad": _q_events_mad,
-        # streaming-window / ingestion-hygiene suite
-        "events_hopping": _q_events_hopping,
-        "events_window_topk": _q_events_window_topk,
-        "event_dedup_tolerance": _q_event_dedup_tolerance,
-        "user_hour_throttle": _q_user_hour_throttle,
-        "weighted_sample": _q_weighted_sample,
         # embedding retrieval / compression suite
         "mips_topk": _q_mips_topk,
         "embedding_quantize": _q_embedding_quantize,
@@ -2815,7 +1999,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "kg_closeness": _q_kg_closeness,
         "kg_edge_evidence": _q_kg_edge_evidence,
         "kg_neighbor_jaccard": _q_kg_neighbor_jaccard,
-        "copurchase_kcore": _q_copurchase_kcore,
     }
 
 
@@ -2824,11 +2007,6 @@ def oracle_sql() -> dict[str, str]:
     # the exact similarity join shares the minhash oracle: minhash is the
     # LSH approximation OF this ground truth (identical output contract)
     d["jaccard_pairs"] = d["minhash_near_dup"]
-    # MG heavy hitters provably equal the exact top-k (recount pass);
-    # the Bloom semi join is exact (false positives removed by the final
-    # repartition semi) — both share the exact op's oracle
-    d["top_tokens_mg"] = d["top_tokens"]
-    d["customers_semi_join_bloom"] = d["customers_semi_join"]
     # the label-propagation components op is the distributed twin of the
     # driver-union-find one — same (doc_id, rep_id) contract and oracle
     d["near_dup_dedup_lp"] = d["near_dup_dedup"]
@@ -2865,31 +2043,6 @@ SELECT doc_id,
                   doc_id) AS BIGINT) AS position
 FROM documents
 """
-
-
-def _integrity_audit_sql() -> str:
-    # one UNION ALL block per FK relationship, mirroring
-    # kgray.pipelines.analytics.integrity_audit's relationship list
-    rels = [
-        ("lineitem", "l_orderkey", "orders", "o_orderkey"),
-        ("lineitem", "l_partkey", "part", "p_partkey"),
-        ("lineitem", "l_suppkey", "supplier", "s_suppkey"),
-        ("orders", "o_custkey", "customer", "c_custkey"),
-        ("customer", "c_nationkey", "nation", "n_nationkey"),
-        ("supplier", "s_nationkey", "nation", "n_nationkey"),
-        ("nation", "n_regionkey", "region", "r_regionkey"),
-    ]
-    blocks = []
-    for ct, ck, pt, pk in rels:
-        blocks.append(f"""
-SELECT '{ct}.{ck}->{pt}.{pk}' AS relationship,
-       (SELECT CAST(count(DISTINCT {ck}) AS BIGINT) FROM {ct})
-         AS n_child_keys,
-       (SELECT CAST(count(*) AS BIGINT)
-        FROM (SELECT DISTINCT {ck} FROM {ct}) c
-        WHERE NOT EXISTS (SELECT 1 FROM {pt} p WHERE p.{pk} = c.{ck}))
-         AS n_orphan_keys""")
-    return "\nUNION ALL\n".join(blocks)
 
 
 def _pii_scrub_sql() -> str:
@@ -3251,79 +2404,6 @@ FROM embeddings q, embeddings e
 WHERE q.vec_id < 10 AND e.label <> q.label
 QUALIFY rank <= 5
 """,
-        # float aggregates use floor(x*10^d + 0.5)/10^d on BOTH sides so
-        # summation-order fp differences between engines cancel out.
-        "pricing_summary": """
-SELECT l_returnflag, l_linestatus,
-       floor(sum(l_quantity) * 100 + 0.5) / 100 AS sum_qty,
-       floor(sum(l_extendedprice) * 100 + 0.5) / 100 AS sum_base_price,
-       floor(sum(l_extendedprice * (1.0 - l_discount)) * 100 + 0.5) / 100
-         AS revenue,
-       count(*) AS n_rows
-FROM lineitem GROUP BY l_returnflag, l_linestatus
-""",
-        "revenue_by_nation": """
-SELECT n_name,
-       floor(sum(l_extendedprice * (1.0 - l_discount)) * 100 + 0.5) / 100
-         AS revenue,
-       count(*) AS n_items
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation ON c_nationkey = n_nationkey
-GROUP BY n_name
-""",
-        "top_parts": """
-SELECT CAST(row_number() OVER (ORDER BY revenue DESC, l_partkey ASC) AS BIGINT)
-         AS rnk, l_partkey, p_name,
-       floor(revenue * 100 + 0.5) / 100 AS revenue
-FROM (
-  SELECT l_partkey, p_name,
-         sum(l_extendedprice * (1.0 - l_discount)) AS revenue
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-  GROUP BY l_partkey, p_name
-)
-QUALIFY rnk <= 10
-""",
-        "events_hourly": """
-SELECT event_type, date_trunc('hour', ts) AS hour,
-       count(*) AS n_events,
-       floor(sum(value) * 10000 + 0.5) / 10000 AS sum_value
-FROM events GROUP BY 1, 2
-""",
-        "events_sessions": """
-WITH o AS (
-  SELECT user_id, ts, value,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts)
-                   > INTERVAL 30 MINUTE
-              THEN 1 ELSE 0 END AS new_sess
-  FROM events
-),
-s AS (
-  SELECT *, sum(new_sess) OVER (
-    PARTITION BY user_id ORDER BY ts
-    ROWS UNBOUNDED PRECEDING) AS sess_id
-  FROM o
-)
-SELECT user_id, min(ts) AS session_start, max(ts) AS session_end,
-       count(*) AS n_events,
-       floor(sum(value) * 10000 + 0.5) / 10000 AS sum_value
-FROM s GROUP BY user_id, sess_id
-""",
-        # equal-width histogram: identical double bin-edge arithmetic
-        # (parquet double stats are exact, so stats min/max == true)
-        "events_histogram": """
-WITH s AS (SELECT min(value) AS lo, max(value) AS hi FROM events),
-b AS (SELECT event_type,
-             CAST(least(floor((value - lo) / ((hi - lo) / 16)), 15)
-                  AS BIGINT) AS bin
-      FROM events, s)
-SELECT event_type, bin,
-       lo + bin * ((hi - lo) / 16) AS bin_lo,
-       lo + (bin + 1) * ((hi - lo) / 16) AS bin_hi,
-       CAST(count(*) AS BIGINT) AS n
-FROM b, s GROUP BY 1, 2, lo, hi
-""",
         # keyword-in-context: strpos/substr parity (ASCII corpus —
         # char positions == byte positions on both engines)
         "kwic": """
@@ -3333,180 +2413,6 @@ SELECT doc_id, CAST(strpos(text, 'window') AS BIGINT) AS pos,
               - greatest(1, strpos(text, 'window') - 24)) AS snippet
 FROM documents WHERE strpos(text, 'window') > 0
 """,
-        # sliding COUNT DISTINCT via bounded window expansion; epoch-day
-        # ints on both sides
-        "rolling_active_users": """
-WITH ud AS (SELECT DISTINCT user_id, CAST(ts AS DATE) AS day FROM events),
-days AS (SELECT DISTINCT day FROM ud)
-SELECT date_diff('day', DATE '1970-01-01', d.day) AS day,
-       CAST(count(DISTINCT u.user_id) AS BIGINT) AS active_users
-FROM days d JOIN ud u ON u.day BETWEEN d.day - 6 AND d.day
-GROUP BY 1
-""",
-        # market-basket rules: basket self-join pair counts + item
-        # counts, double ratios of exact int counts rounded 1e-6
-        "association_rules": """
-WITH b AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-n AS (SELECT count(DISTINCT l_orderkey) AS N FROM lineitem),
-item AS (SELECT l_partkey, count(*) AS c FROM b GROUP BY 1),
-pair AS (SELECT x.l_partkey AS a, y.l_partkey AS bp, count(*) AS nab
-         FROM b x JOIN b y ON x.l_orderkey = y.l_orderkey
-         WHERE x.l_partkey < y.l_partkey
-         GROUP BY 1, 2 HAVING count(*) >= 2),
-dir AS (SELECT a AS ante, bp AS cons, nab FROM pair
-        UNION ALL SELECT bp AS ante, a AS cons, nab FROM pair)
-SELECT d.ante, d.cons, d.nab AS n_both,
-       ia.c AS n_ante, ic.c AS n_cons,
-       floor(d.nab / n.N * 1000000 + 0.5) / 1000000 AS support,
-       floor(d.nab / ia.c * 1000000 + 0.5) / 1000000 AS confidence,
-       floor(CAST(d.nab AS DOUBLE) * n.N / (ia.c * ic.c)
-             * 1000000 + 0.5) / 1000000 AS lift
-FROM dir d, n
-JOIN item ia ON ia.l_partkey = d.ante
-JOIN item ic ON ic.l_partkey = d.cons
-""",
-        # correlated subquery decorrelated: aggregate per key, join
-        # back, integer cross-multiplied predicate (no division)
-        "orders_above_cust_avg": """
-WITH oc AS (SELECT o_orderkey, o_custkey,
-                   CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS cents
-            FROM orders),
-a AS (SELECT o_custkey, sum(cents) AS s, count(*) AS n FROM oc GROUP BY 1)
-SELECT o.o_orderkey, o.o_custkey,
-       o.cents / 100.0 AS o_totalprice,
-       floor(a.s / a.n / 100.0 * 1000000 + 0.5) / 1000000 AS cust_avg
-FROM oc o JOIN a USING (o_custkey)
-WHERE o.cents * a.n > a.s
-""",
-        # LAG window over a period aggregate (previous OBSERVED month)
-        "revenue_mom_growth": """
-WITH m AS (SELECT CAST(year(l_shipdate) * 100 + month(l_shipdate)
-                       AS BIGINT) AS month,
-                  sum(CAST(floor(l_extendedprice * (1.0 - l_discount)
-                                 * 100.0 + 0.5) AS BIGINT)) AS c
-           FROM lineitem GROUP BY 1)
-SELECT month, c / 100.0 AS revenue,
-       lag(c) OVER (ORDER BY month) / 100.0 AS prev_revenue,
-       floor((c - lag(c) OVER (ORDER BY month))
-             / lag(c) OVER (ORDER BY month)
-             * 100.0 * 1000000 + 0.5) / 1000000 AS growth_pct
-FROM m
-""",
-        # sessionize (same CTE as events_sessions) -> boundary +/-1
-        # deltas -> global running sum -> per-hour max at change points
-        "concurrent_sessions": """
-WITH o AS (
-  SELECT user_id, ts,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts)
-                   > INTERVAL 30 MINUTE
-              THEN 1 ELSE 0 END AS new_sess
-  FROM events
-),
-s AS (
-  SELECT *, sum(new_sess) OVER (
-    PARTITION BY user_id ORDER BY ts
-    ROWS UNBOUNDED PRECEDING) AS sess_id
-  FROM o
-),
-sess AS (SELECT user_id, sess_id, min(ts) AS st, max(ts) AS en
-         FROM s GROUP BY user_id, sess_id),
-b AS (SELECT st AS t, 1 AS d FROM sess
-      UNION ALL
-      SELECT en + INTERVAL 1 MICROSECOND, -1 FROM sess),
-g AS (SELECT t, sum(d) AS d FROM b GROUP BY t),
-c AS (SELECT t, sum(d) OVER (ORDER BY t) AS conc FROM g)
-SELECT date_diff('hour', TIMESTAMP '1970-01-01', t) AS hour,
-       CAST(max(conc) AS BIGINT) AS peak_concurrent
-FROM c GROUP BY 1
-""",
-        "supplier_balance": """
-SELECT s_nationkey, count(*) AS n_suppliers,
-       floor(sum(s_acctbal) * 100 + 0.5) / 100 AS sum_bal,
-       min(s_acctbal) AS min_bal, max(s_acctbal) AS max_bal
-FROM supplier GROUP BY s_nationkey
-""",
-        "orders_high_value": """
-SELECT o_orderkey, o_totalprice, o_orderstatus
-FROM orders WHERE o_totalprice > 100000.0
-""",
-        "q3_shipping_priority": """
-SELECT CAST(row_number() OVER (ORDER BY revenue DESC, o_orderdate ASC,
-                               l_orderkey ASC) AS BIGINT) AS rnk,
-       l_orderkey, o_orderdate, o_orderpriority,
-       floor(revenue * 100 + 0.5) / 100 AS revenue
-FROM (
-  SELECT l_orderkey, o_orderdate, o_orderpriority,
-         sum(l_extendedprice * (1.0 - l_discount)) AS revenue
-  FROM customer JOIN orders ON c_custkey = o_custkey
-  JOIN lineitem ON l_orderkey = o_orderkey
-  WHERE c_mktsegment = 'BUILDING'
-    AND o_orderdate < TIMESTAMP '1998-01-01'
-    AND l_shipdate > TIMESTAMP '1998-01-01'
-  GROUP BY 1, 2, 3
-) QUALIFY rnk <= 10
-""",
-        "pricing_rollup": """
-SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-       COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-       floor(sum(l_quantity) * 100 + 0.5) / 100 AS sum_qty,
-       floor(sum(l_extendedprice * (1.0 - l_discount)) * 100 + 0.5) / 100
-         AS revenue,
-       count(*) AS n_rows
-FROM lineitem GROUP BY ROLLUP(l_returnflag, l_linestatus)
-""",
-        "events_pivot": """
-SELECT CAST(EXTRACT(hour FROM ts) AS BIGINT) AS hour,
-  count(*) FILTER (event_type = 'click') AS n_click,
-  floor(COALESCE(sum(value) FILTER (event_type = 'click'), 0)
-        * 10000 + 0.5) / 10000 AS v_click,
-  count(*) FILTER (event_type = 'error') AS n_error,
-  floor(COALESCE(sum(value) FILTER (event_type = 'error'), 0)
-        * 10000 + 0.5) / 10000 AS v_error,
-  count(*) FILTER (event_type = 'purchase') AS n_purchase,
-  floor(COALESCE(sum(value) FILTER (event_type = 'purchase'), 0)
-        * 10000 + 0.5) / 10000 AS v_purchase,
-  count(*) FILTER (event_type = 'signup') AS n_signup,
-  floor(COALESCE(sum(value) FILTER (event_type = 'signup'), 0)
-        * 10000 + 0.5) / 10000 AS v_signup,
-  count(*) FILTER (event_type = 'view') AS n_view,
-  floor(COALESCE(sum(value) FILTER (event_type = 'view'), 0)
-        * 10000 + 0.5) / 10000 AS v_view
-FROM events GROUP BY 1
-""",
-        "customer_order_statuses": """
-SELECT o_custkey,
-       string_agg(o_orderstatus, '' ORDER BY o_orderkey) AS status_seq,
-       count(*) AS n_orders
-FROM orders GROUP BY o_custkey
-""",
-        "part_copurchase": """
-WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-p AS (SELECT a.l_partkey x, b.l_partkey y FROM d a JOIN d b
-      ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-deg AS (SELECT part, count(*) AS degree
-        FROM (SELECT x AS part FROM p UNION ALL SELECT y AS part FROM p)
-        GROUP BY part)
-SELECT CAST(row_number() OVER (ORDER BY degree DESC, part ASC) AS BIGINT)
-         AS rnk, part, degree
-FROM deg QUALIFY rnk <= 20
-""",
-        "user_activity_outer": """
-WITH e AS (SELECT user_id AS k, count(*) AS n_events FROM events GROUP BY 1),
-o AS (SELECT o_custkey AS k, count(*) AS n_high_orders FROM orders
-      WHERE o_totalprice > 450000.0 GROUP BY 1)
-SELECT COALESCE(e.k, o.k) AS key,
-       COALESCE(n_events, 0) AS n_events,
-       COALESCE(n_high_orders, 0) AS n_high_orders
-FROM e FULL OUTER JOIN o ON e.k = o.k
-""",
-        "events_asof": """
-SELECT p.event_id, p.user_id, p.ts, p.value,
-       c.event_id AS click_event_id, c.ts AS click_ts,
-       c.value AS click_value
-FROM (SELECT * FROM events WHERE event_type = 'purchase') p
-ASOF JOIN (SELECT * FROM events WHERE event_type = 'click') c
-  ON p.user_id = c.user_id AND p.ts >= c.ts
-""",
         "embedding_near_dup_exact": """
 SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
 FROM embeddings a, embeddings b
@@ -3514,7 +2420,8 @@ WHERE a.vec_id < b.vec_id
   AND list_cosine_similarity(a.embedding, b.embedding) >= 0.45
 """,
         "train_val_split": _train_val_split_sql(),
-        "top_tokens": """
+        # MG heavy hitters provably equal the exact top-k (recount pass)
+        "top_tokens_mg": """
 WITH toks AS (SELECT unnest(string_split(text, ' ')) AS token
               FROM documents)
 , counts AS (SELECT token, count(*) AS n FROM toks
@@ -3525,115 +2432,6 @@ FROM counts ORDER BY n DESC, token LIMIT 20
 """,
         "simhash_pairs_portable": _simhash_portable_sql(),
         "fingerprints_rolling": _fingerprints_rolling_sql(),
-        # the sketch's bin certificate: bin of the ceil(q*n)-th order
-        # statistic, with the same min/max-derived equi-width binning and
-        # the same float64 arithmetic as the engine's partial_hist
-        "events_quantiles_approx_check": """
-WITH st AS (SELECT CAST(min(value) AS DOUBLE) AS lo,
-                   CAST(max(value) AS DOUBLE) AS hi FROM events),
-ranked AS (SELECT event_type, CAST(value AS DOUBLE) AS value,
-           row_number() OVER (PARTITION BY event_type ORDER BY value)
-             AS rn,
-           count(*) OVER (PARTITION BY event_type) AS n
-           FROM events),
-qs(q) AS (VALUES (CAST(0.25 AS DOUBLE)), (CAST(0.5 AS DOUBLE)),
-                 (CAST(0.75 AS DOUBLE)), (CAST(0.95 AS DOUBLE))),
-pick AS (SELECT r.event_type, q.q, r.value AS xk
-         FROM ranked r JOIN qs q
-           ON r.rn = CAST(ceil(q.q * r.n) AS BIGINT))
-SELECT p.event_type, p.q,
-       LEAST(CAST(floor((p.xk - st.lo) / ((st.hi - st.lo) / 4096))
-                  AS BIGINT), 4095) AS qbin
-FROM pick p, st
-""",
-        "events_distinct_hll_check": """
-SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users,
-       TRUE AS within_bound
-FROM events GROUP BY event_type
-""",
-        "events_quantiles": """
-SELECT event_type, 0.25 AS q,
-       floor(quantile_cont(value, 0.25) * 10000 + 0.5) / 10000 AS value
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, 0.5,
-       floor(quantile_cont(value, 0.5) * 10000 + 0.5) / 10000
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, 0.75,
-       floor(quantile_cont(value, 0.75) * 10000 + 0.5) / 10000
-FROM events GROUP BY event_type
-UNION ALL
-SELECT event_type, 0.95,
-       floor(quantile_cont(value, 0.95) * 10000 + 0.5) / 10000
-FROM events GROUP BY event_type
-""",
-        "orders_top100": """
-SELECT CAST(row_number() OVER (
-         ORDER BY o_totalprice DESC, o_orderkey) AS BIGINT) AS rnk,
-       o_orderkey, o_custkey, o_totalprice
-FROM orders
-ORDER BY o_totalprice DESC, o_orderkey
-LIMIT 100
-""",
-        "customers_semi_join": """
-SELECT c_custkey, c_name FROM customer c
-WHERE EXISTS (SELECT 1 FROM orders o
-              WHERE o.o_custkey = c.c_custkey
-                AND o.o_totalprice > 350000)
-""",
-        "customers_anti_join": """
-SELECT c_custkey, c_name FROM customer c
-WHERE NOT EXISTS (SELECT 1 FROM orders o
-                  WHERE o.o_custkey = c.c_custkey
-                    AND o.o_totalprice > 350000)
-""",
-        "customer_left_join_counts": """
-SELECT c.c_custkey, c.c_name,
-       CAST(count(o.o_custkey) AS BIGINT) AS n_hv
-FROM customer c
-LEFT JOIN (SELECT o_custkey FROM orders WHERE o_totalprice > 350000) o
-  ON o.o_custkey = c.c_custkey
-GROUP BY c.c_custkey, c.c_name
-""",
-        "events_rolling": """
-SELECT event_id, user_id, ts,
-       floor(avg(value) OVER (
-         PARTITION BY user_id ORDER BY ts, event_id
-         ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) * 10000 + 0.5) / 10000
-         AS avg_value
-FROM events
-""",
-        "events_distinct_users": """
-SELECT event_type,
-       CAST(count(DISTINCT user_id) AS BIGINT) AS n_users,
-       count(*) AS n_events
-FROM events GROUP BY event_type
-""",
-        "top_customers_per_nation": """
-WITH pc AS (SELECT o_custkey, sum(o_totalprice) AS total
-            FROM orders GROUP BY o_custkey),
-j AS (SELECT n_name, o_custkey, total
-      FROM pc JOIN customer ON c_custkey = o_custkey
-              JOIN nation ON n_nationkey = c_nationkey),
-r AS (SELECT n_name, o_custkey, total,
-             row_number() OVER (PARTITION BY n_name
-                                ORDER BY total DESC, o_custkey) AS rnk
-      FROM j)
-SELECT n_name, CAST(rnk AS BIGINT) AS rnk, o_custkey,
-       floor(total * 100 + 0.5) / 100 AS total_spent
-FROM r WHERE rnk <= 3
-""",
-        "events_range": """
-SELECT p.event_id, p.user_id, p.ts, p.value,
-       c.event_id AS click_event_id, c.ts AS click_ts,
-       c.value AS click_value
-FROM (SELECT * FROM events WHERE event_type = 'purchase') p
-JOIN (SELECT * FROM events WHERE event_type = 'click') c
-  ON p.user_id = c.user_id
- AND c.ts <= p.ts
- AND c.ts > p.ts - INTERVAL 60 MINUTE
-""",
         "bioc_ingest": """
 SELECT CAST(doc_id AS VARCHAR) AS doc_id,
        CAST(0 AS INTEGER) AS span_seq,
@@ -3752,14 +2550,6 @@ FROM documents d LEFT JOIN ag ON ag.doc_id = d.doc_id
 LEFT JOIN tp ON tp.doc_id = d.doc_id
 LEFT JOIN bag ON bag.doc_id = d.doc_id
 """,
-        "cohort_retention": """
-WITH f AS (SELECT user_id, date_trunc('day', min(ts)) AS cohort_day
-           FROM events GROUP BY 1)
-SELECT f.cohort_day, date_trunc('day', e.ts) AS activity_day,
-       CAST(count(DISTINCT e.user_id) AS BIGINT) AS n_users
-FROM events e JOIN f USING (user_id)
-GROUP BY 1, 2
-""",
         "fuzzy_part_names": """
 WITH n AS (SELECT DISTINCT p_brand, p_size, p_name FROM part)
 SELECT a.p_brand, a.p_size,
@@ -3780,82 +2570,10 @@ SELECT doc_id, CAST(i AS BIGINT) AS chunk_seq,
        array_to_string(toks[(i * 10 + 1):(i * 10 + 20)], ' ') AS chunk
 FROM r
 """,
-        "users_intersect": """
-SELECT DISTINCT user_id FROM events WHERE event_type = 'view'
-INTERSECT
-SELECT DISTINCT user_id FROM events WHERE event_type = 'purchase'
-""",
-        "users_except": """
-SELECT DISTINCT user_id FROM events WHERE event_type = 'view'
-EXCEPT
-SELECT DISTINCT user_id FROM events
-WHERE event_type = 'purchase' AND value > 90.0
-""",
         "source_percent_rank": """
 SELECT doc_id, source, n_chars,
        percent_rank() OVER (PARTITION BY source ORDER BY n_chars) AS pr
 FROM documents
-""",
-        "events_winsorized": """
-WITH q AS (SELECT event_type,
-                  quantile_cont(value, 0.01) lo,
-                  quantile_cont(value, 0.99) hi
-           FROM events GROUP BY 1)
-SELECT e.event_type,
-       CAST(count(*) AS BIGINT) AS n,
-       floor(avg(e.value) * 1e6 + 0.5) / 1e6 AS mean_raw,
-       floor(avg(least(greatest(e.value, q.lo), q.hi)) * 1e6 + 0.5) / 1e6
-           AS mean_winsorized,
-       CAST(sum(CASE WHEN e.value < q.lo THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_clipped_low,
-       CAST(sum(CASE WHEN e.value > q.hi THEN 1 ELSE 0 END) AS BIGINT)
-           AS n_clipped_high
-FROM events e JOIN q USING (event_type) GROUP BY e.event_type
-""",
-        "large_orders": """
-WITH big AS (
-  SELECT l_orderkey, sum(l_quantity) AS sum_qty
-  FROM lineitem GROUP BY 1 HAVING sum(l_quantity) > 250.0
-),
-j AS (
-  SELECT c.c_name, o.o_custkey, o.o_orderkey, o.o_orderdate,
-         o.o_totalprice, big.sum_qty
-  FROM big
-  JOIN orders o ON o.o_orderkey = big.l_orderkey
-  JOIN customer c ON c.c_custkey = o.o_custkey
-)
-SELECT CAST(row_number() OVER (ORDER BY o_totalprice DESC, o_orderkey)
-            AS BIGINT) AS rnk,
-       c_name, o_custkey, o_orderkey, o_orderdate, o_totalprice, sum_qty
-FROM j ORDER BY o_totalprice DESC, o_orderkey LIMIT 100
-""",
-        "promo_revenue": """
-SELECT floor(100.0 * sum(CASE WHEN p.p_type = 'PROMO'
-                              THEN l.l_extendedprice * (1.0 - l.l_discount)
-                              ELSE 0.0 END)
-             / sum(l.l_extendedprice * (1.0 - l.l_discount)) * 1e6 + 0.5)
-       / 1e6 AS promo_revenue_pct
-FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-WHERE l.l_shipdate >= '1995-09-01' AND l.l_shipdate < '1995-10-01'
-""",
-        "idle_rich_customers": """
-WITH thr AS (SELECT avg(c_acctbal) a FROM customer WHERE c_acctbal > 0.0)
-SELECT c_mktsegment,
-       CAST(count(*) AS BIGINT) AS n_customers,
-       floor(sum(c_acctbal) * 100.0 + 0.5) / 100.0 AS total_acctbal
-FROM customer c, thr
-WHERE c.c_acctbal > thr.a
-  AND NOT EXISTS (SELECT 1 FROM orders o
-                  WHERE o.o_custkey = c.c_custkey
-                    AND o.o_orderdate >= '2000-01-01')
-GROUP BY c_mktsegment
-""",
-        "customer_running_total": """
-SELECT o_custkey, o_orderkey, o_orderdate,
-       floor(sum(o_totalprice) OVER (PARTITION BY o_custkey
-                                     ORDER BY o_orderdate, o_orderkey)
-             * 100.0 + 0.5) / 100.0 AS running_total
-FROM orders
 """,
         "lang_id": """
 WITH toks AS (
@@ -3891,96 +2609,6 @@ SELECT d.doc_id,
        WHEN s_fr = greatest(s_en, s_de, s_fr, s_es) THEN 'fr'
        ELSE 'es' END AS lang_pred
 FROM documents d LEFT JOIN s USING (doc_id)
-""",
-        "events_wau": """
-WITH p AS (SELECT DISTINCT date_trunc('day', ts) AS d, user_id
-           FROM events),
-days AS (SELECT DISTINCT d FROM p),
-dau AS (SELECT d, CAST(count(*) AS BIGINT) dau FROM p GROUP BY 1),
-wau AS (SELECT days.d, CAST(count(DISTINCT p.user_id) AS BIGINT) wau
-        FROM days JOIN p
-          ON p.d BETWEEN days.d - INTERVAL 6 DAY AND days.d
-        GROUP BY days.d)
-SELECT dau.d AS day, dau.dau, wau.wau
-FROM dau JOIN wau ON dau.d = wau.d
-""",
-        "last_event_per_user": """
-SELECT user_id, ts, event_id, event_type, value FROM (
-  SELECT *, row_number() OVER (PARTITION BY user_id
-                               ORDER BY ts DESC, event_id DESC) rn
-  FROM events
-) WHERE rn = 1
-""",
-        "integrity_audit": _integrity_audit_sql(),
-        "key_skew": """
-WITH lc AS (SELECT l_orderkey, count(*) c FROM lineitem GROUP BY 1),
-lh AS (SELECT 'lineitem.l_orderkey' AS table_key,
-              CAST(c AS BIGINT) AS rows_per_key,
-              CAST(count(*) AS BIGINT) AS n_keys
-       FROM lc GROUP BY c),
-ec AS (SELECT user_id, count(*) c FROM events GROUP BY 1),
-eh AS (SELECT 'events.user_id' AS table_key,
-              CAST(c AS BIGINT) AS rows_per_key,
-              CAST(count(*) AS BIGINT) AS n_keys
-       FROM ec GROUP BY c)
-SELECT * FROM lh UNION ALL SELECT * FROM eh
-""",
-        "event_anomalies": """
-WITH m AS (SELECT event_type, count(*)::DOUBLE n, sum(value) s,
-                  sum(value * value) sq
-           FROM events GROUP BY 1),
-p AS (SELECT event_type, s / n AS mu,
-             sqrt(sq / n - (s / n) * (s / n)) AS sd
-      FROM m)
-SELECT e.event_id, e.event_type, e.value,
-       floor((e.value - p.mu) / p.sd * 1e6 + 0.5) / 1e6 AS z
-FROM events e JOIN p USING (event_type)
-WHERE abs((e.value - p.mu) / p.sd) > 3.0
-""",
-        "repurchase_latency": """
-WITH g AS (
-  SELECT o_custkey,
-         date_diff('day',
-                   lag(o_orderdate) OVER (PARTITION BY o_custkey
-                                          ORDER BY o_orderdate, o_orderkey),
-                   o_orderdate) AS gap
-  FROM orders),
-d AS (SELECT o_custkey, gap FROM g WHERE gap IS NOT NULL),
-n AS (SELECT o_custkey, CAST(count(*) AS BIGINT) n_orders
-      FROM orders GROUP BY 1)
-SELECT d.o_custkey, n.n_orders,
-       CAST(count(*) AS BIGINT) AS n_gaps,
-       floor(avg(gap::DOUBLE) * 1e6 + 0.5) / 1e6 AS mean_gap_days,
-       CAST(max(gap) AS BIGINT) AS max_gap_days
-FROM d JOIN n USING (o_custkey)
-GROUP BY d.o_custkey, n.n_orders
-""",
-        "revenue_gini": """
-WITH s AS (SELECT o_custkey,
-                  sum(CAST(floor(o_totalprice * 100.0 + 0.5) AS BIGINT))
-                    AS cents
-           FROM orders GROUP BY 1),
-r AS (SELECT cents,
-             row_number() OVER (ORDER BY cents, o_custkey) AS i
-      FROM s)
-SELECT floor((2.0 * sum(i::DOUBLE * cents::DOUBLE)
-              / (count(*) * sum(cents))
-              - (count(*) + 1.0) / count(*)) * 1e6 + 0.5) / 1e6 AS gini,
-       CAST(count(*) AS BIGINT) AS n_customers,
-       CAST(sum(cents) AS BIGINT) AS total_cents
-FROM r
-""",
-        "events_gapfill": """
-WITH c AS (SELECT event_type, date_trunc('day', ts) d,
-                  CAST(count(*) AS BIGINT) n
-           FROM events GROUP BY 1, 2),
-b AS (SELECT min(d) lo, max(d) hi FROM c),
-days AS (SELECT unnest(generate_series(lo, hi, INTERVAL 1 DAY)) d FROM b),
-types AS (SELECT DISTINCT event_type FROM c)
-SELECT t.event_type, days.d AS day,
-       coalesce(c.n, 0) AS n_events
-FROM types t CROSS JOIN days
-LEFT JOIN c ON c.event_type = t.event_type AND c.d = days.d
 """,
         "embedding_covariance": """
 WITH u AS (SELECT vec_id, generate_subscripts(embedding, 1) i,
@@ -4040,120 +2668,6 @@ SELECT floor(sum((obs - exp) * (obs - exp) / exp) * 1e6 + 0.5) / 1e6
        (SELECT CAST(sum(n) AS BIGINT) FROM cells) AS n_docs
 FROM grid
 """,
-        "event_transitions": """
-WITH o AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts, event_id) AS prev_type
-  FROM events
-)
-SELECT prev_type AS from_type, event_type AS to_type,
-       CAST(count(*) AS BIGINT) AS n
-FROM o WHERE prev_type IS NOT NULL
-GROUP BY 1, 2
-""",
-        "session_stats": """
-WITH o AS (
-  SELECT user_id, ts,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts)
-                   > INTERVAL 30 MINUTE
-              THEN 1 ELSE 0 END AS new_sess
-  FROM events
-),
-s AS (
-  SELECT *, sum(new_sess) OVER (
-    PARTITION BY user_id ORDER BY ts
-    ROWS UNBOUNDED PRECEDING) AS sess_id
-  FROM o
-),
-per_sess AS (
-  SELECT user_id, sess_id, count(*) AS n,
-         epoch(max(ts) - min(ts)) AS dur
-  FROM s GROUP BY 1, 2
-)
-SELECT user_id,
-       CAST(count(*) AS BIGINT) AS n_sessions,
-       CAST(sum(n) AS BIGINT) AS n_events,
-       CAST(max(n) AS BIGINT) AS max_session_events,
-       floor(avg(dur) * 1e6 + 0.5) / 1e6 AS mean_session_seconds
-FROM per_sess GROUP BY user_id
-""",
-        "returned_item_ranking": """
-WITH r AS (
-  SELECT o.o_custkey,
-         sum(l.l_extendedprice * (1.0 - l.l_discount)) AS rev
-  FROM lineitem l
-  JOIN orders o ON o.o_orderkey = l.l_orderkey
-  WHERE l.l_returnflag = 'R'
-    AND o.o_orderdate >= '1995-01-01' AND o.o_orderdate < '1995-04-01'
-  GROUP BY o.o_custkey
-)
-SELECT c.c_custkey, c.c_name,
-       floor(r.rev * 100.0 + 0.5) / 100.0 AS revenue,
-       c.c_acctbal, n.n_name
-FROM r
-JOIN customer c ON c.c_custkey = r.o_custkey
-JOIN nation n ON n.n_nationkey = c.c_nationkey
-ORDER BY revenue DESC, c.c_custkey LIMIT 20
-""",
-        "nation_trade_volume": """
-SELECT ns.n_name AS supp_nation, nc.n_name AS cust_nation,
-       CAST(year(l.l_shipdate) AS BIGINT) AS year,
-       sum(CAST(floor(l.l_extendedprice * (1.0 - l.l_discount) * 100.0
-                      + 0.5) AS BIGINT)) / 100.0 AS volume
-FROM lineitem l
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation ns ON ns.n_nationkey = s.s_nationkey
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-JOIN nation nc ON nc.n_nationkey = c.c_nationkey
-WHERE year(l.l_shipdate) BETWEEN 1995 AND 1996
-GROUP BY 1, 2, 3
-""",
-        # Q5: the c_nationkey = s_nationkey equality between two
-        # dimension hops of the same fact row; per-row integer cents
-        "local_supplier_volume": """
-SELECT n_name,
-       sum(CAST(floor(l_extendedprice * (1.0 - l_discount) * 100.0
-                      + 0.5) AS BIGINT)) / 100.0 AS revenue
-FROM customer, orders, lineitem, supplier, nation, region
-WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-  AND r_name = 'ASIA'
-  AND o_orderdate >= DATE '1995-01-01'
-  AND o_orderdate < DATE '1997-01-01'
-GROUP BY n_name
-""",
-        "order_priority_exists": """
-SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS order_count
-FROM orders o
-WHERE o.o_orderdate >= '1995-01-01' AND o.o_orderdate < '1995-04-01'
-  AND EXISTS (SELECT 1 FROM lineitem l
-              WHERE l.l_orderkey = o.o_orderkey
-                AND l.l_returnflag = 'R')
-GROUP BY o_orderpriority
-""",
-        "events_cube": """
-WITH base AS (
-  SELECT event_type,
-         strftime(date_trunc('day', ts), '%Y-%m-%d') AS day,
-         CAST(floor(value * 100 + 0.5) AS BIGINT) AS cents
-  FROM events)
-SELECT event_type, day, CAST(count(*) AS BIGINT) AS n_events,
-       sum(cents) / 100.0 AS sum_value
-FROM base GROUP BY event_type, day
-UNION ALL
-SELECT event_type, 'ALL', CAST(count(*) AS BIGINT),
-       sum(cents) / 100.0
-FROM base GROUP BY event_type
-UNION ALL
-SELECT 'ALL', day, CAST(count(*) AS BIGINT), sum(cents) / 100.0
-FROM base GROUP BY day
-UNION ALL
-SELECT 'ALL', 'ALL', CAST(count(*) AS BIGINT), sum(cents) / 100.0
-FROM base
-""",
         "temperature_mix": """
 WITH cnt AS (SELECT lang, count(*) AS c FROM documents GROUP BY lang),
 r AS (SELECT lang,
@@ -4164,91 +2678,6 @@ FROM documents d JOIN r USING (lang)
 WHERE CAST(CAST((CAST(d.doc_id AS HUGEINT) * 11400714819323198485)
                 % 18446744073709551616 AS UBIGINT) AS DOUBLE)
       < r.rate * 18446744073709551616.0
-""",
-        "latency_priority_counts": """
-WITH d AS (
-  SELECT (epoch_us(l.l_shipdate) - epoch_us(o.o_orderdate))
-           // 86400000000 AS days,
-         o.o_orderpriority IN ('1-URGENT', '2-HIGH') AS high
-  FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey)
-SELECT CASE WHEN days < 0 THEN 'early'
-            WHEN days <= 90 THEN 'on-time'
-            ELSE 'late' END AS ship_bucket,
-       CAST(sum(CASE WHEN high THEN 1 ELSE 0 END) AS BIGINT)
-         AS high_line_count,
-       CAST(sum(CASE WHEN high THEN 0 ELSE 1 END) AS BIGINT)
-         AS low_line_count
-FROM d GROUP BY 1
-""",
-        "dominant_suppliers": """
-WITH ps AS (
-  SELECT l_partkey, l_suppkey, sum(l_quantity) AS q
-  FROM lineitem GROUP BY 1, 2),
-pt AS (
-  SELECT l_partkey, sum(q) AS tq, count(*) AS ns FROM ps GROUP BY 1)
-SELECT s.s_suppkey, s.s_name,
-       CAST(count(*) AS BIGINT) AS n_dominant_parts
-FROM ps
-JOIN pt USING (l_partkey)
-JOIN supplier s ON s.s_suppkey = ps.l_suppkey
-WHERE pt.ns >= 2 AND ps.q * pt.ns > 2 * pt.tq
-GROUP BY 1, 2
-""",
-        "waiting_suppliers": """
-WITH j AS (
-  SELECT l.l_orderkey, l.l_suppkey,
-         bool_or(l.l_shipdate > o.o_orderdate + INTERVAL 180 DAY)
-           AS late
-  FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
-  WHERE o.o_orderstatus = 'F'
-  GROUP BY 1, 2),
-po AS (
-  SELECT l_orderkey, count(*) AS ns,
-         sum(CASE WHEN late THEN 1 ELSE 0 END) AS nl
-  FROM j GROUP BY 1)
-SELECT s.s_name, CAST(count(*) AS BIGINT) AS numwait
-FROM j JOIN po USING (l_orderkey)
-JOIN supplier s ON s.s_suppkey = j.l_suppkey
-WHERE j.late AND po.ns > 1 AND po.nl = 1
-GROUP BY 1
-ORDER BY numwait DESC, s_name
-LIMIT 100
-""",
-        "copurchase_components": """
-WITH RECURSIVE
-lo AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-e AS (
-  SELECT a.l_partkey AS pa, b.l_partkey AS pb
-  FROM lo a JOIN lo b
-    ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-  GROUP BY 1, 2 HAVING count(*) >= 2),
-und AS (SELECT pa AS s, pb AS d FROM e
-        UNION ALL SELECT pb, pa FROM e),
-nodes AS (SELECT DISTINCT s AS node FROM und),
-reach(node, lbl) AS (
-  SELECT node, node FROM nodes
-  UNION
-  SELECT u.d, r.lbl FROM reach r JOIN und u ON u.s = r.node)
-SELECT node AS l_partkey, CAST(min(lbl) AS BIGINT) AS component_id
-FROM reach GROUP BY 1
-""",
-        "ship_latency_quantiles": """
-WITH d AS (
-  SELECT o.o_orderpriority,
-         (epoch_us(l.l_shipdate) - epoch_us(o.o_orderdate))
-           // 86400000000 AS days
-  FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey)
-SELECT o_orderpriority, 0.5 AS q,
-       floor(quantile_cont(days, 0.5) * 1e4 + 0.5) / 1e4 AS latency_days
-FROM d GROUP BY 1
-UNION ALL
-SELECT o_orderpriority, 0.9,
-       floor(quantile_cont(days, 0.9) * 1e4 + 0.5) / 1e4
-FROM d GROUP BY 1
-UNION ALL
-SELECT o_orderpriority, 0.99,
-       floor(quantile_cont(days, 0.99) * 1e4 + 0.5) / 1e4
-FROM d GROUP BY 1
 """,
         "knn_label_purity": """
 WITH q AS (SELECT * FROM embeddings WHERE vec_id < 200),
@@ -4263,44 +2692,6 @@ SELECT CAST(qlab AS BIGINT) AS label,
        sum(CASE WHEN nlab = qlab THEN 1 ELSE 0 END)::DOUBLE
          / count(*)::DOUBLE AS purity
 FROM r WHERE rn <= 5 GROUP BY qlab
-""",
-        "event_value_trend": """
-WITH m AS (
-  SELECT event_type,
-         CAST(count(*) AS HUGEINT) AS n,
-         CAST(sum((epoch_us(ts) - 1704067200000000) // 1000000)
-              AS HUGEINT) AS st,
-         CAST(sum(CAST(floor(value * 100.0 + 0.5) AS BIGINT))
-              AS HUGEINT) AS sv,
-         CAST(sum(((epoch_us(ts) - 1704067200000000) // 1000000)
-                  * ((epoch_us(ts) - 1704067200000000) // 1000000))
-              AS HUGEINT) AS stt,
-         CAST(sum(((epoch_us(ts) - 1704067200000000) // 1000000)
-                  * CAST(floor(value * 100.0 + 0.5) AS BIGINT))
-              AS HUGEINT) AS stv
-  FROM events GROUP BY event_type)
-SELECT event_type, CAST(n AS BIGINT) AS n,
-       floor((CAST(n * stv - st * sv AS DOUBLE)
-              / CAST(n * stt - st * st AS DOUBLE)) * 86400.0 / 100.0
-             * 1e8 + 0.5) / 1e8 AS slope_per_day
-FROM m
-""",
-        "nation_revenue_share": """
-WITH per AS (
-  SELECT r.r_name, n.n_name,
-         sum(CAST(floor(l.l_extendedprice * (1.0 - l.l_discount) * 100.0
-                        + 0.5) AS BIGINT)) AS cents
-  FROM lineitem l
-  JOIN orders o ON o.o_orderkey = l.l_orderkey
-  JOIN customer c ON c.c_custkey = o.o_custkey
-  JOIN nation n ON n.n_nationkey = c.c_nationkey
-  JOIN region r ON r.r_regionkey = n.n_regionkey
-  GROUP BY 1, 2)
-SELECT r_name, n_name, cents / 100.0 AS revenue,
-       floor(cents::DOUBLE
-             / (sum(cents) OVER (PARTITION BY r_name))::DOUBLE * 1e6
-             + 0.5) / 1e6 AS share
-FROM per
 """,
         "tfidf_similar_docs": """
 WITH t AS (SELECT doc_id, string_split(text, ' ') w FROM documents),
@@ -4328,50 +2719,6 @@ c AS (SELECT p.da AS doc_a, p.db AS doc_b,
       FROM p JOIN nr na ON na.doc_id = p.da
              JOIN nr nb ON nb.doc_id = p.db)
 SELECT doc_a, doc_b, cosine FROM c WHERE cosine >= 0.3
-""",
-        "ks_statistic": """
-WITH u AS (SELECT value,
-                  CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END a,
-                  CASE WHEN event_type = 'view' THEN 1 ELSE 0 END b
-           FROM events WHERE event_type IN ('purchase', 'view')),
-c AS (SELECT value, sum(a) ca, sum(b) cb FROM u GROUP BY value),
-s AS (SELECT value, sum(ca) OVER (ORDER BY value) fa,
-             sum(cb) OVER (ORDER BY value) fb
-      FROM c),
-n AS (SELECT sum(ca) na, sum(cb) nb FROM c)
-SELECT floor(max(abs(fa::DOUBLE / na::DOUBLE
-                     - fb::DOUBLE / nb::DOUBLE)) * 1e6 + 0.5) / 1e6 AS ks,
-       CAST(na AS BIGINT) AS n_a, CAST(nb AS BIGINT) AS n_b
-FROM s, n GROUP BY na, nb
-""",
-        "benford_digits": """
-WITH c AS (SELECT CAST(substring(
-             CAST(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT)
-                  AS VARCHAR), 1, 1) AS BIGINT) AS digit
-           FROM lineitem),
-g AS (SELECT digit, CAST(count(*) AS BIGINT) AS n FROM c GROUP BY digit)
-SELECT digit, n, n::DOUBLE / (SELECT sum(n) FROM g)::DOUBLE AS frac FROM g
-""",
-        "running_distinct_users": """
-WITH f AS (SELECT user_id, min(epoch_us(ts) // 86400000000) AS d
-           FROM events GROUP BY 1),
-c AS (SELECT d, CAST(count(*) AS BIGINT) AS new_users FROM f GROUP BY d)
-SELECT strftime(make_timestamp(d * 86400000000), '%Y-%m-%d') AS day,
-       new_users,
-       CAST(sum(new_users) OVER (ORDER BY d) AS BIGINT) AS cum_users
-FROM c
-""",
-        "events_mad": """
-WITH m AS (SELECT event_type, quantile_cont(value, 0.5) AS med
-           FROM events GROUP BY 1),
-d AS (SELECT e.event_type, abs(e.value - m.med) AS av
-      FROM events e JOIN m USING (event_type)),
-md AS (SELECT event_type, quantile_cont(av, 0.5) AS mad
-       FROM d GROUP BY 1)
-SELECT m.event_type,
-       floor(m.med * 1e4 + 0.5) / 1e4 AS median_value,
-       floor(md.mad * 1e4 + 0.5) / 1e4 AS mad
-FROM m JOIN md USING (event_type)
 """,
         "pretrain_corpus": """
 WITH RECURSIVE
@@ -4425,58 +2772,6 @@ SELECT d.doc_id, a.n_tokens
 FROM ded d JOIN clean a USING (doc_id)
 LEFT JOIN rep r ON r.doc_id = d.doc_id
 WHERE coalesce(r.rep_id, d.doc_id) = d.doc_id
-""",
-        "events_hopping": """
-WITH e AS (SELECT epoch_us(ts) AS tsu, event_type FROM events),
-w AS (SELECT (tsu // 900000000) * 900000000
-             - CAST(unnest(generate_series(0, 3)) AS BIGINT) * 900000000
-               AS ws,
-             event_type
-      FROM e)
-SELECT make_timestamp(ws) AS window_start, event_type,
-       CAST(count(*) AS BIGINT) AS n
-FROM w GROUP BY 1, 2
-""",
-        "events_window_topk": """
-WITH c AS (SELECT make_timestamp((epoch_us(ts) // 3600000000)
-                                 * 3600000000) AS hour,
-                  event_type, CAST(count(*) AS BIGINT) AS n
-           FROM events GROUP BY 1, 2),
-r AS (SELECT hour, event_type, n,
-             CAST(row_number() OVER (PARTITION BY hour
-                                     ORDER BY n DESC, event_type)
-                  AS BIGINT) AS rnk
-      FROM c)
-SELECT hour, rnk, event_type, n FROM r WHERE rnk <= 3
-""",
-        "event_dedup_tolerance": """
-WITH o AS (SELECT event_id, user_id, event_type, ts, epoch_us(ts) AS tsu,
-                  lag(epoch_us(ts)) OVER (
-                    PARTITION BY user_id, event_type
-                    ORDER BY ts, event_id) AS prev
-           FROM events)
-SELECT event_id, user_id, event_type, ts
-FROM o WHERE prev IS NULL OR tsu - prev > 3600000000
-""",
-        "user_hour_throttle": """
-WITH o AS (SELECT event_id, user_id, ts,
-                  row_number() OVER (
-                    PARTITION BY user_id, epoch_us(ts) // 3600000000
-                    ORDER BY ts, event_id) AS rn
-           FROM events)
-SELECT event_id, user_id, ts FROM o WHERE rn <= 3
-""",
-        "weighted_sample": f"""
-WITH kk AS (
-  SELECT doc_id, n_chars,
-         ln((CAST(CAST((CAST(doc_id AS HUGEINT) * {11400714819323198485})
-                  % 18446744073709551616 AS UBIGINT) AS DOUBLE) + 1.0)
-            / 18446744073709551616.0) / CAST(n_chars AS DOUBLE) AS key
-  FROM documents)
-SELECT CAST(row_number() OVER (ORDER BY key DESC, doc_id) AS BIGINT)
-         AS rnk,
-       doc_id, n_chars
-FROM kk ORDER BY key DESC, doc_id LIMIT 100
 """,
         "mips_topk": """
 SELECT q.vec_id AS query_id, e.vec_id AS neighbor_id,
@@ -4585,149 +2880,6 @@ r AS (SELECT lang, token, n,
       FROM c)
 SELECT lang, rnk, token, n FROM r WHERE rnk <= 10
 """,
-        "forecast_revenue": """
-SELECT coalesce(sum(CAST(floor(l_extendedprice * l_discount * 100.0
-                               + 0.5) AS BIGINT)), 0) / 100.0 AS revenue
-FROM lineitem
-WHERE l_shipdate >= '1995-01-01' AND l_shipdate < '1996-01-01'
-  AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
-""",
-        "customer_order_distribution": """
-SELECT c_count, CAST(count(*) AS BIGINT) AS custdist
-FROM (SELECT c.c_custkey, CAST(count(o.o_custkey) AS BIGINT) AS c_count
-      FROM customer c LEFT JOIN orders o
-        ON o.o_custkey = c.c_custkey
-       AND o.o_orderpriority <> '1-URGENT'
-      GROUP BY c.c_custkey) t
-GROUP BY c_count
-""",
-        "top_supplier": """
-WITH rev AS (
-  SELECT l_suppkey,
-         sum(CAST(floor(l_extendedprice * (1.0 - l_discount) * 100.0
-                        + 0.5) AS BIGINT)) AS cents
-  FROM lineitem
-  WHERE l_shipdate >= '1995-01-01' AND l_shipdate < '1995-04-01'
-  GROUP BY l_suppkey)
-SELECT s.s_suppkey, s.s_name, rev.cents / 100.0 AS total_revenue
-FROM rev JOIN supplier s ON s.s_suppkey = rev.l_suppkey
-WHERE rev.cents = (SELECT max(cents) FROM rev)
-""",
-        "small_quantity_revenue": """
-WITH b AS (
-  SELECT l.l_partkey, l.l_quantity, l.l_extendedprice
-  FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-  WHERE p.p_brand = 'Brand#2'),
-a AS (SELECT l_partkey, sum(l_quantity) AS qsum,
-             CAST(count(*) AS BIGINT) AS qcnt
-      FROM b GROUP BY l_partkey)
-SELECT coalesce(sum(CAST(floor(b.l_extendedprice * 100.0 + 0.5)
-                         AS BIGINT)), 0) / 100.0 / 7.0 AS avg_yearly
-FROM b JOIN a USING (l_partkey)
-WHERE b.l_quantity < 0.2 * (a.qsum / a.qcnt)
-""",
-        "disjunctive_brand_revenue": """
-SELECT coalesce(sum(CAST(floor(l.l_extendedprice * (1.0 - l.l_discount)
-                               * 100.0 + 0.5) AS BIGINT)), 0) / 100.0
-         AS revenue
-FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-WHERE (p.p_brand = 'Brand#2' AND p.p_size BETWEEN 1 AND 15
-       AND l.l_quantity BETWEEN 1 AND 11)
-   OR (p.p_brand = 'Brand#17' AND p.p_size BETWEEN 1 AND 25
-       AND l.l_quantity BETWEEN 10 AND 20)
-   OR (p.p_brand = 'Brand#4' AND p.p_size BETWEEN 1 AND 35
-       AND l.l_quantity BETWEEN 20 AND 30)
-""",
-        "cheapest_supplier": """
-WITH unit AS (
-  SELECT l_partkey, l_suppkey,
-         CAST(floor(l_extendedprice * 100.0 / l_quantity + 0.5) AS BIGINT)
-           AS unit_cents
-  FROM lineitem),
-win AS (
-  SELECT l_partkey, l_suppkey, unit_cents,
-         row_number() OVER (PARTITION BY l_partkey
-                            ORDER BY unit_cents, l_suppkey) AS rn
-  FROM unit)
-SELECT p.p_partkey, p.p_name, w.l_suppkey AS s_suppkey, s.s_name,
-       n.n_name, w.unit_cents / 100.0 AS min_unit_price
-FROM win w
-JOIN part p ON p.p_partkey = w.l_partkey AND p.p_type = 'SMALL'
-JOIN supplier s ON s.s_suppkey = w.l_suppkey
-JOIN nation n ON n.n_nationkey = s.s_nationkey
-WHERE w.rn = 1
-""",
-        "nation_market_share": """
-WITH rows_ AS (
-  SELECT CAST(year(o.o_orderdate) AS BIGINT) AS o_year,
-         CAST(floor(l.l_extendedprice * (1.0 - l.l_discount) * 100.0
-                    + 0.5) AS BIGINT) AS cents,
-         CASE WHEN ns.n_name = 'NATION_3' THEN 1 ELSE 0 END AS is_target
-  FROM lineitem l
-  JOIN supplier s ON s.s_suppkey = l.l_suppkey
-  JOIN nation ns ON ns.n_nationkey = s.s_nationkey
-  JOIN orders o ON o.o_orderkey = l.l_orderkey
-  JOIN customer c ON c.c_custkey = o.o_custkey
-  JOIN nation nc ON nc.n_nationkey = c.c_nationkey
-  JOIN region r ON r.r_regionkey = nc.n_regionkey
-  WHERE r.r_name = 'AMERICA')
-SELECT o_year,
-       sum(is_target * cents)::DOUBLE / sum(cents)::DOUBLE AS mkt_share
-FROM rows_ GROUP BY o_year
-""",
-        "product_profit": """
-SELECT n.n_name AS nation,
-       CAST(year(o.o_orderdate) AS BIGINT) AS o_year,
-       sum(CAST(floor(l.l_extendedprice * (1.0 - l.l_discount) * 100.0
-                      + 0.5) AS BIGINT)
-           - CAST(floor(p.p_retailprice * 100.0 + 0.5) AS BIGINT)
-             * CAST(l.l_quantity AS BIGINT)) / 100.0 AS sum_profit
-FROM lineitem l
-JOIN part p ON p.p_partkey = l.l_partkey AND p.p_name LIKE '%red%'
-JOIN supplier s ON s.s_suppkey = l.l_suppkey
-JOIN nation n ON n.n_nationkey = s.s_nationkey
-JOIN orders o ON o.o_orderkey = l.l_orderkey
-GROUP BY 1, 2
-""",
-        "important_parts": """
-WITH per_part AS (
-  SELECT l_partkey,
-         sum(CAST(floor(l_extendedprice * (1.0 - l_discount) * 100.0
-                        + 0.5) AS BIGINT)) AS cents
-  FROM lineitem GROUP BY l_partkey)
-SELECT l_partkey, cents / 100.0 AS value
-FROM per_part
-WHERE cents * 1600 > (SELECT sum(cents) FROM per_part)
-""",
-        "supplier_count_by_part": """
-SELECT p.p_brand, p.p_type, CAST(p.p_size AS BIGINT) AS p_size,
-       CAST(count(DISTINCT l.l_suppkey) AS BIGINT) AS supplier_cnt
-FROM (SELECT DISTINCT l_partkey, l_suppkey FROM lineitem) l
-JOIN part p ON p.p_partkey = l.l_partkey
-WHERE p.p_brand <> 'Brand#2'
-  AND NOT EXISTS (SELECT 1 FROM supplier s
-                  WHERE s.s_suppkey = l.l_suppkey
-                    AND s.s_acctbal < 1000.0)
-GROUP BY 1, 2, 3
-""",
-        "excess_suppliers": """
-WITH ps AS (
-  SELECT l_partkey, l_suppkey, SUM(CAST(l_quantity AS BIGINT)) AS qty
-  FROM lineitem JOIN part ON p_partkey = l_partkey
-  WHERE p_name LIKE 'small%'
-    AND l_shipdate >= TIMESTAMP '1996-01-01'
-    AND l_shipdate < TIMESTAMP '1997-01-01'
-  GROUP BY 1, 2
-), tot AS (
-  SELECT l_partkey, SUM(qty) AS total_qty FROM ps GROUP BY 1
-)
-SELECT DISTINCT s_name, n_name
-FROM ps JOIN tot USING (l_partkey)
-JOIN supplier ON s_suppkey = l_suppkey
-JOIN nation ON n_nationkey = s_nationkey
-WHERE 2 * qty > total_qty
-ORDER BY s_name
-""",
         "duplicate_ngrams": """
 WITH t AS (SELECT doc_id, string_split(text, ' ') w FROM documents),
 u AS (SELECT doc_id, generate_subscripts(w, 1) i, unnest(w) tok FROM t),
@@ -4809,27 +2961,6 @@ cum AS (SELECT n_chars, sum(c) OVER (ORDER BY n_chars) AS cc FROM c),
 thr AS (SELECT min(n_chars) AS t FROM cum
         WHERE cc >= ceil(0.9 * (SELECT count(*) FROM documents)))
 SELECT d.doc_id, d.n_chars FROM documents d, thr WHERE d.n_chars >= thr.t
-""",
-        "events_interarrival": """
-WITH g AS (SELECT user_id,
-                  date_diff('microsecond',
-                            lag(ts) OVER (PARTITION BY user_id
-                                          ORDER BY ts, event_id),
-                            ts) AS gap
-           FROM events)
-SELECT user_id, CAST(count(gap) AS BIGINT) AS n_gaps,
-       CAST(sum(gap) AS BIGINT) AS sum_gap_us,
-       CAST(max(gap) AS BIGINT) AS max_gap_us
-FROM g WHERE gap IS NOT NULL GROUP BY user_id
-""",
-        "events_props_stats": r"""
-WITH k AS (SELECT event_type,
-                  CAST(regexp_extract(props, '"k": (\d+)', 1) AS BIGINT) AS k
-           FROM events
-           WHERE regexp_extract(props, '"k": (\d+)', 1) <> '')
-SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(k) AS BIGINT) AS sum_k, CAST(max(k) AS BIGINT) AS max_k
-FROM k GROUP BY event_type
 """,
         # unigram-LM scoring: same cast points and libm ln() as
         # corpus_stats.unigram_nll; half-up 1e-6 rounding on the score
@@ -4970,74 +3101,6 @@ SELECT CAST(q_id AS BIGINT) AS q_id, doc_id,
        floor(s * 1e6 + 0.5) / 1e6 AS score, rk AS rank
 FROM r WHERE rk <= 10
 """,
-        # TWAP: HUGEINT trapezoid sum over integerized cents × micros,
-        # identical cast/divide order as pipelines/analytics.events_twap
-        "events_twap": """
-WITH s AS (
-  SELECT event_type,
-         CAST(floor(value * 100.0 + 0.5) AS HUGEINT) AS vc,
-         epoch_us(ts) AS t,
-         lead(CAST(floor(value * 100.0 + 0.5) AS HUGEINT))
-           OVER w AS vc2,
-         lead(epoch_us(ts)) OVER w AS t2
-  FROM events
-  WINDOW w AS (PARTITION BY event_type ORDER BY ts, event_id)
-), agg AS (
-  SELECT event_type,
-         sum((vc + vc2) * (t2 - t)) AS S,
-         min(t) AS tmin, max(t) AS tmax,
-         count(*) AS n
-  FROM s GROUP BY event_type
-)
-SELECT event_type, n AS n_events,
-       floor((CAST(S AS DOUBLE) / (200.0 * CAST(tmax - tmin AS DOUBLE)))
-             * 1e6 + 0.5) / 1e6 AS twap
-FROM agg
-""",
-        # ordered string_agg: ties in ts break by event_id on both sides
-        "user_journeys": """
-SELECT user_id,
-       count(*) AS n_events,
-       string_agg(event_type, '>' ORDER BY ts, event_id) AS journey
-FROM events
-GROUP BY user_id
-""",
-        # skyline: dominance comparisons only, no arithmetic — exact
-        "part_skyline": """
-SELECT p.p_partkey, p.p_size, p.p_retailprice
-FROM part p
-WHERE NOT EXISTS (
-  SELECT 1 FROM part q
-  WHERE q.p_retailprice <= p.p_retailprice
-    AND q.p_size <= p.p_size
-    AND (q.p_retailprice < p.p_retailprice OR q.p_size < p.p_size))
-""",
-        # profiler: exact-cents HUGEINT moments, same cast/divide/sqrt
-        # op order as pipelines/analytics.lineitem_profile
-        "lineitem_profile": """
-WITH raw AS (
-  SELECT 'l_quantity' AS col, l_quantity AS v FROM lineitem
-  UNION ALL SELECT 'l_extendedprice', l_extendedprice FROM lineitem
-  UNION ALL SELECT 'l_discount', l_discount FROM lineitem
-  UNION ALL SELECT 'l_tax', l_tax FROM lineitem
-), c AS (
-  SELECT col,
-         count(v) AS n,
-         count(*) - count(v) AS n_null,
-         min(v) AS vmin,
-         max(v) AS vmax,
-         sum(CAST(floor(v * 100.0 + 0.5) AS HUGEINT)) AS s,
-         sum(CAST(floor(v * 100.0 + 0.5) AS HUGEINT)
-             * CAST(floor(v * 100.0 + 0.5) AS HUGEINT)) AS ss
-  FROM raw GROUP BY col
-)
-SELECT col, n, n_null, vmin, vmax,
-       floor((CAST(s AS DOUBLE) / (100.0 * n)) * 1e6 + 0.5) / 1e6 AS mean,
-       floor(sqrt(CAST(n * ss - s * s AS DOUBLE)
-                  / CAST(n * n AS DOUBLE) / 10000.0) * 1e6 + 0.5) / 1e6
-         AS std
-FROM c
-""",
         "kg_pagerank": _pagerank_sql(),
         "kg_hits": _hits_sql(),
         "kg_degrees": _KG_CTE + """
@@ -5170,202 +3233,11 @@ SELECT CAST(label AS BIGINT) AS label, CAST(dim AS BIGINT) AS dim,
        floor(avg(CAST(e AS DOUBLE)) * 1e6 + 0.5) / 1e6 AS centroid
 FROM u GROUP BY label, dim
 """,
-        # ordered funnel: first view strictly before a click strictly
-        # before a purchase (strict > at both hops, min-ts anchors)
-        "events_funnel": """
-WITH v AS (SELECT user_id, min(ts) t FROM events
-           WHERE event_type = 'view' GROUP BY 1),
-c AS (SELECT e.user_id, min(e.ts) t FROM events e JOIN v USING (user_id)
-      WHERE e.event_type = 'click' AND e.ts > v.t GROUP BY e.user_id),
-p AS (SELECT e.user_id, min(e.ts) t FROM events e JOIN c USING (user_id)
-      WHERE e.event_type = 'purchase' AND e.ts > c.t GROUP BY e.user_id)
-SELECT CAST((SELECT count(*) FROM v) AS BIGINT) AS n_view,
-       CAST((SELECT count(*) FROM c) AS BIGINT) AS n_click,
-       CAST((SELECT count(*) FROM p) AS BIGINT) AS n_purchase
-""",
-        "copurchase_triangles": """
-WITH d AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem),
-e AS (SELECT DISTINCT a.l_partkey x, b.l_partkey y FROM d a JOIN d b
-      ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey),
-w AS (SELECT e1.x a, e1.y b, e2.y c FROM e e1 JOIN e e2 ON e1.y = e2.x)
-SELECT CAST(count(*) AS BIGINT) AS n_triangles
-FROM w JOIN e e3 ON e3.x = w.a AND e3.y = w.c
-""",
         "dedup_incremental": """
 WITH newd AS (SELECT doc_id, text FROM documents WHERE doc_id % 3 = 0),
 seen AS (SELECT DISTINCT text FROM documents WHERE doc_id % 3 <> 0),
 surv AS (SELECT n.doc_id, n.text FROM newd n
          WHERE NOT EXISTS (SELECT 1 FROM seen s WHERE s.text = n.text))
 SELECT min(doc_id) AS doc_id, text FROM surv GROUP BY text
-""",
-        # closed-form Pearson r from raw moment sums — same expression
-        # as analytics.lineitem_qty_price_corr, half-up 1e-6 rounding
-        "lineitem_corr": """
-WITH m AS (SELECT CAST(count(*) AS DOUBLE) n,
-    sum(CAST(l_quantity AS DOUBLE)) sx,
-    sum(CAST(l_extendedprice AS DOUBLE)) sy,
-    sum(CAST(l_quantity AS DOUBLE) * CAST(l_quantity AS DOUBLE)) sxx,
-    sum(CAST(l_extendedprice AS DOUBLE)
-        * CAST(l_extendedprice AS DOUBLE)) syy,
-    sum(CAST(l_quantity AS DOUBLE) * CAST(l_extendedprice AS DOUBLE)) sxy
-  FROM lineitem)
-SELECT CAST(n AS BIGINT) AS n,
-       floor((n * sxy - sx * sy)
-             / sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
-             * 1e6 + 0.5) / 1e6 AS corr_qty_price
-FROM m
-""",
-        # weighted median = min v with cumweight(<=v) >= ceil(W/2); the
-        # selected v is an input value, so parity needs no rounding
-        "weighted_median": """
-WITH s AS (SELECT l_returnflag, l_extendedprice AS v,
-                  CAST(l_quantity AS BIGINT) AS w FROM lineitem),
-g AS (SELECT l_returnflag, v, sum(w) AS w FROM s GROUP BY 1, 2),
-c AS (SELECT l_returnflag, v,
-             sum(w) OVER (PARTITION BY l_returnflag ORDER BY v) AS cw,
-             sum(w) OVER (PARTITION BY l_returnflag) AS tw
-      FROM g)
-SELECT l_returnflag, min(v) AS wmedian,
-       CAST(min(tw) AS BIGINT) AS total_weight
-FROM c WHERE cw >= (tw + 1) // 2 GROUP BY l_returnflag
-""",
-        # sweep line: interval endpoints -> day deltas -> running sum;
-        # day grain makes ORDER BY d tie-free (grouped first), so the
-        # window frame question never arises
-        "lines_in_flight": """
-WITH ln AS (SELECT l_orderkey, count(*) AS n FROM lineitem GROUP BY 1),
-opens AS (SELECT o_orderdate AS d, sum(n) AS delta
-          FROM orders JOIN ln ON l_orderkey = o_orderkey GROUP BY 1),
-closes AS (SELECT l_shipdate AS d, -count(*) AS delta
-           FROM lineitem GROUP BY 1),
-g AS (SELECT d, sum(delta) AS delta
-      FROM (SELECT * FROM opens UNION ALL SELECT * FROM closes)
-      GROUP BY d)
-SELECT strftime(d, '%Y-%m-%d') AS day, CAST(delta AS BIGINT) AS delta,
-       CAST(sum(delta) OVER (ORDER BY d) AS BIGINT) AS in_flight
-FROM g
-""",
-        # point-in-interval range join (the non-equi join DuckDB runs as
-        # an IEJoin); LEFT + count(iv.s) keeps match-less orders at 0
-        "open_lines_at_order": """
-WITH iv AS (SELECT o_orderdate AS s, l_shipdate AS e
-            FROM lineitem JOIN orders ON l_orderkey = o_orderkey)
-SELECT p.o_orderkey, CAST(count(iv.s) AS BIGINT) AS open_lines
-FROM orders p LEFT JOIN iv ON iv.s <= p.o_orderdate AND p.o_orderdate < iv.e
-GROUP BY p.o_orderkey
-""",
-        # gaps-and-islands via the day - row_number() trick on epoch days
-        "user_streaks": """
-WITH d AS (SELECT DISTINCT user_id,
-                  date_diff('day', DATE '1970-01-01', CAST(ts AS DATE))
-                    AS day
-           FROM events),
-i AS (SELECT user_id, day,
-             day - row_number() OVER (PARTITION BY user_id ORDER BY day)
-               AS isl
-      FROM d),
-s AS (SELECT user_id, isl, count(*) AS len FROM i GROUP BY 1, 2)
-SELECT user_id, CAST(max(len) AS BIGINT) AS longest_streak,
-       CAST(sum(len) AS BIGINT) AS active_days
-FROM s GROUP BY user_id
-""",
-        # grouped mode with deterministic ties (count DESC, type ASC)
-        "user_modal_event": """
-WITH c AS (SELECT user_id, event_type, count(*) AS cnt
-           FROM events GROUP BY 1, 2),
-r AS (SELECT user_id, event_type, cnt,
-             row_number() OVER (PARTITION BY user_id
-                                ORDER BY cnt DESC, event_type) AS rn
-      FROM c)
-SELECT user_id, event_type AS modal_type, CAST(cnt AS BIGINT) AS cnt
-FROM r WHERE rn = 1
-""",
-        # greedy diversity quota == per-customer top-q then global top-k;
-        # ties (price DESC, orderkey ASC) make the selection deterministic
-        "diversified_topk": """
-WITH q AS (
-  SELECT o_orderkey, o_custkey, o_totalprice,
-         row_number() OVER (PARTITION BY o_custkey
-                            ORDER BY o_totalprice DESC, o_orderkey) AS rn
-  FROM orders)
-SELECT CAST(row_number() OVER (ORDER BY o_totalprice DESC, o_orderkey)
-       AS BIGINT) AS rnk,
-       o_orderkey, o_custkey, o_totalprice
-FROM q WHERE rn <= 2
-ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
-""",
-        # wide->long melt via UNPIVOT, grouped aggregate on the long
-        # form; exact-cents HUGEINT sums, one division at the end
-        "lineitem_unpivot": """
-WITH long AS (
-  UNPIVOT (SELECT l_returnflag, l_quantity, l_extendedprice,
-                  l_discount, l_tax
-           FROM lineitem)
-  ON l_quantity, l_extendedprice, l_discount, l_tax
-  INTO NAME measure VALUE v
-)
-SELECT l_returnflag, measure, CAST(count(*) AS BIGINT) AS n,
-       CAST(sum(CAST(floor(v * 100 + 0.5) AS BIGINT)) AS DOUBLE)
-         / 100.0 AS total
-FROM long GROUP BY 1, 2
-""",
-        # lag-k ACF of hourly counts on the gap-filled grid; integer-hour
-        # spine (epoch of date_trunc is exactly divisible), BIGINT moment
-        # sums -> HUGEINT, same closed form + rounding as the engine
-        "events_acf": """
-WITH b AS (SELECT CAST(epoch(date_trunc('hour', min(ts))) AS BIGINT) // 3600 h0,
-                  CAST(epoch(date_trunc('hour', max(ts))) AS BIGINT) // 3600 h1
-           FROM events),
-types AS (SELECT DISTINCT event_type FROM events),
-spine AS (SELECT t.event_type, gs.h
-          FROM types t CROSS JOIN
-          (SELECT unnest(generate_series((SELECT h0 FROM b),
-                                         (SELECT h1 FROM b))) AS h) gs),
-cnt AS (SELECT event_type,
-               CAST(epoch(date_trunc('hour', ts)) AS BIGINT) // 3600 AS h,
-               count(*) AS c
-        FROM events GROUP BY 1, 2),
-ser AS (SELECT s.event_type, s.h, CAST(coalesce(c.c, 0) AS BIGINT) AS x
-        FROM spine s LEFT JOIN cnt c USING (event_type, h)),
-lg AS (SELECT unnest([1, 2, 3, 6, 12, 24]) AS lag),
-pairs AS (SELECT a.event_type, l.lag, a.x AS ax, b2.x AS bx
-          FROM ser a CROSS JOIN lg l
-          JOIN ser b2 ON b2.event_type = a.event_type
-                     AND b2.h = a.h + l.lag),
-m AS (SELECT event_type, lag, count(*) n, sum(ax) sx, sum(bx) sy,
-             sum(ax * ax) sxx, sum(bx * bx) syy, sum(ax * bx) sxy
-      FROM pairs GROUP BY 1, 2)
-SELECT event_type, CAST(lag AS BIGINT) AS lag, CAST(n AS BIGINT) AS n_pairs,
-       CASE WHEN (n * sxx - sx * sx) > 0 AND (n * syy - sy * sy) > 0
-            THEN floor(CAST(n * sxy - sx * sy AS DOUBLE)
-                       / sqrt(CAST(n * sxx - sx * sx AS DOUBLE)
-                              * CAST(n * syy - sy * sy AS DOUBLE))
-                       * 1e6 + 0.5) / 1e6
-            ELSE NULL END AS acf
-FROM m
-""",
-        # Spearman ρ from DOUBLED average ranks (2·avg_rank = 2·min_rank
-        # + tie_count - 1, an exact integer; the 2× cancels in the closed
-        # form).  HUGEINT moment sums mirror the engine's python-int
-        # partials; both sides round half-up to 1e-6.
-        "spearman_corr": """
-WITH t AS (
-  SELECT CAST(2 * rank() OVER (ORDER BY l_quantity)
-              + count(*) OVER (PARTITION BY l_quantity) - 1
-         AS BIGINT) AS rx2,
-         CAST(2 * rank() OVER (ORDER BY l_extendedprice)
-              + count(*) OVER (PARTITION BY l_extendedprice) - 1
-         AS BIGINT) AS ry2
-  FROM lineitem),
-m AS (SELECT count(*) n, sum(rx2) sx, sum(ry2) sy,
-             sum(rx2 * rx2) sxx, sum(ry2 * ry2) syy,
-             sum(rx2 * ry2) sxy
-      FROM t)
-SELECT CAST(n AS BIGINT) AS n,
-       floor(CAST(n * sxy - sx * sy AS DOUBLE)
-             / sqrt(CAST(n * sxx - sx * sx AS DOUBLE)
-                    * CAST(n * syy - sy * sy AS DOUBLE))
-             * 1e6 + 0.5) / 1e6 AS spearman_qty_price
-FROM m
 """,
     }

@@ -31,26 +31,11 @@ _CLEAN_BAND = {
     # the ×1024-corpus win (30→23.4s at 32 CPUs)
     "minhash_near_dup": 6.0,
     "curate_corpus": 5.3,
-    "revenue_by_nation": 3.0,
-    "supplier_count_by_part": 4.9,
-    "customer_order_distribution": 3.5,
     "pretrain_corpus": 6.1,
     "tfidf_similar_docs": 6.8,
     "ccnet_buckets": 8.0,
-    "waiting_suppliers": 4.2,
-    "open_lines_at_order": 7.1,
-    "association_rules": 14.0,
-    "local_supplier_volume": 8.5,
-    "weighted_median": 5.3,
-    "lines_in_flight": 4.8,
-    "concurrent_sessions": 4.3,
-    "large_orders": 5.9,
-    "ks_statistic": 3.0,
-    "spearman_corr": 3.6,
     "bm25_topk": 3.1,
-    "cohort_retention": 4.0,
     "knn_filtered": 2.9,
-    "orders_above_cust_avg": 3.4,
     "kg_pipeline": 7.2,
 }
 
@@ -117,7 +102,7 @@ def run_bench() -> dict:
     # warm the OS page cache (untimed) so we measure compute+shuffle
     import pyarrow.parquet as pq
 
-    for t in ["documents", "embeddings", "lineitem", "orders", "events"]:
+    for t in ["documents", "embeddings"]:
         p = os.path.join(sf_dir, f"{t}.parquet")
         if os.path.exists(p):
             pq.read_table(p)
@@ -253,13 +238,8 @@ def run_bench() -> dict:
         "minhash_near_dup",
         "jaccard_pairs",
         "curate_corpus",
-        "events_rolling",
         "simhash",
         "knn_cosine",
-        "pricing_summary",
-        "revenue_by_nation",
-        "events_hourly",
-        "events_sessions",
         "token_count",
         "text_quality",
         "tfidf_top_terms",
@@ -270,8 +250,6 @@ def run_bench() -> dict:
         "chunk_dedup",
         "substring_dup_spans",
         "quota_sample",
-        "events_interarrival",
-        "events_props_stats",
         "unigram_nll",
         "length_deciles",
         "kmeans_embeddings",
@@ -279,55 +257,23 @@ def run_bench() -> dict:
         "duplicate_ngrams",
         "quality_filter",
         "importance_sample",
-        "large_orders",
-        "customer_running_total",
-        "cohort_retention",
         "ttr_hapax",
         "cdc_chunks",
         "top_tokens_by_lang",
         "mips_topk",
         "knn_pq",
-        "customer_order_distribution",
-        "supplier_count_by_part",
         "pretrain_corpus",
         "tfidf_similar_docs",
-        "events_hopping",
-        "ks_statistic",
-        "weighted_sample",
-        "event_value_trend",
-        "latency_priority_counts",
-        "waiting_suppliers",
         "temperature_mix",
         "ccnet_buckets",
         "kg_hits",
         "bm25_topk",
-        "part_skyline",
-        "lineitem_profile",
-        "user_journeys",
-        "events_twap",
-        "spearman_corr",
-        "events_acf",
         "kg_closeness",
-        "lineitem_unpivot",
         "kg_edge_evidence",
-        "diversified_topk",
-        "weighted_median",
-        "lines_in_flight",
-        "user_modal_event",
-        "open_lines_at_order",
-        "user_streaks",
         "knn_filtered",
-        "local_supplier_volume",
-        "concurrent_sessions",
-        "orders_above_cust_avg",
-        "revenue_mom_growth",
         "span_corrupt",
-        "association_rules",
-        "rolling_active_users",
-        "events_histogram",
         "kg_subgraph",
         "simhash_pairs_portable",
-        "events_quantiles_approx_check",
     ]:
         best = None
         tries = repeats

@@ -3,7 +3,7 @@ scoring, bigram PMI collocations, deterministic stratified sampling, and
 Misra-Gries heavy hitters with an exact-recount second pass.
 
 Tokenization is the engine's SQL-parity convention (single-space split,
-empty tokens dropped — see pipelines/relational.top_tokens) so every
+empty tokens dropped) so every
 operator here has an exact DuckDB oracle.  Float scores are computed with
 the EXACT expression the oracle uses (same cast points, same operator
 associativity, libm ``math.log``) and rounded half-up, so value hashes
@@ -1683,8 +1683,7 @@ def tfidf_similar_docs(
 
     Exactness: per-term dot/norm contributions are quantized to the
     1e-9 grid as int64 BEFORE summation (floor(x·1e9+0.5)), so the
-    sums are order-independent and the oracle comparison is bit-exact
-    — the same integerization trick the cents-exact TPC-H ops use.
+    sums are order-independent and the oracle comparison is bit-exact.
     Cosine is rounded half-up to 6 decimals.
     """
     docs = _read_docs(sf_dir, ["doc_id", "text"])

@@ -619,73 +619,6 @@ def hits(
     return out.map_batches(finalize, batch_format="pandas")
 
 
-def count_triangles(
-    edges: "ray.data.Dataset",
-    num_partitions: int = 32,
-) -> "ray.data.Dataset":
-    """Triangle count over an ordered undirected edge Dataset
-    (src, dst with src < dst, distinct) → one row (n_triangles).
-
-    The join plan: wedges = E ⋈ E on (e1.dst = e2.src) — every (a<b<c)
-    path — then a semi join of wedges against E on the composite
-    (a, c) key closes them.  Two repartition joins, one scalar count;
-    the composite key packs both int keys into one int64 so the second
-    hop is a plain single-key hash join.  Skew note: wedge fan-out at a
-    node is deg², so a hot node dominates its partition — at web scale
-    cap or sample per-node adjacency (the standard heavy-hitter split)
-    before the wedge join.
-    """
-    e = edges.materialize()  # feeds three consumers below
-
-    right = e.map_batches(
-        lambda b: pa.table(
-            {"wb": b.column("src"), "c": b.column("dst")}
-        ),
-        batch_format="pyarrow",
-    )
-
-    wedges = repartition_join(
-        e,
-        right,
-        "dst",
-        "wb",
-        {"src": pa.int64(), "dst": pa.int64()},
-        {"wb": pa.int64(), "c": pa.int64()},
-        num_partitions=num_partitions,
-    )
-
-    def add_key(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "k": df.src.astype("int64") * np.int64(2 ** 32)
-                + df.c.astype("int64")
-            }
-        )
-
-    def edge_key(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        k = pc.add(
-            pc.multiply(b.column("src"), 2 ** 32), b.column("dst")
-        )
-        return pa.table({"k": k})
-
-    closed = repartition_join(
-        wedges.map_batches(add_key, batch_format="pandas"),
-        e.map_batches(edge_key, batch_format="pyarrow"),
-        "k",
-        "k",
-        {"k": pa.int64()},
-        {"k": pa.int64()},
-        num_partitions=num_partitions,
-        how="semi",
-    )
-    n = closed.count()
-    return ray.data.from_pandas(
-        pd.DataFrame({"n_triangles": [np.int64(n)]})
-    )
-
-
 def degree_stats(
     edges: "ray.data.Dataset", num_partitions: int = 8
 ) -> "ray.data.Dataset":
@@ -767,8 +700,7 @@ def local_clustering(
     via a composite-key semi repartition join against the undirected
     edge set → per-node closed-wedge counts left-joined back onto the
     degree table.  Skew note: wedge fan-out is deg² — a web-scale run
-    caps or splits heavy-hitter adjacency before the wedge stage, the
-    same mitigation count_triangles documents.
+    caps or splits heavy-hitter adjacency before the wedge stage.
     """
     und = _undirected_edges(edges).materialize()
 
@@ -1045,106 +977,6 @@ def neighbor_jaccard(
         )
 
     return with_db.map_batches(finish, batch_format="pandas")
-
-
-def k_core(
-    pairs: "ray.data.Dataset",
-    k: int = 2,
-    max_iters: int = 100,
-    num_partitions: int = 8,
-) -> "ray.data.Dataset":
-    """The k-core of an undirected pair graph (doc_a, doc_b): the
-    maximal subgraph where every node has degree ≥ ``k`` → (node,
-    core_degree) with each survivor's degree INSIDE the core.
-
-    Iterative peeling, each round distributed: degrees via one keyed
-    reduce, the under-k nodes are removed by semi-filtering the edge
-    set on BOTH endpoints (two repartition semi joins against the
-    surviving-node table), and the loop stops when no node was dropped
-    (scalar count compare).  Rounds needed = the graph's degeneracy
-    ordering depth — typically small; the peel is the textbook
-    distributed formulation (no driver-side graph)."""
-    def to_und(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_a").to_numpy(zero_copy_only=False)
-        b = batch.column("doc_b").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
-            {"u": np.minimum(a, b), "v": np.maximum(a, b)}
-        )
-        df = df[df.u != df.v].drop_duplicates()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    edges = coarse_grouped_map(
-        pairs.map_batches(to_und, batch_format="pyarrow"),
-        ["u", "v"],
-        lambda df: df.drop_duplicates(["u", "v"]),
-        num_partitions=num_partitions,
-    ).materialize()
-
-    n_nodes = None
-    deg = None
-    for _ in range(max_iters):
-        def halves(batch: pa.Table) -> pa.Table:
-            u = batch.column("u")
-            v = batch.column("v")
-            return pa.table(
-                {"node": pa.chunked_array(u.chunks + v.chunks)}
-            )
-
-        deg = coarse_grouped_map(
-            edges.map_batches(halves, batch_format="pyarrow"),
-            "node",
-            lambda df: df.groupby("node", as_index=False).agg(
-                core_degree=("node", "size")
-            ),
-            num_partitions=num_partitions,
-        ).materialize()
-
-        keep = deg.map_batches(
-            lambda b, _k=k: b.filter(
-                pa.compute.greater_equal(b.column("core_degree"), _k)
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-        n_keep = keep.count()
-        if n_nodes is not None and n_keep == n_nodes:
-            break
-        n_nodes = n_keep
-        if n_keep == 0:
-            break
-        survivors = keep.select_columns(["node"])
-        edges = repartition_join(
-            edges,
-            survivors,
-            "u",
-            "node",
-            {"u": pa.int64(), "v": pa.int64()},
-            {"node": pa.int64()},
-            num_partitions=num_partitions,
-            how="semi",
-        )
-        edges = repartition_join(
-            edges,
-            survivors,
-            "v",
-            "node",
-            {"v": pa.int64(), "u": pa.int64()},
-            {"node": pa.int64()},
-            num_partitions=num_partitions,
-            how="semi",
-        ).materialize()
-
-    from ..utils import schema_floor
-
-    out = deg.map_batches(
-        lambda b, _k=k: b.filter(
-            pa.compute.greater_equal(b.column("core_degree"), _k)
-        ),
-        batch_format="pyarrow",
-    )
-    return schema_floor(
-        out,
-        pa.schema([("node", pa.int64()), ("core_degree", pa.int64())]),
-    )
 
 
 def two_hop_counts(

@@ -76,35 +76,6 @@ def session_memo(cache: dict, key, builder, probe=None):
     return val
 
 
-def ensure_join_resources(
-    ds: "ray.data.Dataset" = None, cpus_per_partition: float = 0.05
-) -> None:
-    """Cap the CPU reservation of ``Dataset.join`` aggregator actors.
-
-    Ray 2.49's hash-join reserves ``min(1, (cluster_cpus/2)/P)`` CPUs per
-    aggregator — i.e. HALF the cluster per join operator regardless of
-    ``num_partitions``.  A pipeline with a join plus any actor-pool stage
-    (or two joins) then deadlocks on small CPU budgets: the long-lived,
-    mostly-idle aggregators pin every core and the producing map tasks can
-    never schedule.  Aggregators block on network/IPC, not CPU, so a small
-    fractional reservation is correct; set it once per session (a no-op if
-    the user already configured an override).  On a large cluster raise it
-    (e.g. 0.25-0.5) so finalization gets real cores.
-
-    Each Dataset CAPTURES a DataContext copy at creation, so patching the
-    global context after an input dataset exists has no effect on its plan
-    — pass the pipeline's input dataset to patch its captured context too.
-    """
-    ctxs = [ray.data.DataContext.get_current()]
-    if ds is not None:
-        ctxs.append(ds.context)
-    for ctx in ctxs:
-        if ctx.join_operator_actor_num_cpus_per_partition_override is None:
-            ctx.join_operator_actor_num_cpus_per_partition_override = (
-                cpus_per_partition
-            )
-
-
 def coarse_grouped_map(
     ds: "ray.data.Dataset",
     key_cols,
@@ -180,37 +151,20 @@ def repartition_join(
     num_partitions: int = 64,
     coalesce_blocks="auto",
     how: str = "inner",
-    salt: int = 1,
     post_fn=None,
 ):
     """Distributed hash-join via tag-union + coarse-partition groupby
     + per-partition vectorized pandas merge.
 
-    ``salt`` > 1 enables the SKEW-SALTED plan for hot join keys: every
-    LEFT row scatters to one of ``salt`` sub-keys of its join key and
-    every RIGHT row is replicated to ALL ``salt`` sub-keys, so a key
-    holding a large share of the left side spreads over ``salt``
-    partitions instead of serializing one reducer (the join itself then
-    matches on (key, salt), which each left row satisfies exactly once —
-    output is identical to the unsalted plan, row order aside).  Cost:
-    the right side's shuffle volume ×salt — ``salt`` therefore ASSUMES
-    THE RIGHT SIDE IS THE SMALL ONE (a dimension/aggregate table, not a
-    fact table); use it when the LEFT side is the skewed fact.  Replicas
-    are emitted one salt value at a time so a map task's heap stays ~1×
-    its input batch, but the shuffled bytes still grow ×salt.  Supported
-    for inner/left/semi/anti; "outer" raises (unmatched RIGHT replicas
-    would duplicate).
-
     ``post_fn(df) -> df``, if given, runs on each partition's joined
     frame BEFORE it is emitted — join + grouped-reduce FUSION.  Every
     row of a join key lands in one partition (like coarse_grouped_map),
     so a reduce grouped by the join key is exact here and the fused
-    plan skips one full all-to-all of the joined rows.  Not valid with
-    ``salt`` > 1 (a key's left rows then span ``salt`` partitions).
+    plan skips one full all-to-all of the joined rows.
 
-    ``how``: "inner" | "left" | "outer" | "semi" | "anti".  Inner/left/
-    outer emit [left_on] + left cols + right cols (unmatched sides pad
-    with nulls — numeric columns therefore come back as float64, cast
+    ``how``: "inner" | "left" | "semi" | "anti".  Inner/left emit
+    [left_on] + left cols + right cols (unmatched left rows pad with
+    nulls — numeric columns therefore come back as float64, cast
     downstream if needed); semi/anti emit [left_on] + left cols only
     (the right side contributes existence, never columns), with left
     multiplicity preserved.  All variants shuffle both sides exactly
@@ -236,25 +190,16 @@ def repartition_join(
     """
     from pandas.util import hash_array
 
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"unsupported join type: {how!r}")
     lcols = [c for c in left_types if c != left_on]
     rcols = [c for c in right_types if c != right_on]
     key_type = left_types[left_on]
     P = num_partitions
-    if salt > 1 and how == "outer":
-        raise ValueError("salt > 1 is not supported for outer joins")
-    if salt > 1 and post_fn is not None:
-        raise ValueError(
-            "post_fn requires all rows of a key in one partition; "
-            "salt > 1 spreads them"
-        )
 
-    def pkey_of(arr: pa.ChunkedArray, salts=None) -> pa.Array:
+    def pkey_of(arr: pa.ChunkedArray) -> pa.Array:
         v = arr.to_numpy(zero_copy_only=False)
-        h = hash_array(np.asarray(v))
-        if salts is not None:
-            with np.errstate(over="ignore"):
-                h = h + salts * np.uint64(0x9E3779B97F4A7C15)
-        h = h % np.uint64(P)
+        h = hash_array(np.asarray(v)) % np.uint64(P)
         return pa.array(h.astype(np.int32), pa.int32())
 
     def pad(n: int, t: pa.DataType) -> pa.Array:
@@ -268,55 +213,29 @@ def repartition_join(
 
     def tag_left(b: pa.Table) -> pa.Table:
         jkey = b.column(left_on).cast(key_type)
-        # left rows scatter round-robin over the salt sub-keys — any
-        # assignment is correct (the right side covers all of them)
-        salts = (
-            np.arange(b.num_rows, dtype=np.uint64) % np.uint64(salt)
-            if salt > 1 else None
-        )
         cols = {
-            "_pkey": pkey_of(jkey, salts),
+            "_pkey": pkey_of(jkey),
             "_side": pa.array(np.zeros(b.num_rows, np.int8), pa.int8()),
             "_jkey": jkey,
         }
-        if salt > 1:
-            cols["_salt"] = pa.array(salts.astype(np.int32), pa.int32())
         for c in lcols:
             cols[c] = b.column(c)
         for c in rcols:
             cols[c] = pad(b.num_rows, right_types[c])
         return pa.table(cols)
 
-    def tag_right_one(b: pa.Table, s) -> pa.Table:
-        salts = (
-            np.full(b.num_rows, s, dtype=np.uint64) if s is not None
-            else None
-        )
+    def tag_right(b: pa.Table) -> pa.Table:
         jkey = b.column(right_on).cast(key_type)
         cols = {
-            "_pkey": pkey_of(jkey, salts),
+            "_pkey": pkey_of(jkey),
             "_side": pa.array(np.ones(b.num_rows, np.int8), pa.int8()),
             "_jkey": jkey,
         }
-        if s is not None:
-            cols["_salt"] = pa.array(salts.astype(np.int32), pa.int32())
         for c in lcols:
             cols[c] = pad(b.num_rows, left_types[c])
         for c in rcols:
             cols[c] = b.column(c)
         return pa.table(cols)
-
-    def tag_right(b: pa.Table):
-        # Replicas are YIELDED one salt value at a time, never built as
-        # one salt-times-wider table: a task's peak heap stays ~1× the
-        # input batch (plus the block being emitted) regardless of
-        # ``salt``.  The total shuffle volume is still ×salt by design —
-        # see the ``salt`` parameter note above.
-        if salt <= 1:
-            yield tag_right_one(b, None)
-            return
-        for s in range(salt):
-            yield tag_right_one(b, s)
 
     tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
         right.map_batches(tag_right, batch_format="pyarrow")
@@ -337,49 +256,27 @@ def repartition_join(
     if width:
         tagged = tagged.repartition(width)
 
-    if how not in ("inner", "left", "outer", "semi", "anti"):
-        raise ValueError(f"unsupported join type: {how!r}")
     out_cols = (
         [left_on] + lcols if how in ("semi", "anti")
         else [left_on] + lcols + rcols
     )
-
-    # a salted partition holds right replicas for SEVERAL salt values of
-    # the same key — matching must be on (key, salt) so each left row
-    # meets each right row exactly once
-    jk = ["_jkey", "_salt"] if salt > 1 else ["_jkey"]
 
     def merge_partition(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
 
         l = g[g._side == 0]
         r = g[g._side == 1]
-        if l.empty and how != "outer":
+        if l.empty or (how == "inner" and r.empty):
             # ZERO-column empty frame: map_batches passes empties through
             # untouched and pd.concat ignores column-less frames, so this
             # never pollutes the joined schema downstream.
             return pd.DataFrame()
-        if how == "outer":
-            m = l[["_jkey"] + lcols].merge(
-                r[["_jkey"] + rcols], on="_jkey", how="outer"
-            )
-        elif how in ("semi", "anti"):
-            if salt > 1:
-                hit = pd.MultiIndex.from_frame(l[jk]).isin(
-                    pd.MultiIndex.from_frame(r[jk])
-                )
-            else:
-                hit = l._jkey.isin(r._jkey)
+        if how in ("semi", "anti"):
+            hit = l._jkey.isin(r._jkey)
             m = l[hit if how == "semi" else ~hit][["_jkey"] + lcols]
-        elif how == "left":
-            m = l[jk + lcols].merge(
-                r[jk + rcols], on=jk, how="left"
-            )
         else:
-            if r.empty:
-                return pd.DataFrame()
-            m = l[jk + lcols].merge(
-                r[jk + rcols], on=jk, how="inner"
+            m = l[["_jkey"] + lcols].merge(
+                r[["_jkey"] + rcols], on="_jkey", how=how
             )
         if m.empty:
             return pd.DataFrame()
@@ -447,9 +344,7 @@ def smart_join(
 
     Same output contract as ``repartition_join`` for how ∈ {inner, left,
     semi, anti}: columns [left_on] + left non-keys (+ right non-keys for
-    inner/left).  "outer" always shuffles — an outer join's unmatched
-    RIGHT rows can't be emitted from a map over the left side without
-    duplicating them per block.
+    inner/left).
 
     The threshold is rows, not bytes, deliberately: the caller knows the
     row width; at 100 TB set it to whatever fits the task heap (the
@@ -458,13 +353,8 @@ def smart_join(
     # validate up front: the broadcast path feeds ``how`` straight into
     # pandas.merge, so an unsupported type would otherwise error (or
     # silently mis-join) only when the right side happens to be small
-    if how not in ("inner", "left", "outer", "semi", "anti"):
+    if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported join type: {how!r}")
-    if how == "outer":
-        return repartition_join(
-            left, right, left_on, right_on, left_types, right_types,
-            num_partitions=num_partitions, how=how,
-        )
     # materialize once: the count would otherwise execute the right plan
     # and to_pandas()/the shuffle would re-execute it (lazy lineage).  A
     # big right side lands in the object store and spills — same cost the

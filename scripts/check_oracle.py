@@ -3,6 +3,9 @@ oracle_sql() side by side on a given sf dir; compare row count, column
 names, and order-insensitive values.
 
 Usage: PYTHONPATH=/root/repo python scripts/check_oracle.py [sf_dir] [names...]
+
+``connect``, ``canon`` and ``mismatch`` are also imported by
+tests/test_driver_queries.py, which runs the same comparison per query.
 """
 import os
 import sys
@@ -11,7 +14,10 @@ import time
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+# the tables the remaining oracles read
+TABLES = ["part", "documents", "embeddings"]
 
 
 def to_pandas(obj):
@@ -32,14 +38,38 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+def connect(sf_dir: str) -> "duckdb.DuckDBPyConnection":
+    """A DuckDB connection with one view per table parquet in ``sf_dir``."""
+    con = duckdb.connect()
+    for t in TABLES:
+        p = os.path.join(sf_dir, f"{t}.parquet")
+        if os.path.exists(p):
+            con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{p}'")
+    return con
+
+
+def mismatch(mine: pd.DataFrame, theirs: pd.DataFrame):
+    """None when two canonical frames agree exactly, else the reason."""
+    if len(mine) != len(theirs) or list(mine.columns) != list(theirs.columns):
+        return (f"mine={len(mine)}x{list(mine.columns)} "
+                f"oracle={len(theirs)}x{list(theirs.columns)}")
+    try:
+        pd.testing.assert_frame_equal(
+            mine, theirs, check_dtype=False, check_exact=True
+        )
+    except AssertionError as e:
+        return f"VALUES DIFFER: {str(e).splitlines()[0:3]}"
+    return None
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import ray
 
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             logging_level="ERROR")
+    ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+             include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
@@ -48,13 +78,7 @@ def main():
 
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
-
-    con = duckdb.connect()
-    for t in ["region", "nation", "customer", "supplier", "part", "orders",
-              "lineitem", "events", "documents", "embeddings"]:
-        p = os.path.join(sf_dir, f"{t}.parquet")
-        if os.path.exists(p):
-            con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{p}'")
+    con = connect(sf_dir)
 
     failures = []
     for name, fn in qs.items():
@@ -78,26 +102,15 @@ def main():
             print(f"[{name}] ORACLE ERROR: {type(e).__name__}: {e}")
             failures.append(name)
             continue
-        ok_rows = len(mine) == len(theirs)
-        ok_cols = list(mine.columns) == list(theirs.columns)
-        ok_vals = False
-        if ok_rows and ok_cols:
-            try:
-                pd.testing.assert_frame_equal(
-                    mine, theirs, check_dtype=False, check_exact=True
-                )
-                ok_vals = True
-            except AssertionError as e:
-                msg = str(e).split("\n")[0:3]
-                print(f"[{name}] VALUES DIFFER: {msg}")
-        status = "OK" if (ok_rows and ok_cols and ok_vals) else "FAIL"
-        if status == "FAIL":
+        why = mismatch(mine, theirs)
+        if why:
             failures.append(name)
-            print(f"[{name}] {status}: mine={len(mine)}x{list(mine.columns)} "
-                  f"oracle={len(theirs)}x{list(theirs.columns)} ({t1-t0:.1f}s)")
-            if ok_rows and ok_cols:
-                diff = mine.compare(theirs) if mine.shape == theirs.shape else None
-                if diff is not None and not diff.empty:
+            print(f"[{name}] FAIL: {why} ({t1-t0:.1f}s)")
+            if mine.shape == theirs.shape and list(mine.columns) == list(
+                theirs.columns
+            ):
+                diff = mine.compare(theirs)
+                if not diff.empty:
                     print(diff.head(5))
         else:
             print(f"[{name}] OK rows={len(mine)} ({t1-t0:.1f}s)")

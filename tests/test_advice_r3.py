@@ -1,15 +1,11 @@
 """Round-3 regression tests for the r2 ADVICE findings: smart_join
-type validation, ks_statistic without parquet statistics, knn tie
-handling across blocks, media content-key semantics."""
+type validation, knn tie handling across blocks, media content-key
+semantics."""
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data
-
-SF = "/root/testdata/sf0.001"
 
 
 def test_smart_join_rejects_bad_how_regardless_of_side_size():
@@ -34,23 +30,6 @@ def test_smart_join_rejects_bad_how_regardless_of_side_size():
                 {"k": pa.int64(), "b": pa.int64()},
                 how=bad,
             )
-
-
-def test_ks_statistic_survives_missing_parquet_statistics(tmp_path):
-    """Files written with column statistics disabled must fall back to a
-    distributed min/max instead of crashing on ``statistics is None``."""
-    from kgray.pipelines.analytics import ks_statistic
-
-    ev = pd.read_parquet(SF + "/events.parquet")
-    ref = ks_statistic(SF).to_pandas()
-
-    pq.write_table(
-        pa.Table.from_pandas(ev, preserve_index=False),
-        tmp_path / "events.parquet",
-        write_statistics=False,
-    )
-    got = ks_statistic(str(tmp_path)).to_pandas()
-    assert got.ks.iloc[0] == ref.ks.iloc[0]
 
 
 def test_knn_cosine_keeps_lowest_id_among_block_ties():

@@ -1,4 +1,4 @@
-"""Semantics tests for BPE merge learning and the key-skew profile."""
+"""Semantics tests for BPE merge learning."""
 import collections
 
 import numpy as np
@@ -55,20 +55,3 @@ def test_learn_bpe_merges_matches_reference():
     assert (out.pair_count > 0).all()
 
 
-def test_key_skew_profile_matches_pandas():
-    from kgray.pipelines.analytics import key_skew_profile
-
-    out = key_skew_profile(SF).to_pandas()
-    li = pd.read_parquet(SF + "/lineitem.parquet", columns=["l_orderkey"])
-    ev = pd.read_parquet(SF + "/events.parquet", columns=["user_id"])
-    for tk, series in [
-        ("lineitem.l_orderkey", li.l_orderkey),
-        ("events.user_id", ev.user_id),
-    ]:
-        exp = series.value_counts().value_counts().sort_index()
-        got = out[out.table_key == tk].set_index("rows_per_key"
-                                                 ).n_keys.sort_index()
-        assert got.to_dict() == exp.to_dict()
-        # histogram conserves both keys and rows
-        assert (got * got.index).sum() == len(series)
-        assert got.sum() == series.nunique()

@@ -1,6 +1,5 @@
-"""Semantics tests for the round-2 corpus/event statistics additions
-(zipf_slope, trigram_topk, source_lang_chi2, event_transitions,
-session_stats).  Exact cross-engine parity is covered by the DuckDB
+"""Semantics tests for the round-2 corpus statistics additions
+(zipf_slope, trigram_topk, source_lang_chi2).  Exact cross-engine parity is covered by the DuckDB
 oracles in __ray_entry__; these pin the math on sf0.001 against
 hand-rolled pandas/numpy."""
 import collections
@@ -70,45 +69,6 @@ def test_source_lang_chi2_matches_closed_form():
     assert out.n_docs.iloc[0] == len(docs)
 
 
-def test_event_transitions_matches_pandas():
-    from kgray.pipelines.analytics import event_transitions
-
-    out = event_transitions(SF).to_pandas()
-    ev = pd.read_parquet(SF + "/events.parquet").sort_values(
-        ["user_id", "ts", "event_id"]
-    )
-    prev = ev.groupby("user_id").event_type.shift()
-    pairs = pd.DataFrame({"from_type": prev, "to_type": ev.event_type})
-    exp = pairs.dropna().groupby(["from_type", "to_type"]).size()
-    got = out.set_index(["from_type", "to_type"]).n
-    assert got.sort_index().to_dict() == exp.sort_index().to_dict()
-    # every event except each user's first contributes exactly one pair
-    assert out.n.sum() == len(ev) - ev.user_id.nunique()
-
-
-def test_session_stats_consistent_with_events_sessions():
-    from kgray.pipelines.analytics import session_stats
-    from kgray.pipelines.relational import events_sessions
-
-    stats = session_stats(SF).to_pandas().set_index("user_id")
-    sess = events_sessions(SF).to_pandas()
-    per_user = sess.groupby("user_id").agg(
-        n_sessions=("n_events", "size"),
-        n_events=("n_events", "sum"),
-        max_session_events=("n_events", "max"),
-    )
-    assert len(stats) == len(per_user)
-    for c in per_user.columns:
-        assert stats[c].sort_index().to_dict() == \
-            per_user[c].sort_index().to_dict()
-    dur = (sess.session_end - sess.session_start).dt.total_seconds()
-    mean_dur = dur.groupby(sess.user_id).mean()
-    assert np.allclose(
-        stats.mean_session_seconds.sort_index(), mean_dur.sort_index(),
-        atol=1e-6,
-    )
-
-
 def test_jsonl_and_csv_roundtrip(tmp_path):
     import pandas as pd
     import ray.data
@@ -170,42 +130,3 @@ def test_bigram_nll_hand_computed(tmp_path):
     assert 3 not in out.index  # <2 tokens: no bigrams, no row
 
 
-def test_excess_suppliers_dominance(tmp_path):
-    import pandas as pd
-
-    from kgray.pipelines.tpch_final import excess_suppliers
-
-    # part 1 ('small x'): supp 7 ships 30 of 40 (>50% — dominates);
-    # part 2 ('small y'): supp 7 and 8 ship 20 each (ties never pass);
-    # part 3 ('red z'): prefix-excluded even though supp 9 owns it.
-    pd.DataFrame(
-        {
-            "p_partkey": [1, 2, 3],
-            "p_name": ["small x", "small y", "red z"],
-        }
-    ).to_parquet(tmp_path / "part.parquet")
-    pd.DataFrame(
-        {
-            "s_suppkey": [7, 8, 9],
-            "s_name": ["S7", "S8", "S9"],
-            "s_nationkey": pd.array([0, 0, 1], dtype="int32"),
-        }
-    ).to_parquet(tmp_path / "supplier.parquet")
-    pd.DataFrame(
-        {
-            "n_nationkey": pd.array([0, 1], dtype="int32"),
-            "n_name": ["N0", "N1"],
-        }
-    ).to_parquet(tmp_path / "nation.parquet")
-    ts = pd.Timestamp("1996-06-01")
-    out_ts = pd.Timestamp("1999-06-01")  # outside the window
-    pd.DataFrame(
-        {
-            "l_partkey": [1, 1, 1, 2, 2, 3, 1],
-            "l_suppkey": [7, 7, 8, 7, 8, 9, 8],
-            "l_quantity": [20.0, 10.0, 10.0, 20.0, 20.0, 50.0, 99.0],
-            "l_shipdate": [ts, ts, ts, ts, ts, ts, out_ts],
-        }
-    ).to_parquet(tmp_path / "lineitem.parquet")
-    out = excess_suppliers(str(tmp_path)).to_pandas()
-    assert out.values.tolist() == [["S7", "N0"]]

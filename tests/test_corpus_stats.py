@@ -1,10 +1,10 @@
 """Semantics tests for stages/corpus_stats (TF-IDF, bigram PMI,
-stratified sampling, Misra-Gries heavy hitters) and the Bloom semi join.
+stratified sampling, Misra-Gries heavy hitters).
 
 Exact end-to-end parity is covered by the DuckDB oracles in __ray_entry__
 (scripts/check_oracle.py); these pin the kernels' contracts on small
-controlled inputs: MG == exact top-k, Bloom semi == plain semi (exactness
-despite the sketch), sampling determinism and rate, TF-IDF ranking order.
+controlled inputs: MG == exact top-k, sampling determinism and rate,
+TF-IDF ranking order.
 """
 import math
 
@@ -124,11 +124,22 @@ def test_stratified_sample_membership_stable_under_growth():
 # Misra-Gries heavy hitters
 # ---------------------------------------------------------------------------
 
+def _exact_top_tokens(k: int) -> pd.DataFrame:
+    """Reference top-k: single-space split, empty tokens dropped,
+    ranked by (n desc, token asc)."""
+    docs = pd.read_parquet(SF + "/documents.parquet", columns=["text"])
+    toks = docs.text.str.split(" ").explode()
+    vc = toks[toks != ""].value_counts()
+    t = pd.DataFrame({"token": vc.index, "n": vc.to_numpy()})
+    t = t.sort_values(["n", "token"], ascending=[False, True]).head(k)
+    t["rnk"] = np.arange(1, len(t) + 1, dtype=np.int64)
+    return t.reset_index(drop=True)
+
+
 def test_top_tokens_mg_equals_exact():
-    from kgray.pipelines.relational import top_tokens
     from kgray.stages.corpus_stats import top_tokens_mg
 
-    exact = top_tokens(SF, k=20).to_pandas().reset_index(drop=True)
+    exact = _exact_top_tokens(20)
     mg = top_tokens_mg(SF, k=20).to_pandas().reset_index(drop=True)
     pd.testing.assert_frame_equal(
         exact[["rnk", "token", "n"]], mg[["rnk", "token", "n"]],
@@ -141,9 +152,8 @@ def test_top_tokens_mg_small_sketch_still_exact_when_floor_clears():
     # the recount makes any surviving superset exact, so top-k of heavy
     # tokens must match whenever the k-th count clears the floor
     from kgray.stages.corpus_stats import top_tokens_mg
-    from kgray.pipelines.relational import top_tokens
 
-    exact = top_tokens(SF, k=5).to_pandas()
+    exact = _exact_top_tokens(5)
     mg = top_tokens_mg(SF, k=5, m=64).to_pandas()
     total = pd.read_parquet(SF + "/documents.parquet", columns=["text"])
     n_tokens = int(
@@ -156,42 +166,6 @@ def test_top_tokens_mg_small_sketch_still_exact_when_floor_clears():
             mg[["rnk", "token", "n"]].reset_index(drop=True),
             check_dtype=False,
         )
-
-
-# ---------------------------------------------------------------------------
-# Bloom-prefiltered semi join
-# ---------------------------------------------------------------------------
-
-def test_bloom_semi_join_equals_plain_semi():
-    from kgray.pipelines.analytics import customers_semi_join_bloom
-    from kgray.pipelines.relational import customers_with_high_value_orders
-
-    plain = customers_with_high_value_orders(
-        SF, cutoff=350000.0
-    ).to_pandas().sort_values("c_custkey").reset_index(drop=True)
-    bloom = customers_semi_join_bloom(
-        SF, cutoff=350000.0
-    ).to_pandas().sort_values("c_custkey").reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        plain[["c_custkey", "c_name"]], bloom[["c_custkey", "c_name"]],
-        check_dtype=False,
-    )
-
-
-def test_bloom_tiny_filter_still_exact():
-    # m=2^10 bits on ~hundreds of keys → high false-positive rate; the
-    # exact semi pass must still remove every false positive
-    from kgray.pipelines.analytics import customers_semi_join_bloom
-    from kgray.pipelines.relational import customers_with_high_value_orders
-
-    plain = customers_with_high_value_orders(SF, cutoff=300000.0)
-    bloom = customers_semi_join_bloom(
-        SF, cutoff=300000.0, m_bits=1 << 10, n_hashes=2
-    )
-    assert (
-        sorted(plain.to_pandas().c_custkey)
-        == sorted(bloom.to_pandas().c_custkey)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Semantics tests for the round-2 embedding additions: MIPS top-k,
-int8 quantization error audit, and PQ approximate ANN recall."""
+int8 quantization error audit, PQ approximate ANN recall, and the
+label-filtered kNN."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -118,3 +119,30 @@ def test_knn_label_purity_matches_bruteforce():
     for lab, (hh, tt) in hits.items():
         assert got.loc[lab, "n_pairs"] == tt
         assert got.loc[lab, "purity"] == hh / tt
+
+
+def test_knn_filtered_pushes_predicate_into_kernel():
+    """A query whose k nearest neighbours ALL share its label must still
+    get k cross-label results — post-filtering an unfiltered top-k would
+    return fewer."""
+    from kgray.stages.similarity import knn_cosine_filtered
+
+    rng = np.random.RandomState(3)
+    base = rng.standard_normal(8)
+    # 6 vectors nearly identical to the query, same label; 5 far, other label
+    near = base + 0.01 * rng.standard_normal((6, 8))
+    far = -base + 0.01 * rng.standard_normal((5, 8))
+    emb = np.vstack([near, far])
+    labels = np.array(["a"] * 6 + ["b"] * 5, dtype=object)
+    corpus = ray.data.from_arrow(
+        pa.table({
+            "vec_id": pa.array(np.arange(11), pa.int64()),
+            "embedding": pa.array([list(map(float, v)) for v in emb]),
+            "label": pa.array(labels, pa.string()),
+        })
+    )
+    out = knn_cosine_filtered(
+        corpus, base[None, :], np.array([99]), np.array(["a"], object), k=5
+    ).to_pandas()
+    assert len(out) == 5
+    assert set(out.neighbor_id) == {6, 7, 8, 9, 10}  # only label 'b'

@@ -157,36 +157,6 @@ def test_near_dup_distributed_matches_union_find():
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_count_triangles_k4_plus_pendant():
-    import itertools
-
-    from kgray.stages.graph_algos import count_triangles
-
-    pairs = list(itertools.combinations([1, 2, 3, 4], 2)) + [(4, 5)]
-    e = pa.table(
-        {
-            "src": pa.array([a for a, _ in pairs], pa.int64()),
-            "dst": pa.array([b for _, b in pairs], pa.int64()),
-        }
-    )
-    out = count_triangles(ray.data.from_arrow(e)).to_pandas()
-    assert out.n_triangles.tolist() == [4]
-
-
-def test_count_triangles_triangle_free():
-    from kgray.stages.graph_algos import count_triangles
-
-    # star graph: no triangles
-    e = pa.table(
-        {
-            "src": pa.array([1, 1, 1], pa.int64()),
-            "dst": pa.array([2, 3, 4], pa.int64()),
-        }
-    )
-    out = count_triangles(ray.data.from_arrow(e)).to_pandas()
-    assert out.n_triangles.tolist() == [0]
-
-
 def test_dedup_incremental_semantics(tmp_path):
     from kgray.stages.dedup import dedup_incremental
 

@@ -1,6 +1,6 @@
 """Semantics tests for the round-2 graph-algorithm additions
-(degree_stats, local_clustering, bfs_distances, neighbor_jaccard,
-k_core) on hand-built graphs with known answers."""
+(degree_stats, local_clustering, bfs_distances, neighbor_jaccard)
+on hand-built graphs with known answers."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -69,50 +69,6 @@ def test_neighbor_jaccard_shared_out_neighbors():
     assert set(got) == {("a", "b"), ("b", "c")}
     assert got[("a", "b")] == np.floor(2 / 3 * 1e6 + 0.5) / 1e6
     assert got[("b", "c")] == np.floor(1 / 3 * 1e6 + 0.5) / 1e6
-
-
-def _kcore_reference(pairs, k):
-    """Driver-side peel for cross-checking."""
-    edges = {tuple(sorted(p)) for p in pairs if p[0] != p[1]}
-    while True:
-        deg = {}
-        for u, v in edges:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        drop = {n for n, d in deg.items() if d < k}
-        if not drop:
-            return deg
-        edges = {e for e in edges if e[0] not in drop and e[1] not in drop}
-
-
-def test_k_core_matches_reference_peel():
-    from kgray.stages.graph_algos import k_core
-
-    rng = np.random.RandomState(7)
-    pairs = [
-        (int(a), int(b))
-        for a, b in rng.randint(0, 40, size=(300, 2))
-    ]
-    ds = ray.data.from_pandas(
-        pd.DataFrame(pairs, columns=["doc_a", "doc_b"])
-    )
-    for k in (3, 6, 10):
-        got = k_core(ds, k=k).to_pandas()
-        exp = _kcore_reference(pairs, k)
-        if not exp:
-            assert len(got) == 0
-            continue
-        assert got.set_index("node").core_degree.to_dict() == exp
-
-
-def test_k_core_empty_when_k_exceeds_graph():
-    from kgray.stages.graph_algos import k_core
-
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"doc_a": [1, 2], "doc_b": [2, 3]})
-    )
-    out = k_core(ds, k=5).to_pandas()
-    assert len(out) == 0
 
 
 def test_comention_graph_counts_documents_once():

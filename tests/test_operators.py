@@ -313,29 +313,6 @@ def test_cluster_surface_forms_scale():
     assert by_name.loc["GENE0", "cluster_id"] != by_name.loc["GENE123", "cluster_id"]
 
 
-def test_asof_and_range_join_semantics():
-    """As-of: latest click at-or-before; range: all clicks in the window."""
-    import pandas as pd
-    from kgray.pipelines.relational import events_asof_join, events_range_join
-
-    sf = "/root/testdata/sf0.001"
-    asof = events_asof_join(sf).to_pandas()
-    assert len(asof) > 0
-    # the matched click is never after the purchase
-    assert (asof.click_ts <= asof.ts).all()
-    # one row per matched purchase
-    assert asof.event_id.is_unique
-    rng = events_range_join(sf, window_minutes=60).to_pandas()
-    if len(rng):
-        assert ((rng.click_ts <= rng.ts)
-                & (rng.click_ts > rng.ts - pd.Timedelta(minutes=60))).all()
-    # every range match at-or-before within window implies the asof match
-    # for that purchase is also within the window or later than it
-    merged = rng.merge(asof, on="event_id", suffixes=("_r", "_a"))
-    if len(merged):
-        assert (merged.click_ts_a >= merged.click_ts_r).all()
-
-
 def test_frame_sampling_and_audio_windows():
     from kgray.corpus import generate_documents
     from kgray.stages.chunk import explode_spans
@@ -415,61 +392,6 @@ def test_knn_ivf_recall():
     approx2 = knn_ivf(ds, q, qids, k=5, n_centroids=16, n_probe=8).to_pandas()
     assert approx.sort_values(["query_id", "rank"]).neighbor_id.tolist() == \
         approx2.sort_values(["query_id", "rank"]).neighbor_id.tolist()
-
-
-def test_events_rolling_window_semantics():
-    """Per-user rolling mean: first event equals its own value; every row
-    averages at most `window` of ITS OWN user's time-ordered events."""
-    import pandas as pd
-    from kgray.pipelines.relational import events_rolling
-
-    sf = "/root/testdata/sf0.001"
-    got = events_rolling(sf, window=3).to_pandas()
-    raw = pd.read_parquet(
-        sf + "/events.parquet",
-        columns=["event_id", "user_id", "ts", "value"],
-    )
-    assert len(got) == len(raw)
-    # recompute serially for a handful of users and compare
-    import numpy as np
-
-    for uid in raw.user_id.drop_duplicates().head(5):
-        mine = raw[raw.user_id == uid].sort_values(["ts", "event_id"])
-        exp = mine.value.rolling(3, min_periods=1).mean()
-        exp = np.floor(exp * 10000 + 0.5) / 10000
-        theirs = got[got.user_id == uid].set_index("event_id").loc[
-            mine.event_id
-        ]["avg_value"].to_numpy()
-        assert np.allclose(theirs, exp.to_numpy())
-
-
-def test_events_distinct_users_exact():
-    import pandas as pd
-    from kgray.pipelines.relational import events_distinct_users
-
-    sf = "/root/testdata/sf0.001"
-    got = events_distinct_users(sf).to_pandas().set_index("event_type")
-    raw = pd.read_parquet(sf + "/events.parquet",
-                          columns=["event_type", "user_id"])
-    exp = raw.groupby("event_type").agg(
-        n_users=("user_id", "nunique"), n_events=("user_id", "size")
-    )
-    for t, row in exp.iterrows():
-        assert got.loc[t, "n_users"] == row.n_users
-        assert got.loc[t, "n_events"] == row.n_events
-
-
-def test_top_customers_per_nation_ranks():
-    from kgray.pipelines.relational import top_customers_per_nation
-
-    sf = "/root/testdata/sf0.001"
-    got = top_customers_per_nation(sf, k=3).to_pandas()
-    # at most k rows per nation, ranks dense from 1, spend non-increasing
-    for _, g in got.groupby("n_name"):
-        g = g.sort_values("rnk")
-        assert len(g) <= 3
-        assert list(g.rnk) == list(range(1, len(g) + 1))
-        assert (g.total_spent.diff().dropna() <= 1e-9).all()
 
 
 def test_repartition_join_types():
@@ -792,89 +714,6 @@ def test_jaccard_exact_equals_bruteforce():
     assert got == want
 
 
-def test_quantiles_exact_and_sketch_bound():
-    """Exact per-type quantiles match pandas; the mergeable-histogram
-    sketch stays within 1% of the value range of the exact answer."""
-    import pandas as pd
-    from kgray.pipelines.relational import (
-        events_value_quantiles,
-        events_value_quantiles_approx,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    ex = events_value_quantiles(sf).to_pandas()
-    raw = pd.read_parquet(sf + "/events.parquet",
-                          columns=["event_type", "value"])
-    for (t, q), row in ex.set_index(["event_type", "q"]).iterrows():
-        want = raw[raw.event_type == t]["value"].quantile(
-            q, interpolation="linear"
-        )
-        import numpy as np
-        want = np.floor(want * 10000 + 0.5) / 10000
-        assert abs(row.value - want) < 1e-9, (t, q, row.value, want)
-
-    # sketch guarantee is on RANK, not value: the reported value must lie
-    # between the exact q±1% quantiles (value distance is unbounded in
-    # sparse tails where adjacent order statistics are far apart)
-    ap = events_value_quantiles_approx(sf).to_pandas()
-    for (t, q), row in ap.set_index(["event_type", "q"]).iterrows():
-        vals = raw[raw.event_type == t]["value"]
-        lo = vals.quantile(max(q - 0.01, 0.0))
-        hi = vals.quantile(min(q + 0.01, 1.0))
-        assert lo - 1e-9 <= row.value <= hi + 1e-9, (t, q, row.value, lo, hi)
-
-
-def test_orders_top100_global_sort():
-    import pandas as pd
-    from kgray.pipelines.relational import orders_top100_global_sort
-
-    sf = "/root/testdata/sf0.001"
-    got = orders_top100_global_sort(sf, k=10).to_pandas()
-    raw = pd.read_parquet(sf + "/orders.parquet",
-                          columns=["o_orderkey", "o_totalprice"])
-    want = raw.sort_values(
-        ["o_totalprice", "o_orderkey"], ascending=[False, True]
-    ).head(10)
-    assert list(got.o_orderkey) == list(want.o_orderkey)
-    assert list(got.rnk) == list(range(1, 11))
-
-
-def test_hll_distinct_error_contract():
-    """HLL estimate within the sketch's error envelope of the exact
-    count, per type — including a high-cardinality synthetic check."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray.data
-    from kgray.pipelines.relational import events_distinct_users_hll
-
-    sf = "/root/testdata/sf0.001"
-    got = events_distinct_users_hll(sf).to_pandas().set_index("event_type")
-    raw = pd.read_parquet(sf + "/events.parquet",
-                          columns=["event_type", "user_id"])
-    for t, gd in raw.groupby("event_type"):
-        exact = gd.user_id.nunique()
-        approx = got.loc[t, "n_users_approx"]
-        # 5 sigma of the b=10 standard error (1.04/sqrt(1024) ~ 3.25%)
-        assert abs(approx - exact) <= max(5, 0.163 * exact), (t, exact, approx)
-
-    # high-cardinality: 30k distinct ids through the same sketch machinery
-    rng = np.random.RandomState(2)
-    ids = rng.randint(0, 10**12, 30000)
-    t = pa.table({
-        "event_type": pa.array(["x"] * len(ids), pa.string()),
-        "user_id": pa.array(ids, pa.int64()),
-    })
-    import os, tempfile
-    import pyarrow.parquet as pq
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(t, os.path.join(d, "events.parquet"))
-        big = events_distinct_users_hll(d).to_pandas()
-    exact = len(np.unique(ids))
-    approx = int(big.n_users_approx.iloc[0])
-    assert abs(approx - exact) / exact < 0.1  # 3 sigma at b=10
-
-
 def test_minhash_band_hash_bits_32_same_output():
     """The 32-bit fused bucket key (bench-scale knob) produces the exact
     same verified pair set as the 64-bit default: collisions only MERGE
@@ -984,3 +823,45 @@ def test_simhash_portable_pairs_consistent():
         )
         ham = bin(int(sa[0]) ^ int(sa[1])).count("1")
         assert ham == r.hamming and ham <= 3
+
+
+def _skewed_sides():
+    rng = np.random.RandomState(5)
+    # hot key 7 holds 60% of the left fact; right has 0-2 rows per key
+    k = np.where(rng.rand(5000) < 0.6, 7, rng.randint(0, 40, 5000))
+    left = pd.DataFrame({"k": k.astype(np.int64),
+                         "lv": np.arange(5000, dtype=np.int64)})
+    rk = np.concatenate([np.arange(0, 30), np.arange(0, 15)])
+    right = pd.DataFrame({"rk": rk.astype(np.int64),
+                          "rv": np.arange(len(rk), dtype=np.int64) * 10})
+    return left, right
+
+
+def test_post_fn_fusion_equals_join_then_reduce():
+    """repartition_join(post_fn=...) must equal the unfused
+    join -> coarse keyed reduce plan (every row of a key is in one
+    partition when the reduce runs)."""
+    from kgray.utils import coarse_grouped_map, repartition_join
+
+    left, right = _skewed_sides()
+
+    def reduce_fn(df):
+        return df.groupby("k", as_index=False).agg(
+            s=("lv", "sum"), m=("rv", "max"), n=("lv", "size")
+        )
+
+    def mk(post):
+        l = ray.data.from_pandas(left).repartition(5)
+        r = ray.data.from_pandas(right).repartition(2)
+        j = repartition_join(
+            l, r, "k", "rk",
+            {"k": pa.int64(), "lv": pa.int64()},
+            {"rk": pa.int64(), "rv": pa.int64()},
+            num_partitions=8,
+            post_fn=reduce_fn if post else None,
+        )
+        out = j if post else coarse_grouped_map(j, "k", reduce_fn)
+        out = out.to_pandas()
+        return out.sort_values("k").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(mk(True), mk(False), check_dtype=False)

@@ -1,7 +1,7 @@
 """Semantics tests for the round-2 extension operators: PII scrubbing
 (stages/scrub), chunk-granularity exact dedup (stages/dedup), per-source
-quota sampling + percentile filter (pipelines/curate), and the
-inter-arrival / props-extraction windows (pipelines/analytics).
+quota sampling + percentile filter (pipelines/curate), token-id
+encoding and label centroids.
 
 End-to-end oracle parity lives in __ray_entry__ (scripts/check_oracle.py,
 all six exact at sf0.01); these pin the kernels on controlled inputs —
@@ -190,59 +190,6 @@ def test_quality_percentile_threshold_semantics():
 
 
 # ---------------------------------------------------------------------------
-# Inter-arrival gaps / props extraction
-# ---------------------------------------------------------------------------
-
-def test_events_interarrival_hand_computed(tmp_path):
-    from kgray.pipelines.analytics import events_interarrival
-
-    ev = pd.DataFrame(
-        {
-            "event_id": [1, 2, 3, 4, 5],
-            "ts": pd.to_datetime(
-                [
-                    "2020-01-01 00:00:00",
-                    "2020-01-01 00:00:01",
-                    "2020-01-01 00:00:04",
-                    "2020-01-01 00:00:00",
-                    "2020-01-01 00:02:00",
-                ]
-            ),
-            "user_id": [1, 1, 1, 2, 2],
-        }
-    )
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = (
-        events_interarrival(str(tmp_path))
-        .to_pandas()
-        .set_index("user_id")
-        .sort_index()
-    )
-    assert out.loc[1].tolist() == [2, 4_000_000, 3_000_000]
-    assert out.loc[2].tolist() == [1, 120_000_000, 120_000_000]
-
-
-def test_events_props_stats_skips_unparseable(tmp_path):
-    from kgray.pipelines.analytics import events_props_stats
-
-    ev = pd.DataFrame(
-        {
-            "event_type": ["a", "a", "b", "b"],
-            "props": ['{"k": 3}', "garbage", '{"k": 10}', '{"k": 0}'],
-        }
-    )
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = (
-        events_props_stats(str(tmp_path))
-        .to_pandas()
-        .set_index("event_type")
-        .sort_index()
-    )
-    assert out.loc["a"].tolist() == [1, 3, 3]
-    assert out.loc["b"].tolist() == [2, 10, 10]
-
-
-# ---------------------------------------------------------------------------
 # Vocabulary build / token-id encoding
 # ---------------------------------------------------------------------------
 
@@ -270,7 +217,7 @@ def test_encode_token_ids_vocab_rank_and_oov(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Label centroids / conversion funnel
+# Label centroids
 # ---------------------------------------------------------------------------
 
 def test_label_centroids_hand_computed(tmp_path):
@@ -297,50 +244,3 @@ def test_label_centroids_hand_computed(tmp_path):
     assert out.centroid.tolist() == [2.0, 3.0, 10.0, 20.0]
 
 
-def test_events_funnel_ordering_is_strict(tmp_path):
-    from kgray.pipelines.analytics import events_funnel
-
-    rows = [
-        # user 1: view < click < purchase — full conversion
-        (1, "view", "2020-01-01 00:00"),
-        (1, "click", "2020-01-01 00:10"),
-        (1, "purchase", "2020-01-01 00:20"),
-        # user 2: click BEFORE first view — no click stage
-        (2, "click", "2020-01-01 00:00"),
-        (2, "view", "2020-01-01 00:10"),
-        (2, "purchase", "2020-01-01 00:20"),
-        # user 3: view+click, purchase before click — stops at click
-        (3, "view", "2020-01-01 00:00"),
-        (3, "purchase", "2020-01-01 00:05"),
-        (3, "click", "2020-01-01 00:10"),
-        # user 4: never views
-        (4, "click", "2020-01-01 00:00"),
-        (4, "purchase", "2020-01-01 00:10"),
-    ]
-    ev = pd.DataFrame(rows, columns=["user_id", "event_type", "ts"])
-    ev["ts"] = pd.to_datetime(ev.ts)
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = events_funnel(str(tmp_path)).to_pandas()
-    assert out.n_view.tolist() == [3]
-    assert out.n_click.tolist() == [2]
-    assert out.n_purchase.tolist() == [1]
-
-
-def test_lineitem_corr_on_linear_data(tmp_path, monkeypatch):
-    from kgray.pipelines import analytics
-
-    df = pd.DataFrame(
-        {
-            "l_quantity": [1.0, 2.0, 3.0, 4.0],
-            "l_extendedprice": [10.0, 20.0, 30.0, 40.0],
-        }
-    )
-    df.to_parquet(tmp_path / "lineitem.parquet")
-    out = analytics.lineitem_qty_price_corr(str(tmp_path)).to_pandas()
-    assert out.n.tolist() == [4]
-    assert out.corr_qty_price.tolist() == [1.0]
-
-    df["l_extendedprice"] = [40.0, 30.0, 20.0, 10.0]
-    df.to_parquet(tmp_path / "lineitem.parquet")
-    out = analytics.lineitem_qty_price_corr(str(tmp_path)).to_pandas()
-    assert out.corr_qty_price.tolist() == [-1.0]

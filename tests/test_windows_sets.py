@@ -1,6 +1,6 @@
-"""Semantics tests for sliding-window chunks, user set operations, and
-per-source percent-rank normalization.  Exact cross-engine parity is
-covered by the DuckDB oracles in __ray_entry__."""
+"""Semantics tests for sliding-window chunks, per-source percent-rank
+normalization, and edit-distance name matching.  Exact cross-engine
+parity is covered by the DuckDB oracles in __ray_entry__."""
 import numpy as np
 import pandas as pd
 import ray
@@ -31,33 +31,6 @@ def test_sliding_chunks_overlap_and_coverage():
         first = mine.chunk.iloc[0].split(" ")
         second = mine.chunk.iloc[1].split(" ")
         assert first[10:20] == second[0:10]
-
-
-def test_user_event_sets_intersect_and_except():
-    from kgray.pipelines.analytics import user_event_sets
-
-    ev = pd.read_parquet(SF + "/events.parquet")
-    viewers = set(ev.loc[ev.event_type == "view", "user_id"])
-    buyers = set(ev.loc[ev.event_type == "purchase", "user_id"])
-    big_buyers = set(
-        ev.loc[(ev.event_type == "purchase") & (ev.value > 50.0),
-               "user_id"]
-    )
-    def ids(ds):
-        # Ray 2.49's to_pandas drops ALL columns for a fully-empty
-        # dataset (even a typed block — utils.schema_floor docs); the
-        # dataset-level schema stays correct, so read it guardedly.
-        df = ds.to_pandas()
-        return set(df["user_id"]) if len(df) else set()
-
-    i_ds = user_event_sets(SF, "view", "purchase", mode="intersect")
-    assert ids(i_ds) == (viewers & buyers)
-    e_ds = user_event_sets(
-        SF, "view", "purchase", mode="except", b_min_value=50.0
-    )
-    assert ids(e_ds) == (viewers - big_buyers)
-    # the schema survives even when the set difference is empty
-    assert "user_id" in e_ds.schema().names
 
 
 def test_source_percent_rank_bounds_and_ties():
@@ -125,21 +98,3 @@ def test_fuzzy_name_pairs_blocked_and_bounded():
     ) == [("x", "gear", "gears", 1), ("y", "bolt", "bolts", 1)]
 
 
-def test_cohort_retention_triangle():
-    from kgray.pipelines.analytics import cohort_retention
-
-    out = cohort_retention(SF).to_pandas()
-    ev = pd.read_parquet(SF + "/events.parquet",
-                         columns=["user_id", "ts"])
-    ev["day"] = ev.ts.dt.floor("D")
-    first = ev.groupby("user_id").day.min().rename("cohort_day")
-    j = ev.merge(first, on="user_id")
-    exp = (
-        j.drop_duplicates(["cohort_day", "day", "user_id"])
-        .groupby(["cohort_day", "day"])
-        .user_id.nunique()
-    )
-    got = out.set_index(["cohort_day", "activity_day"]).n_users
-    assert got.sort_index().to_dict() == exp.sort_index().to_dict()
-    # no activity before a cohort's first day
-    assert (out.activity_day >= out.cohort_day).all()
