@@ -1,4 +1,4 @@
-"""Per-partition checkpointing + lineage for the extraction stage.
+"""Per-partition checkpointing + lineage for the KG pipeline.
 
 The reference writes per-document stage JSONs (indra_download_extract.py:36-40
 via main.py:63/68/75/98) but never resumes from them.  Here resume is a
@@ -7,21 +7,30 @@ from checkpoint without re-invoking the LLM"):
 
 - Every document belongs to a fixed partition: ``crc32(doc_id) % P`` (stable
   across processes/runs — NOT Python ``hash``).  ``P`` is recorded in the
-  manifest and must not change across resumes of the same checkpoint dir.
-- The LLM-bearing prefix (explode → annotate → extract) runs ONLY for
-  partitions without a completed manifest; its output is written as
-  partitioned parquet: ``ckpt_dir/extractions/partition_id=K/``.
-- The commit point is the per-partition manifest JSON
-  (``ckpt_dir/manifests/partition-K.json``) holding lineage + metrics:
-  input fingerprint, doc/span/extraction counts, wall time.  Data files
-  without a manifest are treated as garbage from a crashed run and deleted
-  before recompute — exactly-once per partition.
-- Downstream (graph) stages read the full checkpointed extractions table,
-  so a resumed run never re-invokes the extractor for finished partitions.
+  manifests and must not change across resumes of the same checkpoint dir.
+- Three stages checkpoint per partition and share one commit path,
+  ``_run_stage``: ``extractions`` (explode → annotate → extract, the
+  LLM-bearing prefix), ``graph_prep`` (the BEL parse into edges, unary and
+  annotation_urls) and ``graphs`` (per-document CX2 rows).  A stage runs
+  only for the partitions its upstream committed and it has not.  The
+  runner deletes crashed-run garbage (partition data dirs without a
+  manifest), writes each output table as ``ckpt_dir/<table>/partition_id=K/``
+  parquet, folds per-partition metrics from distributed partials, and only
+  after every table of the stage is on disk writes one manifest per
+  partition (``manifests/partition-K.json`` for extractions,
+  ``manifests/<stage>-partition-K.json`` for the others).  The manifest is
+  the commit point: exactly-once per partition.
+- Node canonicalization is global: its one manifest (``manifests/nodes.json``)
+  records the graph_prep partition set it consumed and recomputes iff that
+  set changed.
+- Every stage returns its FULL output streamed from parquet, so a fully
+  checkpointed resume re-invokes nothing — not the LLM, not the BEL parser,
+  not node canonicalization, not graph assembly.
 
-Scale note: one run materializes only the PENDING partitions' extraction
-output (orders of magnitude smaller than the input corpus); completed
-partitions stream straight from parquet.
+Scale note: one run materializes only the PENDING partitions' stage output
+(the extraction output is orders of magnitude smaller than the input
+corpus); completed partitions stream straight from parquet, and the driver
+only ever folds ≤ P metric rows per batch.
 """
 from __future__ import annotations
 
@@ -30,18 +39,37 @@ import os
 import shutil
 import time
 import zlib
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
 from .. import schemas
-from .kg import KGConfig, run_extractions
+from .kg import KGConfig, _graph_inputs, run_extractions
 
 MANIFEST_VERSION = 1
+
+_EXTRACTIONS = "extractions"
+_GRAPH_PREP = "graph_prep"
+_NODES = "nodes"
+_GRAPHS = "graphs"
+
+# the on-disk layout: each stage's data dirs (under ckpt_dir) and schemas
+_TABLES: Dict[str, Dict[str, pa.Schema]] = {
+    _EXTRACTIONS: {"extractions": schemas.EXTRACTIONS},
+    _GRAPH_PREP: {
+        "edges": schemas.EDGES,
+        "unary": schemas.UNARY_NODES,
+        "annotation_urls": schemas.ANNOTATION_URLS,
+    },
+    _NODES: {"nodes": schemas.NODES, "url_agg": schemas.URL_AGG},
+    _GRAPHS: {"graphs": schemas.GRAPHS},
+}
 
 
 def partition_of(doc_id: str, num_partitions: int) -> int:
@@ -59,6 +87,12 @@ def _add_partition_column(num_partitions: int):
     return fn
 
 
+def _manifest_name(stage: str, pid) -> str:
+    # extraction manifests predate the later stages' and keep the bare name
+    prefix = "" if stage == _EXTRACTIONS else f"{stage}-"
+    return f"{prefix}partition-{pid}.json"
+
+
 @dataclass
 class CheckpointState:
     ckpt_dir: str
@@ -74,32 +108,191 @@ class CheckpointState:
         return os.path.join(self.ckpt_dir, "manifests")
 
     def manifest_path(self, pid: int) -> str:
-        return os.path.join(self.manifest_dir, f"partition-{pid}.json")
+        return os.path.join(self.manifest_dir, _manifest_name(_EXTRACTIONS, pid))
 
     def partition_data_dir(self, pid: int) -> str:
         return os.path.join(self.data_dir, f"partition_id={pid}")
+
+
+def _committed(st: CheckpointState, stage: str) -> Set[int]:
+    """Partitions with a complete ``stage`` manifest."""
+    prefix = _manifest_name(stage, "").removesuffix(".json")
+    done: Set[int] = set()
+    for name in os.listdir(st.manifest_dir):
+        if not (name.startswith(prefix) and name.endswith(".json")):
+            continue
+        with open(os.path.join(st.manifest_dir, name)) as f:
+            m = json.load(f)
+        if m.get("status") == "complete":
+            if m.get("num_partitions") != st.num_partitions:
+                raise ValueError(
+                    f"checkpoint was written with num_partitions="
+                    f"{m.get('num_partitions')}, cannot resume with "
+                    f"{st.num_partitions}"
+                )
+            done.add(int(m["partition_id"]))
+    return done
+
+
+def _write_manifest(path: str, **fields) -> None:
+    manifest = {
+        "version": MANIFEST_VERSION,
+        **fields,
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+    }
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(manifest, f, indent=1)
+    os.replace(tmp, path)  # atomic commit point
+
+
+def _sweep(data_dir: str, committed: Set[int]) -> None:
+    """Delete crashed-run garbage: partition dirs without a manifest."""
+    os.makedirs(data_dir, exist_ok=True)
+    for name in os.listdir(data_dir):
+        if name.startswith("partition_id="):
+            if int(name.split("=", 1)[1]) not in committed:
+                shutil.rmtree(os.path.join(data_dir, name))
+
+
+def _read(data_dir: str, schema: pa.Schema, pids=None) -> "ray.data.Dataset":
+    """One table from parquet: the files under its ``partition_id=K`` dirs
+    (only K in ``pids`` when given) or, for a global stage, its own.  The
+    file list is explicit so stray files can never break the read."""
+    files: List[str] = []
+    for name in sorted(os.listdir(data_dir)) if os.path.isdir(data_dir) else []:
+        path = os.path.join(data_dir, name)
+        if name.startswith("partition_id="):
+            if pids is None or int(name.split("=", 1)[1]) in pids:
+                files.extend(
+                    os.path.join(path, f)
+                    for f in sorted(os.listdir(path))
+                    if f.endswith(".parquet")
+                )
+        elif pids is None and name.endswith(".parquet"):
+            files.append(path)
+    if not files:  # legitimately empty (e.g. zero annotations)
+        return ray.data.from_arrow(schema.empty_table())
+    # the partition column comes back as dictionary/string; drop it and
+    # restore the declared column order
+    return ray.data.read_parquet(files).select_columns(schema.names)
+
+
+def _read_stage(
+    st: CheckpointState, stage: str, pids=None
+) -> List["ray.data.Dataset"]:
+    return [
+        _read(os.path.join(st.ckpt_dir, name), schema, pids)
+        for name, schema in _TABLES[stage].items()
+    ]
+
+
+def _per_partition(row_stats):
+    """Stats partial: each batch emits one row per partition it holds with
+    the sums of ``row_stats``' columns, so the driver folds ≤ P rows per
+    batch and never the table itself."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        cols = row_stats(batch)
+        g = pa.table({"partition_id": batch["partition_id"], **cols}).group_by(
+            "partition_id"
+        ).aggregate([(c, "sum") for c in cols])
+        return g.select(
+            ["partition_id", *(f"{c}_sum" for c in cols)]
+        ).rename_columns(["partition_id", *cols])
+
+    return partial
+
+
+def _row_count(table: str):
+    return lambda batch: {f"n_{table}": np.ones(batch.num_rows, np.int64)}
+
+
+def _run_stage(
+    st: CheckpointState,
+    stage: str,
+    upstream: Optional[str],
+    build: Callable[[Optional[Set[int]]], List["ray.data.Dataset"]],
+    row_stats: Optional[Callable[[pa.Table], dict]] = None,
+    fields: Callable[[Counter], dict] = dict,
+) -> None:
+    """The commit path of every per-partition stage.
+
+    Pending = partitions ``upstream`` committed and ``stage`` has not;
+    ``upstream=None`` means the documents, whose partitions are known only
+    once the stage has run, so every partition that produced rows commits.
+    ``build(pending)`` returns the stage's lazy output Datasets, one per
+    data dir in ``_TABLES[stage]``.  ``row_stats(batch)`` gives per-row
+    metric columns summed per partition into its manifest (default: each
+    table's row count as ``n_<table>``); ``fields`` shapes the sums into
+    manifest fields.
+    """
+    names = list(_TABLES[stage])
+    done = _committed(st, stage)
+    for name in names:
+        _sweep(os.path.join(st.ckpt_dir, name), done)
+    pending = None if upstream is None else _committed(st, upstream) - done
+    if pending is not None and not pending:
+        return
+
+    t0 = time.time()
+    zero = {} if row_stats else {f"n_{name}": 0 for name in names}
+    stats: Dict[int, Counter] = defaultdict(lambda: Counter(zero))
+    for name, ds in zip(names, build(pending)):
+        ds = ds.map_batches(
+            _add_partition_column(st.num_partitions), batch_format="pyarrow"
+        ).materialize()  # read twice: stats fold + write
+        partial = _per_partition(row_stats or _row_count(name))
+        for part in ds.map_batches(partial, batch_format="pyarrow").iter_batches(
+            batch_format="pyarrow"
+        ):
+            for row in part.to_pylist():
+                stats[row.pop("partition_id")].update(row)
+        if ds.count() > 0:
+            ds.write_parquet(
+                os.path.join(st.ckpt_dir, name), partition_cols=["partition_id"]
+            )
+    wall = round(time.time() - t0, 3)
+    for pid in sorted(stats.keys() | (pending or set())):
+        _write_manifest(
+            os.path.join(st.manifest_dir, _manifest_name(stage, pid)),
+            partition_id=pid,
+            num_partitions=st.num_partitions,
+            stage=stage,
+            status="complete",
+            **fields(stats[pid]),
+            wall_time_sec=wall,
+        )
 
 
 def load_state(ckpt_dir: str, num_partitions: int) -> CheckpointState:
     st = CheckpointState(ckpt_dir, num_partitions)
     os.makedirs(st.data_dir, exist_ok=True)
     os.makedirs(st.manifest_dir, exist_ok=True)
-    for name in os.listdir(st.manifest_dir):
-        # extraction-stage manifests only ("partition-K.json"); later
-        # stages use "<stage>-partition-K.json" / "<stage>.json"
-        if not (name.startswith("partition-") and name.endswith(".json")):
-            continue
-        with open(os.path.join(st.manifest_dir, name)) as f:
-            m = json.load(f)
-        if m.get("status") == "complete":
-            if m.get("num_partitions") != num_partitions:
-                raise ValueError(
-                    f"checkpoint was written with num_partitions="
-                    f"{m.get('num_partitions')}, cannot resume with "
-                    f"{num_partitions}"
-                )
-            st.completed.add(int(m["partition_id"]))
+    st.completed = _committed(st, _EXTRACTIONS)
     return st
+
+
+def _extraction_stats(batch: pa.Table) -> dict:
+    first = pc.equal(batch["span_seq"], 0)  # one row per document
+    crc = [
+        zlib.crc32(d.encode()) if f else 0
+        for d, f in zip(batch["doc_id"].to_pylist(), first.to_pylist())
+    ]
+    return {
+        "n_docs": first.cast(pa.int64()),
+        "n_spans": np.ones(batch.num_rows, np.int64),
+        "n_admitted": batch["admitted"].cast(pa.int64()),
+        "n_statements": pc.list_value_length(batch["results"])
+        .fill_null(0)
+        .cast(pa.int64()),
+        "crc_sum": pa.array(crc, pa.int64()),
+    }
+
+
+def _extraction_fields(s: Counter) -> dict:
+    crc = s.pop("crc_sum")
+    return {"input_fingerprint": f"crcsum:{crc:x}:n={s['n_docs']}", **s}
 
 
 def run_checkpointed_extractions(
@@ -113,14 +306,10 @@ def run_checkpointed_extractions(
     Lineage/metrics manifest per partition::
 
         {partition_id, num_partitions, stage, status, input_fingerprint,
-         n_docs, n_spans, n_admitted, n_extraction_rows, n_statements,
+         n_docs, n_spans, n_admitted, n_statements,
          wall_time_sec, written_at, version}
     """
     st = load_state(ckpt_dir, num_partitions)
-    docs_p = documents.map_batches(
-        _add_partition_column(num_partitions), batch_format="pyarrow"
-    )
-
     completed_ref = ray.put(st.completed)
 
     def only_pending(batch: pa.Table) -> pa.Table:
@@ -128,118 +317,18 @@ def run_checkpointed_extractions(
         if not done:
             return batch
         mask = [
-            p not in done for p in batch.column("partition_id").to_pylist()
+            partition_of(d, num_partitions) not in done
+            for d in batch.column("doc_id").to_pylist()
         ]
         return batch.filter(pa.array(mask, pa.bool_()))
 
-    pending = docs_p.map_batches(only_pending, batch_format="pyarrow")
-
-    # crashed-run garbage: data dirs without a manifest
-    for name in os.listdir(st.data_dir):
-        if not name.startswith("partition_id="):
-            continue
-        pid = int(name.split("=", 1)[1])
-        if pid not in st.completed:
-            shutil.rmtree(os.path.join(st.data_dir, name))
-
-    t0 = time.time()
-    ext = run_extractions(pending.drop_columns(["partition_id"]), cfg)
-    ext = ext.map_batches(
-        _add_partition_column(num_partitions), batch_format="pyarrow"
-    ).materialize()
-
-    # lineage metrics as distributed partial aggregates: each batch emits one
-    # row per partition; the driver only ever folds ≤ P rows per batch —
-    # never the corpus itself (no iter_rows / concat of the full table).
-    def _ext_partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = pd.DataFrame(
-            {
-                "partition_id": batch.column("partition_id").to_numpy(
-                    zero_copy_only=False
-                ),
-                "admitted": batch.column("admitted").to_numpy(
-                    zero_copy_only=False
-                ),
-                "n_stmt": pc.list_value_length(batch.column("results"))
-                .fill_null(0)
-                .to_numpy(zero_copy_only=False),
-                "is_doc_start": pc.equal(batch.column("span_seq"), 0)
-                .to_numpy(zero_copy_only=False),
-                "doc_crc": [
-                    zlib.crc32(d.encode()) if s == 0 else 0
-                    for d, s in zip(
-                        batch.column("doc_id").to_pylist(),
-                        batch.column("span_seq").to_pylist(),
-                    )
-                ],
-            }
-        )
-        g = df.groupby("partition_id").agg(
-            n_spans=("admitted", "size"),
-            n_admitted=("admitted", "sum"),
-            n_statements=("n_stmt", "sum"),
-            n_docs=("is_doc_start", "sum"),
-            crc_sum=("doc_crc", "sum"),
-        ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    if ext.count() > 0:
-        import pandas as pd
-
-        partials = pd.concat(
-            [
-                b
-                for b in ext.map_batches(
-                    _ext_partial, batch_format="pyarrow"
-                ).iter_batches(batch_format="pandas")
-            ]
-        )
-        stats = partials.groupby("partition_id").sum().reset_index()
-        ext.write_parquet(st.data_dir, partition_cols=["partition_id"])
-        wall = time.time() - t0
-        for _, row in stats.iterrows():
-            pid = int(row["partition_id"])
-            manifest = {
-                "version": MANIFEST_VERSION,
-                "partition_id": pid,
-                "num_partitions": num_partitions,
-                "stage": "extractions",
-                "status": "complete",
-                "input_fingerprint": (
-                    f"crcsum:{int(row['crc_sum']) & 0xFFFFFFFFFFFFFFFF:x}"
-                    f":n={int(row['n_docs'])}"
-                ),
-                "n_docs": int(row["n_docs"]),
-                "n_spans": int(row["n_spans"]),
-                "n_admitted": int(row["n_admitted"]),
-                "n_statements": int(row["n_statements"]),
-                "wall_time_sec": round(wall, 3),
-                "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            }
-            tmp = st.manifest_path(pid) + ".tmp"
-            with open(tmp, "w") as f:
-                json.dump(manifest, f, indent=1)
-            os.replace(tmp, st.manifest_path(pid))  # atomic commit point
-
-    # full table = checkpointed parquet (completed + just-written partitions);
-    # read the partition dirs explicitly so stray files in the checkpoint
-    # root can never break the read
-    cols = [f.name for f in schemas.EXTRACTIONS]
-    part_files = sorted(
-        os.path.join(st.data_dir, name, f)
-        for name in os.listdir(st.data_dir)
-        if name.startswith("partition_id=")
-        for f in os.listdir(os.path.join(st.data_dir, name))
-        if f.endswith(".parquet")
+    pending_docs = documents.map_batches(only_pending, batch_format="pyarrow")
+    _run_stage(
+        st, _EXTRACTIONS, None,
+        lambda _: [run_extractions(pending_docs, cfg)],
+        _extraction_stats, _extraction_fields,
     )
-    if not part_files:
-        return ray.data.from_arrow(schemas.EXTRACTIONS.empty_table())
-    out = ray.data.read_parquet(part_files)
-    # parquet partition column comes back as dictionary/string; drop it and
-    # restore declared column order
-    return out.select_columns(cols)
+    return _read_stage(st, _EXTRACTIONS)[0]
 
 
 def checkpoint_summary(ckpt_dir: str) -> List[dict]:
@@ -253,144 +342,6 @@ def checkpoint_summary(ckpt_dir: str) -> List[dict]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Checkpointed graph stages (round 3): lineage + resume extends past the
-# extraction prefix through the BEL parse (edges/unary/annotation_urls),
-# node canonicalization, and the per-document CX2 graph sink, so a resumed
-# run re-reads parquet instead of re-parsing BEL or re-assembling graphs.
-# Per-doc stages checkpoint per partition (same crc32(doc_id) partitioning
-# as extraction); node canonicalization is global, so its single manifest
-# records the partition set it consumed and recomputes iff that set grew.
-# ---------------------------------------------------------------------------
-
-_GRAPH_PREP = "graph_prep"      # edges + unary + annotation_urls
-_GRAPHS = "graphs"              # per-document CX2 rows
-
-
-def _stage_manifest_path(st: CheckpointState, stage: str, pid: int) -> str:
-    return os.path.join(st.manifest_dir, f"{stage}-partition-{pid}.json")
-
-
-def _stage_completed(st: CheckpointState, stage: str) -> Set[int]:
-    done: Set[int] = set()
-    prefix = f"{stage}-partition-"
-    if not os.path.isdir(st.manifest_dir):
-        return done
-    for name in os.listdir(st.manifest_dir):
-        if name.startswith(prefix) and name.endswith(".json"):
-            with open(os.path.join(st.manifest_dir, name)) as f:
-                m = json.load(f)
-            if m.get("status") == "complete":
-                done.add(int(m["partition_id"]))
-    return done
-
-
-def _write_stage_manifest(
-    st: CheckpointState, stage: str, pid: int, extra: dict
-) -> None:
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "partition_id": pid,
-        "num_partitions": st.num_partitions,
-        "stage": stage,
-        "status": "complete",
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        **extra,
-    }
-    path = _stage_manifest_path(st, stage, pid)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, path)  # atomic commit point
-
-
-def _partition_files(data_dir: str, pids=None) -> List[str]:
-    """Explicit parquet file list under ``data_dir/partition_id=K`` dirs
-    (optionally restricted to ``pids``) — stray files can't break reads."""
-    out = []
-    if not os.path.isdir(data_dir):
-        return out
-    for name in sorted(os.listdir(data_dir)):
-        if not name.startswith("partition_id="):
-            continue
-        pid = int(name.split("=", 1)[1])
-        if pids is not None and pid not in pids:
-            continue
-        d = os.path.join(data_dir, name)
-        out.extend(
-            os.path.join(d, f)
-            for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")
-        )
-    return out
-
-
-def _read_stage(
-    data_dir: str, schema: pa.Schema, pids=None
-) -> "ray.data.Dataset":
-    files = _partition_files(data_dir, pids)
-    if not files:
-        return ray.data.from_arrow(schema.empty_table())
-    return ray.data.read_parquet(files).select_columns(
-        [f.name for f in schema]
-    )
-
-
-def _per_partition_counts(ds: "ray.data.Dataset") -> Dict[int, int]:
-    """row count per partition_id — ≤ P rows ever reach the driver."""
-    import pandas as pd
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["partition_id"])
-        g = t.group_by("partition_id").aggregate([("partition_id", "count")])
-        return g.rename_columns(["partition_id", "n"])
-
-    parts = [
-        b
-        for b in ds.map_batches(
-            partial, batch_format="pyarrow"
-        ).iter_batches(batch_format="pandas")
-        if len(b)
-    ]
-    if not parts:
-        return {}
-    agg = pd.concat(parts).groupby("partition_id")["n"].sum()
-    return {int(k): int(v) for k, v in agg.items()}
-
-
-_UNARY_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.string()),
-        pa.field("span_seq", pa.int32()),
-        pa.field("stmt_seq", pa.int32()),
-        pa.field("name", pa.string()),
-    ]
-)
-_ANN_URL_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.string()),
-        pa.field("span_seq", pa.int32()),
-        pa.field("ann_seq", pa.int32()),
-        pa.field("entry_name", pa.string()),
-        pa.field("url", pa.string()),
-    ]
-)
-_URL_AGG_SCHEMA = pa.schema(
-    [
-        pa.field("entry_name", pa.string()),
-        pa.field("url", pa.string()),
-    ]
-)
-_GRAPH_SCHEMA = pa.schema(
-    [
-        pa.field("doc_id", pa.string()),
-        pa.field("cx2", pa.string()),
-        pa.field("n_nodes", pa.int64()),
-        pa.field("n_edges", pa.int64()),
-    ]
-)
-
-
 def run_checkpointed_graph_prep(
     extractions_dir_state: CheckpointState,
 ) -> Tuple["ray.data.Dataset", "ray.data.Dataset", "ray.data.Dataset"]:
@@ -398,69 +349,14 @@ def run_checkpointed_graph_prep(
     annotation_urls parquet, computed only for partitions without a
     complete graph_prep manifest.  Returns the three FULL datasets
     (streaming from parquet)."""
-    from ..stages import edges as edge_stage
-
     st = extractions_dir_state
-    ext_pids = {
-        int(m["partition_id"])
-        for m in checkpoint_summary(st.ckpt_dir)
-        if m.get("stage") == "extractions" and m.get("status") == "complete"
-    }
-    done = _stage_completed(st, _GRAPH_PREP)
-    pending = sorted(ext_pids - done)
-
-    dirs = {
-        "edges": os.path.join(st.ckpt_dir, "edges"),
-        "unary": os.path.join(st.ckpt_dir, "unary"),
-        "ann_urls": os.path.join(st.ckpt_dir, "annotation_urls"),
-    }
-    for d in dirs.values():
-        os.makedirs(d, exist_ok=True)
-        # crashed-run garbage: partition dirs without a manifest
-        for name in os.listdir(d):
-            if name.startswith("partition_id="):
-                pid = int(name.split("=", 1)[1])
-                if pid not in done:
-                    shutil.rmtree(os.path.join(d, name))
-
-    if pending:
-        t0 = time.time()
-        pset = set(pending)
-        ext = _read_stage(st.data_dir, schemas.EXTRACTIONS, pids=pset).materialize()
-        add_pid = _add_partition_column(st.num_partitions)
-        outputs = {
-            "edges": ext.map_batches(
-                edge_stage.extractions_to_edges, batch_format="pyarrow"
-            ).map_batches(add_pid, batch_format="pyarrow").materialize(),
-            "unary": ext.map_batches(
-                edge_stage.extractions_to_unary_nodes, batch_format="pyarrow"
-            ).map_batches(add_pid, batch_format="pyarrow").materialize(),
-            "ann_urls": ext.map_batches(
-                edge_stage.extractions_to_annotation_urls,
-                batch_format="pyarrow",
-            ).map_batches(add_pid, batch_format="pyarrow").materialize(),
-        }
-        counts = {k: _per_partition_counts(v) for k, v in outputs.items()}
-        for k, ds in outputs.items():
-            if ds.count() > 0:
-                ds.write_parquet(dirs[k], partition_cols=["partition_id"])
-        wall = time.time() - t0
-        for pid in pending:  # commit AFTER all three tables are on disk
-            _write_stage_manifest(
-                st, _GRAPH_PREP, pid,
-                {
-                    "n_edges": counts["edges"].get(pid, 0),
-                    "n_unary": counts["unary"].get(pid, 0),
-                    "n_annotation_urls": counts["ann_urls"].get(pid, 0),
-                    "wall_time_sec": round(wall, 3),
-                },
-            )
-
-    return (
-        _read_stage(dirs["edges"], schemas.EDGES),
-        _read_stage(dirs["unary"], _UNARY_SCHEMA),
-        _read_stage(dirs["ann_urls"], _ANN_URL_SCHEMA),
+    _run_stage(
+        st, _GRAPH_PREP, _EXTRACTIONS,
+        lambda pids: _graph_inputs(
+            _read_stage(st, _EXTRACTIONS, pids)[0], materialize=False
+        ),
     )
+    return tuple(_read_stage(st, _GRAPH_PREP))
 
 
 def run_checkpointed_nodes(
@@ -477,51 +373,32 @@ def run_checkpointed_nodes(
     driver (r3 verdict)."""
     from ..stages.nodes import node_tables
 
-    nodes_dir = os.path.join(st.ckpt_dir, "nodes")
-    url_agg_dir = os.path.join(st.ckpt_dir, "url_agg")
     man_path = os.path.join(st.manifest_dir, "nodes.json")
-    pids = sorted(_stage_completed(st, _GRAPH_PREP))
-
-    def _read_dir(d: str, schema: pa.Schema) -> "ray.data.Dataset":
-        files = sorted(
-            os.path.join(d, f) for f in os.listdir(d)
-            if f.endswith(".parquet")
-        ) if os.path.isdir(d) else []
-        if not files:  # legitimately-empty stage (e.g. zero annotations)
-            return ray.data.from_arrow(schema.empty_table())
-        cols = [f.name for f in schema]
-        return ray.data.read_parquet(files).select_columns(cols)
-
+    pids = sorted(_committed(st, _GRAPH_PREP))
     if os.path.exists(man_path):
         with open(man_path) as f:
             m = json.load(f)
         if m.get("status") == "complete" and m.get("input_partitions") == pids:
-            return (
-                _read_dir(nodes_dir, schemas.NODES),
-                _read_dir(url_agg_dir, _URL_AGG_SCHEMA),
-            )
+            return tuple(_read_stage(st, _NODES))
 
+    nodes_dir, url_agg_dir = (
+        os.path.join(st.ckpt_dir, name) for name in _TABLES[_NODES]
+    )
     for d in (nodes_dir, url_agg_dir):
-        if os.path.isdir(d):
-            shutil.rmtree(d)  # stale / crashed partial
+        shutil.rmtree(d, ignore_errors=True)  # stale / crashed partial
     t0 = time.time()
     nodes, url_agg = node_tables(edges, unary, ann_urls)
     nodes = nodes.materialize()
     nodes.write_parquet(nodes_dir)
     url_agg.write_parquet(url_agg_dir)
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "stage": "nodes",
-        "status": "complete",
-        "input_partitions": pids,
-        "n_nodes": nodes.count(),
-        "wall_time_sec": round(time.time() - t0, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    tmp = man_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, man_path)
+    _write_manifest(
+        man_path,
+        stage=_NODES,
+        status="complete",
+        input_partitions=pids,
+        n_nodes=nodes.count(),
+        wall_time_sec=round(time.time() - t0, 3),
+    )
     return nodes, url_agg
 
 
@@ -536,48 +413,15 @@ def run_checkpointed_graphs(
     annotation_urls rows — no driver dict)."""
     from ..stages.graph import build_document_graphs
 
-    graphs_dir = os.path.join(st.ckpt_dir, "graphs")
-    os.makedirs(graphs_dir, exist_ok=True)
-    prep_done = _stage_completed(st, _GRAPH_PREP)
-    done = _stage_completed(st, _GRAPHS)
-    for name in os.listdir(graphs_dir):  # crashed-run garbage
-        if name.startswith("partition_id="):
-            pid = int(name.split("=", 1)[1])
-            if pid not in done:
-                shutil.rmtree(os.path.join(graphs_dir, name))
-    pending = sorted(prep_done - done)
-
-    if pending:
-        t0 = time.time()
-        pset = set(pending)
-        edges = _read_stage(
-            os.path.join(st.ckpt_dir, "edges"), schemas.EDGES, pids=pset
-        )
-        unary = _read_stage(
-            os.path.join(st.ckpt_dir, "unary"), _UNARY_SCHEMA, pids=pset
-        )
-        ann_urls = _read_stage(
-            os.path.join(st.ckpt_dir, "annotation_urls"),
-            _ANN_URL_SCHEMA,
-            pids=pset,
-        )
-        graphs = build_document_graphs(
-            edges, unary, ann_urls, style=style
-        ).map_batches(
-            _add_partition_column(st.num_partitions), batch_format="pyarrow"
-        ).materialize()
-        counts = _per_partition_counts(graphs)
-        if graphs.count() > 0:
-            graphs.write_parquet(graphs_dir, partition_cols=["partition_id"])
-        wall = time.time() - t0
-        for pid in pending:
-            _write_stage_manifest(
-                st, _GRAPHS, pid,
-                {"n_graphs": counts.get(pid, 0),
-                 "wall_time_sec": round(wall, 3)},
+    _run_stage(
+        st, _GRAPHS, _GRAPH_PREP,
+        lambda pids: [
+            build_document_graphs(
+                *_read_stage(st, _GRAPH_PREP, pids), style=style
             )
-
-    return _read_stage(graphs_dir, _GRAPH_SCHEMA)
+        ],
+    )
+    return _read_stage(st, _GRAPHS)[0]
 
 
 def run_checkpointed_kg(

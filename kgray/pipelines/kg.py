@@ -21,6 +21,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from .. import schemas
 from ..stages import edges as edge_stage
 from ..stages.annotate import DictionaryAnnotator
 from ..stages.chunk import explode_spans
@@ -32,6 +33,7 @@ from ..stages.nodes import (
     first_seen_names,
     node_tables,
 )
+from ..utils import schema_floor
 
 
 class AnnotateExtract:
@@ -50,9 +52,10 @@ class AnnotateExtract:
 
 @dataclass
 class KGConfig:
-    """Stage knobs; defaults sized for a 32-CPU node and scaled by Ray's
-    streaming executor across nodes (pool sizes are per-job, not per-node —
-    on a real cluster raise annotate/extract concurrency to ~0.8×total cores)."""
+    """Stage knobs.  The annotate and extract pools autoscale: each starts
+    at one actor and Ray's streaming executor grows it to its maximum as
+    CPUs free up (pool sizes are per-job, not per-node).  The minimums
+    stay at 1 so that small nodes do not deadlock."""
 
     # Pool minimums stay at 1: Ray creates min actors eagerly and RESERVES
     # their CPUs before upstream stages have scheduled; a min that adds up to
@@ -163,7 +166,9 @@ def _graph_inputs(extractions: "ray.data.Dataset", materialize: bool):
         # pinning it avoids re-running the BEL parse per consumer.  unary /
         # ann_urls are each consumed exactly once downstream — they stream
         # (an extra materialize barrier each was pure overhead).
-        edges = edges.materialize()
+        # schema_floor: a zero-row edges block loses its schema, and an
+        # empty corpus must still yield the typed EDGES table.
+        edges = schema_floor(edges, schemas.EDGES)
     unary = extractions.map_batches(
         edge_stage.extractions_to_unary_nodes, batch_format="pyarrow"
     )

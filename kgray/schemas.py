@@ -120,6 +120,40 @@ NODES = pa.schema(
     ]
 )
 
+# Node-only records from unary statements (convert_to_cx2.py:92-101).
+UNARY_NODES = pa.schema(
+    [
+        pa.field("doc_id", pa.string()),
+        pa.field("span_seq", pa.int32()),
+        pa.field("stmt_seq", pa.int32()),
+        pa.field("name", pa.string()),
+    ]
+)
+
+# Annotation URL records in encounter order (grounding_genes.py:77-92).
+ANNOTATION_URLS = pa.schema(
+    [
+        pa.field("doc_id", pa.string()),
+        pa.field("span_seq", pa.int32()),
+        pa.field("ann_seq", pa.int32()),
+        pa.field("entry_name", pa.string()),
+        pa.field("url", pa.string()),
+    ]
+)
+
+# First-seen URL per entry_name: the aggregate nodes take their URLs from.
+URL_AGG = pa.schema(list(PROCESSED_ANNOTATION_STRUCT))
+
+# One CX2 network per document with at least one edge.
+GRAPHS = pa.schema(
+    [
+        pa.field("doc_id", pa.string()),
+        pa.field("cx2", pa.string()),
+        pa.field("n_nodes", pa.int64()),
+        pa.field("n_edges", pa.int64()),
+    ]
+)
+
 
 class SchemaMismatch(ValueError):
     pass

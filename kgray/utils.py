@@ -399,55 +399,6 @@ def smart_join(
     return left.map_batches(probe, batch_format="pandas")
 
 
-def stage_stats(ds: "ray.data.Dataset"):
-    """Parse ``ds.stats()`` into one row per operator — the feedback loop
-    the per-stage tuning in this repo ran on (which stage dominates wall
-    time, how many blocks it produced, whether a shuffle starved).
-
-    Returns a pandas DataFrame (operator, wall_s, n_blocks) in plan
-    order.  Call AFTER consuming the dataset (stats exist only for
-    executed plans).  Parsing is best-effort over the human-readable
-    stats text — Ray exposes no structured per-operator API at 2.49 —
-    so absent fields come back NaN rather than raising.
-    """
-    import re
-
-    import pandas as pd
-
-    text = ds.stats()
-    rows = []
-    # Ray 2.49 header shape:
-    #   "Operator N <name>: T tasks executed, B blocks produced in Xs"
-    for m in re.finditer(
-        r"Operator \d+ (.+?): (\d+) tasks? executed, (\d+) blocks? "
-        r"produced in ([0-9.]+)s",
-        text,
-    ):
-        rows.append(
-            {
-                "operator": m.group(1),
-                "n_tasks": int(m.group(2)),
-                "n_blocks": int(m.group(3)),
-                "wall_s": float(m.group(4)),
-            }
-        )
-    # all-to-all sections: "Operator N <name>: executed in Xs"
-    for m in re.finditer(
-        r"Operator \d+ (.+?): executed in ([0-9.]+)s", text
-    ):
-        rows.append(
-            {
-                "operator": m.group(1),
-                "n_tasks": None,
-                "n_blocks": None,
-                "wall_s": float(m.group(2)),
-            }
-        )
-    return pd.DataFrame(
-        rows, columns=["operator", "n_tasks", "n_blocks", "wall_s"]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bloom filter kernels (shared by the semi-join and dedup prefilters)
 # ---------------------------------------------------------------------------

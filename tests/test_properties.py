@@ -91,20 +91,3 @@ def test_explode_reassemble_roundtrip(span_lists):
         )
     )
     check_span_invariant(nonempty, reassemble_documents(chunks))
-
-
-def test_stage_stats_parses_executed_plan():
-    import ray.data as rd
-
-    from kgray.utils import stage_stats
-
-    ds = rd.range(5000).map_batches(lambda b: b).materialize()
-    df = stage_stats(ds)
-    assert len(df) >= 1
-    assert (df.wall_s >= 0).all()
-    assert any("MapBatches" in op or "ReadRange" in op for op in df.operator)
-
-    # a shuffle plan surfaces its all-to-all stage too
-    ds2 = rd.range(5000).repartition(4).materialize()
-    df2 = stage_stats(ds2)
-    assert len(df2) >= 1
