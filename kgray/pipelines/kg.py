@@ -191,7 +191,8 @@ def run_graph_stages(
     instead, so the LLM is never re-invoked either way.
     """
     if materialize:
-        extractions = extractions.materialize()
+        # schema_floor: an empty corpus must still yield typed EXTRACTIONS
+        extractions = schema_floor(extractions, schemas.EXTRACTIONS)
     edges, unary, ann_urls = _graph_inputs(extractions, materialize)
     nodes, url_agg = node_tables(edges, unary, ann_urls)
     return KGResult(

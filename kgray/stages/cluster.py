@@ -233,8 +233,12 @@ def cluster_surface_forms(
     # Names in no edge stay their own canonical on both paths.
     from . import dedup as dedup_mod
     from .graph_algos import connected_components
-    from ..utils import repartition_join
+    from ..utils import plain_arrow, repartition_join
 
+    # both sides Arrow: Ray cannot batch a union of pandas and Arrow blocks
+    lsh_edges = lsh_edges.map_batches(
+        plain_arrow, batch_format="pyarrow", batch_size=None
+    )
     edges = exact_edges.union(lsh_edges).materialize()
 
     def _final(df: "pd.DataFrame") -> pa.Table:

@@ -229,7 +229,11 @@ def _first_seen(df) -> pa.Table:
     )
     out["label"] = out.name.map(term_label)
     out["type"] = out.name.map(term_type)
-    return pa.Table.from_pandas(out, schema=NAMES, preserve_index=False)
+    # no pandas metadata: a schema carrying it cannot be hashed
+    # (utils.plain_arrow)
+    return pa.Table.from_pandas(
+        out, schema=NAMES, preserve_index=False
+    ).replace_schema_metadata(None)
 
 
 def first_seen_names(
@@ -364,6 +368,7 @@ def node_tables(
     #1': the collected dict grew with the entity vocabulary)."""
     # materialize: the aggregate feeds both probes and (optionally) the
     # caller's CX2/export path; lazy lineage would re-run the whole
-    # extraction prefix once per consumer
-    url_agg = build_url_agg(annotation_urls).materialize()
+    # extraction prefix once per consumer; schema_floor keeps an empty
+    # aggregate typed
+    url_agg = schema_floor(build_url_agg(annotation_urls), schemas.URL_AGG)
     return canonicalize_nodes(edges, unary, url_agg, salt_buckets), url_agg

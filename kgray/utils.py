@@ -76,6 +76,19 @@ def session_memo(cache: dict, key, builder, probe=None):
     return val
 
 
+def plain_arrow(block: pa.Table) -> pa.Table:
+    """A pandas UDF's output block as Arrow without schema metadata.
+
+    Ray converts a pandas block with ``pa.Table.from_pandas``, which
+    records pandas metadata in the schema.  A schema with metadata cannot
+    be hashed, so Ray's ``unify_schemas`` skips its one-schema fast path
+    ("Failed to hash the schemas") and unifies every such block in full.
+    Run as a fused whole-block map, after Ray has concatenated the UDF's
+    frames: the block stays one contiguous chunk.
+    """
+    return block.replace_schema_metadata(None)
+
+
 def coarse_grouped_map(
     ds: "ray.data.Dataset",
     key_cols,
@@ -138,6 +151,7 @@ def coarse_grouped_map(
     return (
         tagged.groupby("_pkey")
         .map_groups(run_partition, batch_format="pandas")
+        .map_batches(plain_arrow, batch_format="pyarrow", batch_size=None)
     )
 
 
@@ -287,6 +301,7 @@ def repartition_join(
     return (
         tagged.groupby("_pkey")
         .map_groups(merge_partition, batch_format="pandas")
+        .map_batches(plain_arrow, batch_format="pyarrow", batch_size=None)
     )
 
 
@@ -396,7 +411,9 @@ def smart_join(
             return pd.DataFrame()
         return m[out_cols]
 
-    return left.map_batches(probe, batch_format="pandas")
+    return left.map_batches(probe, batch_format="pandas").map_batches(
+        plain_arrow, batch_format="pyarrow", batch_size=None
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,6 @@ def _alternation(names: List[str]) -> str:
     return "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
 
 
-# Mention detector: longest-first alternation with word boundaries — the
-# deterministic stand-in for the Gilda grounder index (grounding_genes.py:32).
-MENTION_RE = re.compile(rf"\b({_alternation([e.entry_name for e in ENTITIES])})\b")
-
 # Relation detector: "<entity> <verb> <entity>" within one sentence.
 _VERB_ALT = "|".join(
     re.escape(r.verb) for r in sorted(RELATION_RULES, key=lambda r: len(r.verb), reverse=True)

@@ -303,3 +303,5 @@ def test_empty_corpus_yields_typed_edges_and_nodes(tmp_path):
         assert res.edges.schema().names == schemas.EDGES.names
         assert res.nodes.schema().names == schemas.NODES.names
         assert res.edges.count() == 0 and res.nodes.count() == 0
+    assert plain.extractions.schema().names == schemas.EXTRACTIONS.names
+    assert plain.annotation_url_agg.schema().names == schemas.URL_AGG.names

@@ -7,6 +7,7 @@ invariant across the whole pipeline.
 """
 import pyarrow as pa
 import pytest
+import ray
 import ray.data
 
 from kgray.corpus import generate_documents
@@ -151,6 +152,28 @@ def test_node_tables_exchange_budget(pipeline_result):
     assert len(tr.exchanges("nodes")) <= 4, [
         o["operator"] for o in tr.exchanges("nodes")
     ]
+
+
+def test_node_tables_blocks_have_hashable_schemas(pipeline_result):
+    """Every block node_tables produces has a schema Ray can hash, so
+    ``unify_schemas`` takes its one-schema fast path (a schema carrying
+    pandas metadata cannot be hashed)."""
+    from ray.data.block import BlockAccessor
+
+    from kgray.stages.nodes import first_seen_names, node_tables
+
+    _, _, _, res = pipeline_result
+    nodes, url_agg = node_tables(
+        res.edges, res.unary_nodes, res.annotation_urls
+    )
+    names = first_seen_names(res.edges, res.unary_nodes, url_agg)
+    n_blocks = 0
+    for ds in (nodes, url_agg, names):
+        for bundle in ds.materialize().iter_internal_ref_bundles():
+            for ref, _ in bundle.blocks:
+                hash(BlockAccessor.for_block(ray.get(ref)).schema())
+                n_blocks += 1
+    assert n_blocks >= 3
 
 
 def test_span_invariant_through_pipeline(pipeline_result):
