@@ -8,7 +8,7 @@ here (or in kgray) calls ray.init()/ray.shutdown().
                      (SURVEY.md §2 + the training-data operator suites).
 - ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible query
                      (column names match exactly).  Non-relational ops
-                     (LSH internals, language heuristics, checkpointing)
+                     (media plumbing, eval harnesses, checkpointing)
                      are rows-only checked by the driver.
 """
 
@@ -96,69 +96,6 @@ SELECT d.doc_id,
 FROM documents d
 LEFT JOIN long_min lm ON lm.doc_id = d.doc_id
 LEFT JOIN short_h sh ON sh.doc_id = d.doc_id
-"""
-
-
-def _simhash_portable_sql() -> str:
-    """Full from-text recomputation of the portable-hash SimHash pairs in
-    ANSI SQL: polynomial-31 token hash (inlined 31^i mod 2^64 power
-    table), splitmix64 finalizer (64-bit modular multiplication split
-    into 32-bit halves so INT128 never overflows), per-(doc, bit) vote
-    sums, sign-split signature halves, and brute-force pair XOR +
-    bit_count — the oracle twin of stages/dedup.portable_token_hash +
-    simhash_near_dup_pairs(token_hash=portable_token_hash)."""
-    M = 1 << 64
-    SMC = 0x9E3779B97F4A7C15
-    SM1 = 0xBF58476D1CE4E5B9
-    SM2 = 0x94D049BB133111EB
-
-    def mulmod(var: str, c: int) -> str:
-        lo, hi = c & 0xFFFFFFFF, c >> 32
-        return (
-            f"CAST((CAST({var} AS HUGEINT) * {lo} + "
-            f"((CAST({var} AS HUGEINT) * {hi}) % 4294967296) * 4294967296)"
-            f" % {M} AS UBIGINT)"
-        )
-
-    pows = ",".join(f"({i},{pow(31, i, M)})" for i in range(256))
-    return f"""
-WITH pows(i, pw) AS (VALUES {pows}),
-tok AS (SELECT doc_id, unnest(string_split(text, ' ')) AS tok
-        FROM documents),
-ut AS (SELECT DISTINCT tok FROM tok),
-chars AS (SELECT tok, unnest(str_split_regex(tok, '')) AS ch,
-                 generate_subscripts(str_split_regex(tok, ''), 1) AS i
-          FROM ut),
-th0 AS (SELECT c.tok,
-        CAST(SUM(CAST(ascii(c.ch) AS HUGEINT) * p.pw) % {M} AS UBIGINT)
-          AS h
-        FROM chars c JOIN pows p ON p.i = length(c.tok) - c.i
-        GROUP BY c.tok),
-s1 AS (SELECT tok, CAST((CAST(h AS HUGEINT) + {SMC}) % {M} AS UBIGINT)
-              AS z FROM th0),
-s2 AS (SELECT tok, xor(z, z >> 30) AS z FROM s1),
-s3 AS (SELECT tok, {mulmod('z', SM1)} AS z FROM s2),
-s4 AS (SELECT tok, xor(z, z >> 27) AS z FROM s3),
-s5 AS (SELECT tok, {mulmod('z', SM2)} AS z FROM s4),
-th AS (SELECT tok, xor(z, z >> 31) AS h FROM s5),
-bitpos AS (SELECT unnest(range(64)) AS b),
-votes AS (SELECT t.doc_id, bp.b,
-          SUM(CASE WHEN (th.h >> bp.b) & 1 = 1 THEN 1 ELSE -1 END) AS v
-          FROM tok t JOIN th ON th.tok = t.tok CROSS JOIN bitpos bp
-          GROUP BY t.doc_id, bp.b),
-sig AS (SELECT doc_id,
-        CAST(SUM(CASE WHEN v > 0 AND b < 32
-                 THEN CAST(1 AS HUGEINT) << b ELSE 0 END) AS BIGINT)
-          AS lo,
-        CAST(SUM(CASE WHEN v > 0 AND b >= 32
-                 THEN CAST(1 AS HUGEINT) << (b - 32) ELSE 0 END) AS BIGINT)
-          AS hi
-        FROM votes GROUP BY doc_id)
-SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-       CAST(bit_count(xor(a.lo, b.lo)) + bit_count(xor(a.hi, b.hi))
-            AS BIGINT) AS hamming
-FROM sig a JOIN sig b ON a.doc_id < b.doc_id
-WHERE bit_count(xor(a.lo, b.lo)) + bit_count(xor(a.hi, b.hi)) <= 3
 """
 
 
@@ -397,267 +334,6 @@ def _q_fingerprints_rolling(sf_dir: str):
         .map_batches(fingerprint, batch_format="pyarrow")
         .select_columns(["doc_id", "fp_rolling"])
     )
-
-
-def _q_dedup_exact(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import exact_dedup
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return exact_dedup(docs)
-
-
-def _q_minhash_near_dup(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import _bounded_shuffle_width, minhash_lsh_pairs
-
-    # size the read itself to the shuffle width: the pipeline can then
-    # skip its coalescing repartition (one fewer full-corpus barrier)
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        override_num_blocks=_bounded_shuffle_width(None),
-    )
-    return minhash_lsh_pairs(docs, threshold=0.5, shuffle_blocks=0)
-
-
-def _q_near_dup_dedup(sf_dir: str):
-    """Keep-one-per-near-dup-cluster: (doc_id, rep_id) with rep = min doc
-    in the Jaccard>=0.5 connected component."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import near_dup_groups
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return near_dup_groups(docs, threshold=0.5)
-
-
-def _q_jaccard_pairs(sf_dir: str):
-    """EXACT word-3-gram Jaccard similarity join (recall 1.0 — the
-    ground-truth path next to the LSH-bounded minhash_near_dup; both
-    share one oracle)."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import jaccard_pairs_exact
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return jaccard_pairs_exact(docs, threshold=0.5)
-
-
-def _q_train_val_split(sf_dir: str):
-    from kgray.pipelines.curate import train_val_split
-
-    return train_val_split(sf_dir)
-
-
-def _q_simhash_pairs(sf_dir: str):
-    """SimHash near-dup pairs (banded blocking, recall-guaranteed for
-    hamming <= bands-1; signatures not SQL-computable — rows-only)."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import simhash_near_dup_pairs
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return simhash_near_dup_pairs(docs, max_hamming=3)
-
-
-def _q_substring_dup_spans(sf_dir: str):
-    """Exact duplicated-substring detection (Lee et al. 2022 suffix-window
-    dedup): per-document count of duplicated 8-token windows and their
-    merged token coverage.  Hash-pruned candidates, exact gram-string
-    verification, doc-keyed interval merge."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import duplicate_window_spans
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return duplicate_window_spans(docs, k=8)
-
-
-def _q_curate_corpus(sf_dir: str):
-    """Composite curation pipeline: language+token admission filter →
-    exact dedup → near-dup keep-one; returns (doc_id, n_tokens) of the
-    surviving documents."""
-    from kgray.pipelines.curate import curate_corpus
-
-    return curate_corpus(sf_dir)
-
-
-def _q_simhash(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import simhash_signatures
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return simhash_signatures(docs).select_columns(["doc_id", "simhash"])
-
-
-def _q_simhash_pairs_portable(sf_dir: str):
-    """SimHash near-dup pairs over the SQL-portable token hash
-    (polynomial-31 + splitmix64): the same banded recall-guaranteed
-    pipeline as simhash_pairs, but with signatures an ANSI-SQL oracle
-    recomputes from the raw text — promoting the simhash lane from
-    rows-only to value-hash-exact (r4 verdict ask #7)."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import portable_token_hash, simhash_near_dup_pairs
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return simhash_near_dup_pairs(
-        docs, max_hamming=3, token_hash=portable_token_hash
-    )
-
-
-def _load_queries(sf_dir: str, n: int = 10):
-    import os
-
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    # only the n query rows reach the driver: predicate pushed into the
-    # parquet read (row-group pruning), never a full read of an
-    # sf-scaling table
-    t = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", n)],
-    )
-    vid = np.asarray(t.column("vec_id").to_pylist())
-    emb = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    return emb, vid
-
-
-def _q_knn_cosine(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.similarity import knn_cosine
-
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    qm, qids = _load_queries(sf_dir)
-    return knn_cosine(emb, qm, qids, k=5)
-
-
-def _q_knn_filtered(sf_dir: str):
-    import os
-
-    import numpy as np
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from kgray.stages.similarity import knn_cosine_filtered
-
-    # query rows only — predicate pushed into the driver-side read
-    t = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding", "label"],
-        filters=[("vec_id", "<", 10)],
-    )
-    vid = np.asarray(t.column("vec_id").to_pylist())
-    emb = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    lab = np.asarray(t.column("label").to_pylist(), dtype=object)
-    corpus = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding", "label"],
-    )
-    return knn_cosine_filtered(corpus, emb, vid, lab, k=5)
-
-
-def _q_knn_lsh(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.similarity import knn_lsh
-
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    qm, qids = _load_queries(sf_dir)
-    return knn_lsh(emb, qm, qids, k=5)
-
-
-def _q_knn_ivf(sf_dir: str):
-    """IVF approximate kNN (rows-only: recall < 1 by construction; the
-    pytest asserts recall >= 0.9 vs exact on the same table)."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.similarity import knn_ivf
-
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    qm, qids = _load_queries(sf_dir)
-    return knn_ivf(emb, qm, qids, k=5, n_centroids=32, n_probe=8)
-
-
-def _q_embedding_near_dup(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.similarity import embedding_near_dup_pairs
-
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    return embedding_near_dup_pairs(emb, threshold=0.45)
-
-
-def _q_embedding_near_dup_exact(sf_dir: str):
-    """Ground-truth cosine-threshold pairs (no LSH, no misses)."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.similarity import embedding_pairs_exact
-
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    return embedding_pairs_exact(emb, threshold=0.45)
 
 
 def _q_kg_synthetic_parity(sf_dir: str):
@@ -1017,50 +693,6 @@ def _q_doc_quarantine(sf_dir: str):
     )
 
 
-def _q_entity_linking(sf_dir: str):
-    """Embedding-based entity linking with candidate blocking (rows-only):
-    mentions (incl. case variants) → best KB entity + score."""
-    import pyarrow as pa
-    import ray.data
-
-    from kgray.stages.link import link_mentions
-    from kgray.vocab import ENTITIES
-
-    mentions = []
-    for e in ENTITIES:
-        mentions += [e.entry_name, e.entry_name.lower(),
-                     e.entry_name.upper()]
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(
-                    [f"M{i}" for i in range(len(mentions))], pa.string()
-                ),
-                "span_seq": pa.array([0] * len(mentions), pa.int32()),
-                "mention": pa.array(mentions, pa.string()),
-            }
-        )
-    )
-    return link_mentions(ds, min_score=0.5)
-
-
-def _q_surface_clusters(sf_dir: str):
-    """Minhash + connected-components surface-form canonicalization
-    (rows-only): node names + planted variants → cluster mapping."""
-    import pyarrow as pa
-    import ray.data
-
-    from kgray.stages.cluster import cluster_surface_forms
-    from kgray.vocab import ENTITIES
-
-    names = []
-    for e in ENTITIES[:20]:
-        names += [e.entry_name, e.entry_name.lower(),
-                  e.entry_name.replace("1", "-1")]
-    ds = ray.data.from_arrow(pa.table({"name": sorted(set(names))}))
-    return cluster_surface_forms(ds, threshold=0.55)
-
-
 def _q_media_video_real(sf_dir: str):
     """REAL video frame sampling (rows-only): a deterministic synthetic
     corpus of MJPEG-AVI containers probes (avih header → true duration)
@@ -1306,18 +938,6 @@ def _q_source_lang_chi2(sf_dir: str):
     return source_lang_chi2(sf_dir)
 
 
-def _q_embedding_covariance(sf_dir: str):
-    from kgray.stages.similarity import embedding_covariance
-
-    return embedding_covariance(sf_dir)
-
-
-def _q_pca_spectrum(sf_dir: str):
-    from kgray.stages.similarity import pca_spectrum
-
-    return pca_spectrum(sf_dir)
-
-
 def _q_source_token_entropy(sf_dir: str):
     from kgray.stages.corpus_stats import source_token_entropy
 
@@ -1375,103 +995,6 @@ def _q_pii_scrub(sf_dir: str):
     )
 
 
-def _q_chunk_dedup(sf_dir: str):
-    """Exact 20-word-chunk dedup: global first occurrence per distinct
-    chunk (fixed-window form of exact substring dedup)."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import chunk_dedup_exact
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return chunk_dedup_exact(docs, chunk_words=20)
-
-
-def _q_quota_sample(sf_dir: str):
-    from kgray.pipelines.curate import quota_sample
-
-    return quota_sample(sf_dir, per_source=5)
-
-
-def _q_quality_percentile(sf_dir: str):
-    from kgray.pipelines.curate import quality_percentile_filter
-
-    return quality_percentile_filter(sf_dir, pct=0.9)
-
-
-def _q_near_dup_dedup_lp(sf_dir: str):
-    """Distributed-components variant of near_dup_dedup (min-label
-    propagation instead of driver union-find) — identical output,
-    shares its recursive-CTE oracle."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import near_dup_groups_distributed
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return near_dup_groups_distributed(docs, threshold=0.5)
-
-
-def _q_dedup_incremental(sf_dir: str):
-    """Daily-ingest dedup: docs with doc_id%3==0 are the NEW shard, the
-    rest the SEEN corpus; survivors are new texts absent from seen,
-    first-occurrence within the shard."""
-    import os
-
-    import ray.data
-
-    from kgray.stages.dedup import dedup_incremental
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    import pyarrow.compute as pc
-
-    def split(batch, keep_new):
-        m = pc.equal(
-            pc.subtract(
-                batch.column("doc_id"),
-                pc.multiply(pc.divide(batch.column("doc_id"), 3), 3),
-            ),
-            0,
-        )
-        return batch.filter(m if keep_new else pc.invert(m))
-
-    new = docs.map_batches(
-        lambda b: split(b, True), batch_format="pyarrow"
-    )
-    seen = docs.map_batches(
-        lambda b: split(b, False), batch_format="pyarrow"
-    )
-    return dedup_incremental(new, seen)
-
-
-def _q_kmeans_embeddings(sf_dir: str):
-    """Deterministic full k-means over embeddings (iterative broadcast
-    centroids + combiner partial sums; non-SQL — rows + pytest numpy
-    replica)."""
-    from kgray.stages.similarity import kmeans_embeddings
-
-    return kmeans_embeddings(sf_dir, k=8, iters=5)
-
-
-def _q_semantic_dedup(sf_dir: str):
-    """SemDeDup-style cluster-then-pairwise dedup (rows-only; pytest
-    proves k=1 equals brute-force components and within-cluster
-    completeness).  threshold matches the corpus's planted pair level;
-    recall at such low thresholds is corpus-dependent — the operator
-    targets the ≥0.9 regime where near-dups co-cluster."""
-    from kgray.stages.similarity import semantic_dedup
-
-    return semantic_dedup(sf_dir, k=8, iters=5, threshold=0.45)
-
-
 def _q_kwic(sf_dir: str):
     from kgray.stages.text_analysis import kwic_snippets
 
@@ -1486,12 +1009,6 @@ def _q_span_corrupt(sf_dir: str):
     from kgray.stages.pack import span_corrupt
 
     return span_corrupt(sf_dir)
-
-
-def _q_label_centroids(sf_dir: str):
-    from kgray.stages.similarity import label_centroids
-
-    return label_centroids(sf_dir)
 
 
 def _q_encode_token_ids(sf_dir: str):
@@ -1566,41 +1083,6 @@ def _q_kg_hits(sf_dir: str):
         batch_format="pyarrow",
     )
     return hits(edges, iters=4)
-
-
-def _q_fuzzy_part_names(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.cluster import fuzzy_name_pairs
-
-    part = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"),
-        columns=["p_brand", "p_size", "p_name"],
-    )
-    res = fuzzy_name_pairs(
-        part, ["p_brand", "p_size"], "p_name", max_dist=2
-    )
-    # Threshold joins are legitimately empty at tiny scale (sf0.001 has no
-    # within-block name pair at distance <= 2).  schema_floor pins the
-    # typed schema on the (possibly-empty) result — one return type, one
-    # schema definition.  Ray 2.49's to_pandas() on a fully-empty Dataset
-    # still drops columns (documented schema_floor limitation), so the
-    # empty case is handed over as a typed Arrow table.
-    import pyarrow as pa
-
-    from kgray.utils import schema_floor
-
-    schema = pa.schema(
-        [("p_brand", pa.string()), ("p_size", pa.int32()),
-         ("name_a", pa.string()), ("name_b", pa.string()),
-         ("dist", pa.int64())]
-    )
-    floored = schema_floor(res, schema)
-    if floored.count() == 0:
-        return schema.empty_table()
-    return floored
 
 
 def _q_sliding_chunks(sf_dir: str):
@@ -1698,12 +1180,6 @@ def _q_kg_closeness(sf_dir: str):
                               max_depth=3)
 
 
-def _q_knn_label_purity(sf_dir: str):
-    from kgray.stages.similarity import knn_label_purity
-
-    return knn_label_purity(sf_dir)
-
-
 def _q_kg_comention(sf_dir: str):
     import pyarrow as pa
 
@@ -1787,48 +1263,6 @@ def _q_kg_incremental(sf_dir: str):
     return merged.nodes.select_columns(["name", "label", "type", "url"])
 
 
-def _q_pretrain_corpus(sf_dir: str):
-    from kgray.pipelines.curate import pretrain_corpus
-
-    return pretrain_corpus(sf_dir)
-
-
-def _q_mips_topk(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.similarity import mips_topk
-
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    qm, qids = _load_queries(sf_dir)
-    return mips_topk(emb, qm, qids, k=5)
-
-
-def _q_embedding_quantize(sf_dir: str):
-    from kgray.stages.similarity import quantize_int8
-
-    return quantize_int8(sf_dir)
-
-
-def _q_knn_pq(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.similarity import knn_pq
-
-    emb = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-    )
-    qm, qids = _load_queries(sf_dir)
-    return knn_pq(emb, qm, qids, k=5)
-
-
 def _q_ttr_hapax(sf_dir: str):
     from kgray.stages.corpus_stats import ttr_hapax
 
@@ -1864,7 +1298,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     The driver's correctness gate samples the first 50 dict entries; the
     self-checking (no-SQL-oracle) pipelines — eval harnesses, media
-    plumbing, approximate-index recall checks — are re-ordered after
+    plumbing, checkpoint lineage — are re-ordered after
     every oracle-bearing entry so the sampled window is 100%
     value-hash-checked (r3 verdict next-round ask #3).  Membership is
     derived from oracle_sql() itself, so a query gains its place in the
@@ -1900,8 +1334,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "graph_summaries": _q_graph_summaries,
         "checkpoint_lineage": _q_checkpoint_lineage,
         "doc_quarantine": _q_doc_quarantine,
-        "entity_linking": _q_entity_linking,
-        "surface_clusters": _q_surface_clusters,
         # text analysis
         "token_count": _q_token_count,
         "token_count_bpe": _q_token_count_bpe,
@@ -1909,24 +1341,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "lang_id": _q_lang_id,
         "fingerprints": _q_fingerprints,
         "fingerprints_rolling": _q_fingerprints_rolling,
-        # dedup
-        "dedup_exact": _q_dedup_exact,
-        "minhash_near_dup": _q_minhash_near_dup,
-        "near_dup_dedup": _q_near_dup_dedup,
-        "jaccard_pairs": _q_jaccard_pairs,
-        "curate_corpus": _q_curate_corpus,
-        "train_val_split": _q_train_val_split,
-        "simhash": _q_simhash,
-        "simhash_pairs": _q_simhash_pairs,
-        "simhash_pairs_portable": _q_simhash_pairs_portable,
-        "substring_dup_spans": _q_substring_dup_spans,
-        # similarity search
-        "knn_cosine": _q_knn_cosine,
-        "knn_filtered": _q_knn_filtered,
-        "knn_lsh": _q_knn_lsh,
-        "knn_ivf": _q_knn_ivf,
-        "embedding_near_dup": _q_embedding_near_dup,
-        "embedding_near_dup_exact": _q_embedding_near_dup_exact,
         # XML sources (BioC ingestion + E-utilities metadata kernels)
         "bioc_ingest": _q_bioc_ingest,
         "eutils_metadata": _q_eutils_metadata,
@@ -1942,8 +1356,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "repetition_stats": _q_repetition_stats,
         "duplicate_ngrams": _q_duplicate_ngrams,
         "zipf_slope": _q_zipf_slope,
-        "embedding_covariance": _q_embedding_covariance,
-        "pca_spectrum": _q_pca_spectrum,
         "source_token_entropy": _q_source_token_entropy,
         "bpe_merges": _q_bpe_merges,
         "trigram_topk": _q_trigram_topk,
@@ -1953,9 +1365,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "importance_sample": _q_importance_sample,
         # scrubbing / windowed / semi-structured extensions
         "pii_scrub": _q_pii_scrub,
-        "chunk_dedup": _q_chunk_dedup,
-        "quota_sample": _q_quota_sample,
-        "quality_percentile": _q_quality_percentile,
         "unigram_nll": _q_unigram_nll,
         "bigram_nll": _q_bigram_nll,
         "length_deciles": _q_length_deciles,
@@ -1965,27 +1374,15 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "kg_hits": _q_kg_hits,
         "kg_two_hop": _q_kg_two_hop,
         "sliding_chunks": _q_sliding_chunks,
-        "fuzzy_part_names": _q_fuzzy_part_names,
         "source_percent_rank": _q_source_percent_rank,
-        "near_dup_dedup_lp": _q_near_dup_dedup_lp,
         "encode_token_ids": _q_encode_token_ids,
-        "label_centroids": _q_label_centroids,
-        "dedup_incremental": _q_dedup_incremental,
         "kwic": _q_kwic,
         "span_corrupt": _q_span_corrupt,
-        "kmeans_embeddings": _q_kmeans_embeddings,
-        "semantic_dedup": _q_semantic_dedup,
-        "pretrain_corpus": _q_pretrain_corpus,
         "media_dedup": _q_media_dedup,
         "kg_incremental": _q_kg_incremental,
         "tfidf_similar_docs": _q_tfidf_similar_docs,
         "bpe_encode": _q_bpe_encode,
         "kg_comention": _q_kg_comention,
-        "knn_label_purity": _q_knn_label_purity,
-        # embedding retrieval / compression suite
-        "mips_topk": _q_mips_topk,
-        "embedding_quantize": _q_embedding_quantize,
-        "knn_pq": _q_knn_pq,
         # lexical / chunking text-analysis suite
         "ttr_hapax": _q_ttr_hapax,
         "window_cooccurrence": _q_window_cooccurrence,
@@ -2004,12 +1401,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
 
 def oracle_sql() -> dict[str, str]:
     d = _oracle_sql_dict()
-    # the exact similarity join shares the minhash oracle: minhash is the
-    # LSH approximation OF this ground truth (identical output contract)
-    d["jaccard_pairs"] = d["minhash_near_dup"]
-    # the label-propagation components op is the distributed twin of the
-    # driver-union-find one — same (doc_id, rep_id) contract and oracle
-    d["near_dup_dedup_lp"] = d["near_dup_dedup"]
     # an incremental merge must yield the node set of a full recompute
     d["kg_incremental"] = d["kg_nodes"]
     return d
@@ -2019,7 +1410,7 @@ def _stratified_sample_sql(per_stratum: int = 50) -> str:
     # keep iff hash(doc_id)·|stratum| < per_stratum·2⁶⁴ — the identical
     # exact-integer comparison corpus_stats.stratified_sample makes
     # (threshold form thr = ceil(X/cnt); h < thr ⟺ h·cnt < X)
-    from kgray.pipelines.curate import SPLIT_MULT
+    from kgray.stages.filters import SAMPLE_MULT
 
     x = per_stratum << 64
     return f"""
@@ -2027,18 +1418,18 @@ WITH cnt AS (SELECT lang, CAST(count(*) AS HUGEINT) AS c
              FROM documents GROUP BY lang)
 SELECT d.doc_id, d.lang
 FROM documents d JOIN cnt USING (lang)
-WHERE CAST(CAST((CAST(doc_id AS HUGEINT) * {SPLIT_MULT})
+WHERE CAST(CAST((CAST(doc_id AS HUGEINT) * {SAMPLE_MULT})
            % 18446744073709551616 AS UBIGINT) AS HUGEINT) * c < {x}
 """
 
 
 def _shuffle_order_sql() -> str:
-    from kgray.pipelines.curate import SPLIT_MULT
+    from kgray.stages.filters import SAMPLE_MULT
 
     return f"""
 SELECT doc_id,
        CAST(row_number() OVER (
-         ORDER BY CAST((CAST(doc_id AS HUGEINT) * {SPLIT_MULT})
+         ORDER BY CAST((CAST(doc_id AS HUGEINT) * {SAMPLE_MULT})
                   % 18446744073709551616 AS UBIGINT),
                   doc_id) AS BIGINT) AS position
 FROM documents
@@ -2136,19 +1527,6 @@ SELECT a.node, floor(a.a * 1e6 + 0.5) / 1e6 AS authority,
        floor(h.h * 1e6 + 0.5) / 1e6 AS hub
 FROM a{iters} a JOIN h{iters} h USING (node)""")
     return _KG_CTE + "".join(parts)
-
-
-def _train_val_split_sql() -> str:
-    from kgray.pipelines.curate import SPLIT_MULT, split_threshold
-
-    return f"""
-SELECT doc_id,
-       CASE WHEN CAST((CAST(doc_id AS HUGEINT) * {SPLIT_MULT})
-                 % 18446744073709551616 AS UBIGINT)
-                 < {split_threshold(0.1)}
-            THEN 'val' ELSE 'train' END AS split
-FROM documents
-"""
 
 
 def _oracle_sql_dict() -> dict[str, str]:
@@ -2275,135 +1653,6 @@ SELECT doc_id,
     AS mean_word_len
 FROM documents
 """,
-        "dedup_exact": """
-SELECT min(doc_id) AS doc_id, text FROM documents GROUP BY text
-""",
-        "substring_dup_spans": """
-WITH t AS (SELECT doc_id, string_split(text, ' ') w FROM documents),
-u AS (SELECT doc_id, generate_subscripts(w, 1) i, unnest(w) tok FROM t),
-g AS (SELECT doc_id, i AS pos,
-        string_agg(tok, ' ') OVER (PARTITION BY doc_id ORDER BY i
-          ROWS BETWEEN CURRENT ROW AND 7 FOLLOWING) AS gram,
-        count(*) OVER (PARTITION BY doc_id ORDER BY i
-          ROWS BETWEEN CURRENT ROW AND 7 FOLLOWING) AS width
-      FROM u),
-w AS (SELECT doc_id, pos, gram FROM g WHERE width = 8),
-d AS (SELECT gram FROM w GROUP BY gram HAVING count(*) > 1),
-s AS (SELECT w.doc_id, w.pos FROM w JOIN d USING (gram)),
-m AS (SELECT doc_id, pos,
-        max(pos + 8) OVER (PARTITION BY doc_id ORDER BY pos
-          ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS prev_end
-      FROM s)
-SELECT doc_id,
-       count(*)::BIGINT AS dup_windows,
-       sum(CASE WHEN prev_end IS NULL OR prev_end <= pos THEN 8
-                ELSE greatest(0, pos + 8 - prev_end) END)::BIGINT
-         AS dup_tokens
-FROM m GROUP BY doc_id
-""",
-        "minhash_near_dup": f"""
-WITH t AS (SELECT doc_id, string_split(text, ' ') w FROM documents),
-u AS (SELECT doc_id, generate_subscripts(w, 1) i, unnest(w) tok FROM t),
-sh AS (SELECT a.doc_id, a.tok || ' ' || b.tok || ' ' || c.tok AS shingle
-       FROM u a JOIN u b ON a.doc_id = b.doc_id AND b.i = a.i + 1
-                JOIN u c ON a.doc_id = c.doc_id AND c.i = a.i + 2),
-ds AS (SELECT DISTINCT doc_id, shingle FROM sh),
-s AS (SELECT doc_id, count(*) n FROM ds GROUP BY doc_id),
-inter AS (SELECT x.doc_id a, y.doc_id b, count(*) c
-          FROM ds x JOIN ds y USING (shingle)
-          WHERE x.doc_id < y.doc_id GROUP BY 1, 2)
-SELECT a AS doc_a, b AS doc_b
-FROM inter JOIN s sa ON sa.doc_id = inter.a JOIN s sb ON sb.doc_id = inter.b
-WHERE c::DOUBLE / (sa.n + sb.n - c) >= 0.5
-""",
-        "near_dup_dedup": """
-WITH RECURSIVE t AS (SELECT doc_id, string_split(text, ' ') w FROM documents),
-u AS (SELECT doc_id, generate_subscripts(w, 1) i, unnest(w) tok FROM t),
-sh AS (SELECT a.doc_id, a.tok || ' ' || b.tok || ' ' || c.tok AS shingle
-       FROM u a JOIN u b ON a.doc_id = b.doc_id AND b.i = a.i + 1
-                JOIN u c ON a.doc_id = c.doc_id AND c.i = a.i + 2),
-ds AS (SELECT DISTINCT doc_id, shingle FROM sh),
-s AS (SELECT doc_id, count(*) n FROM ds GROUP BY doc_id),
-inter AS (SELECT x.doc_id a, y.doc_id b, count(*) c
-          FROM ds x JOIN ds y USING (shingle)
-          WHERE x.doc_id < y.doc_id GROUP BY 1, 2),
-pairs AS (
-  SELECT a AS doc_a, b AS doc_b
-  FROM inter JOIN s sa ON sa.doc_id = inter.a JOIN s sb ON sb.doc_id = inter.b
-  WHERE c::DOUBLE / (sa.n + sb.n - c) >= 0.5
-),
-e AS (SELECT doc_a a, doc_b b FROM pairs
-      UNION SELECT doc_b, doc_a FROM pairs),
-reach(src, dst) AS (
-  SELECT a, b FROM e
-  UNION
-  SELECT r.src, e.b FROM reach r JOIN e ON r.dst = e.a WHERE e.b <> r.src
-),
-rep AS (SELECT src AS doc_id, least(src, min(dst)) AS rep_id
-        FROM reach GROUP BY src)
-SELECT d.doc_id, coalesce(r.rep_id, d.doc_id) AS rep_id
-FROM documents d LEFT JOIN rep r USING (doc_id)
-""",
-        "curate_corpus": """
-WITH RECURSIVE adm AS (
-  SELECT doc_id, text,
-         CAST(length(regexp_extract_all(text, '\\S+')) AS BIGINT) AS n_tokens
-  FROM documents
-  WHERE lang = 'en'
-    AND length(regexp_extract_all(text, '\\S+')) BETWEEN 25 AND 95
-),
-ded AS (SELECT min(doc_id) AS doc_id, text FROM adm GROUP BY text),
-t AS (SELECT doc_id, string_split(text, ' ') w FROM ded),
-u AS (SELECT doc_id, generate_subscripts(w, 1) i, unnest(w) tok FROM t),
-sh AS (SELECT a.doc_id, a.tok || ' ' || b.tok || ' ' || c.tok AS shingle
-       FROM u a JOIN u b ON a.doc_id = b.doc_id AND b.i = a.i + 1
-                JOIN u c ON a.doc_id = c.doc_id AND c.i = a.i + 2),
-ds AS (SELECT DISTINCT doc_id, shingle FROM sh),
-s AS (SELECT doc_id, count(*) n FROM ds GROUP BY doc_id),
-inter AS (SELECT x.doc_id a, y.doc_id b, count(*) c
-          FROM ds x JOIN ds y USING (shingle)
-          WHERE x.doc_id < y.doc_id GROUP BY 1, 2),
-pairs AS (
-  SELECT a AS doc_a, b AS doc_b
-  FROM inter JOIN s sa ON sa.doc_id = inter.a JOIN s sb ON sb.doc_id = inter.b
-  WHERE c::DOUBLE / (sa.n + sb.n - c) >= 0.5
-),
-e AS (SELECT doc_a a, doc_b b FROM pairs
-      UNION SELECT doc_b, doc_a FROM pairs),
-reach(src, dst) AS (
-  SELECT a, b FROM e
-  UNION
-  SELECT r.src, e.b FROM reach r JOIN e ON r.dst = e.a WHERE e.b <> r.src
-),
-rep AS (SELECT src AS doc_id, least(src, min(dst)) AS rep_id
-        FROM reach GROUP BY src)
-SELECT d.doc_id, a.n_tokens
-FROM ded d JOIN adm a USING (doc_id)
-LEFT JOIN rep r ON r.doc_id = d.doc_id
-WHERE coalesce(r.rep_id, d.doc_id) = d.doc_id
-""",
-        "knn_cosine": """
-SELECT q.vec_id AS query_id, e.vec_id AS neighbor_id,
-       CAST(row_number() OVER (
-         PARTITION BY q.vec_id
-         ORDER BY list_cosine_similarity(q.embedding, e.embedding) DESC,
-                  e.vec_id ASC) AS BIGINT) AS rank
-FROM embeddings q, embeddings e
-WHERE q.vec_id < 10 AND e.vec_id <> q.vec_id
-QUALIFY rank <= 5
-""",
-        # predicate pushed into the scoring kernel: neighbors must carry
-        # a DIFFERENT label than the query (cross-label retrieval)
-        "knn_filtered": """
-SELECT q.vec_id AS query_id, e.vec_id AS neighbor_id,
-       CAST(row_number() OVER (
-         PARTITION BY q.vec_id
-         ORDER BY list_cosine_similarity(q.embedding, e.embedding) DESC,
-                  e.vec_id ASC) AS BIGINT) AS rank
-FROM embeddings q, embeddings e
-WHERE q.vec_id < 10 AND e.label <> q.label
-QUALIFY rank <= 5
-""",
         # keyword-in-context: strpos/substr parity (ASCII corpus —
         # char positions == byte positions on both engines)
         "kwic": """
@@ -2413,13 +1662,6 @@ SELECT doc_id, CAST(strpos(text, 'window') AS BIGINT) AS pos,
               - greatest(1, strpos(text, 'window') - 24)) AS snippet
 FROM documents WHERE strpos(text, 'window') > 0
 """,
-        "embedding_near_dup_exact": """
-SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-FROM embeddings a, embeddings b
-WHERE a.vec_id < b.vec_id
-  AND list_cosine_similarity(a.embedding, b.embedding) >= 0.45
-""",
-        "train_val_split": _train_val_split_sql(),
         # MG heavy hitters provably equal the exact top-k (recount pass)
         "top_tokens_mg": """
 WITH toks AS (SELECT unnest(string_split(text, ' ')) AS token
@@ -2430,7 +1672,6 @@ SELECT CAST(row_number() OVER (ORDER BY n DESC, token) AS BIGINT) AS rnk,
        token, n
 FROM counts ORDER BY n DESC, token LIMIT 20
 """,
-        "simhash_pairs_portable": _simhash_portable_sql(),
         "fingerprints_rolling": _fingerprints_rolling_sql(),
         "bioc_ingest": """
 SELECT CAST(doc_id AS VARCHAR) AS doc_id,
@@ -2550,16 +1791,6 @@ FROM documents d LEFT JOIN ag ON ag.doc_id = d.doc_id
 LEFT JOIN tp ON tp.doc_id = d.doc_id
 LEFT JOIN bag ON bag.doc_id = d.doc_id
 """,
-        "fuzzy_part_names": """
-WITH n AS (SELECT DISTINCT p_brand, p_size, p_name FROM part)
-SELECT a.p_brand, a.p_size,
-       a.p_name AS name_a, b.p_name AS name_b,
-       CAST(levenshtein(a.p_name, b.p_name) AS BIGINT) AS dist
-FROM n a JOIN n b
-  ON a.p_brand = b.p_brand AND a.p_size = b.p_size
- AND a.p_name < b.p_name
-WHERE levenshtein(a.p_name, b.p_name) BETWEEN 1 AND 2
-""",
         "sliding_chunks": """
 WITH t AS (SELECT doc_id, string_split(text, ' ') AS toks FROM documents),
 r AS (SELECT doc_id, toks,
@@ -2609,15 +1840,6 @@ SELECT d.doc_id,
        WHEN s_fr = greatest(s_en, s_de, s_fr, s_es) THEN 'fr'
        ELSE 'es' END AS lang_pred
 FROM documents d LEFT JOIN s USING (doc_id)
-""",
-        "embedding_covariance": """
-WITH u AS (SELECT vec_id, generate_subscripts(embedding, 1) i,
-                  CAST(unnest(embedding) AS DOUBLE) v
-           FROM embeddings)
-SELECT CAST(a.i AS BIGINT) AS i, CAST(b.i AS BIGINT) AS j,
-       floor(covar_pop(a.v, b.v) * 1e6 + 0.5) / 1e6 AS cov
-FROM u a JOIN u b USING (vec_id)
-GROUP BY a.i, b.i
 """,
         "source_token_entropy": """
 WITH u AS (SELECT source, unnest(string_split(text, ' ')) tok
@@ -2679,20 +1901,6 @@ WHERE CAST(CAST((CAST(d.doc_id AS HUGEINT) * 11400714819323198485)
                 % 18446744073709551616 AS UBIGINT) AS DOUBLE)
       < r.rate * 18446744073709551616.0
 """,
-        "knn_label_purity": """
-WITH q AS (SELECT * FROM embeddings WHERE vec_id < 200),
-r AS (SELECT q.vec_id AS qid, q.label AS qlab, e.label AS nlab,
-             row_number() OVER (
-               PARTITION BY q.vec_id
-               ORDER BY list_cosine_similarity(q.embedding, e.embedding)
-                        DESC, e.vec_id) AS rn
-      FROM q, embeddings e WHERE e.vec_id <> q.vec_id)
-SELECT CAST(qlab AS BIGINT) AS label,
-       CAST(count(*) AS BIGINT) AS n_pairs,
-       sum(CASE WHEN nlab = qlab THEN 1 ELSE 0 END)::DOUBLE
-         / count(*)::DOUBLE AS purity
-FROM r WHERE rn <= 5 GROUP BY qlab
-""",
         "tfidf_similar_docs": """
 WITH t AS (SELECT doc_id, string_split(text, ' ') w FROM documents),
 u AS (SELECT doc_id, unnest(w) tok FROM t),
@@ -2719,91 +1927,6 @@ c AS (SELECT p.da AS doc_a, p.db AS doc_b,
       FROM p JOIN nr na ON na.doc_id = p.da
              JOIN nr nb ON nb.doc_id = p.db)
 SELECT doc_a, doc_b, cosine FROM c WHERE cosine >= 0.3
-""",
-        "pretrain_corpus": """
-WITH RECURSIVE
-t AS (SELECT doc_id, text, lang, string_split(text, ' ') w FROM documents),
-u AS (SELECT doc_id, unnest(w) tok FROM t),
-ag AS (SELECT doc_id, count(*) n, count(DISTINCT tok) nd,
-              sum(length(tok)) ch,
-              sum(CASE WHEN tok IN ('the', 'a') THEN 1 ELSE 0 END) hits
-       FROM u GROUP BY 1),
-adm AS (SELECT t.doc_id, t.text, CAST(ag.n AS BIGINT) AS n_tokens
-        FROM t JOIN ag USING (doc_id)
-        WHERE t.lang = 'en'
-          AND ag.n BETWEEN 15 AND 90
-          AND ag.ch::DOUBLE / ag.n::DOUBLE >= 3.0
-          AND ag.ch::DOUBLE / ag.n::DOUBLE <= 4.5
-          AND ag.nd::DOUBLE / ag.n::DOUBLE >= 0.35
-          AND ag.hits >= 1),
-uu AS (SELECT doc_id, generate_subscripts(w, 1) i, unnest(w) tok FROM t),
-shall AS (SELECT a.doc_id, a.tok || ' ' || b.tok || ' ' || c.tok AS shingle
-          FROM uu a JOIN uu b ON a.doc_id = b.doc_id AND b.i = a.i + 1
-                    JOIN uu c ON a.doc_id = c.doc_id AND c.i = a.i + 2),
-bench AS (SELECT DISTINCT shingle FROM shall WHERE doc_id % 97 = 0),
-cont AS (SELECT DISTINCT s.doc_id FROM shall s JOIN bench USING (shingle)
-         WHERE s.doc_id % 97 <> 0),
-clean AS (SELECT * FROM adm
-          WHERE doc_id % 97 <> 0
-            AND doc_id NOT IN (SELECT doc_id FROM cont)),
-ded AS (SELECT min(doc_id) AS doc_id, text FROM clean GROUP BY text),
-ds AS (SELECT DISTINCT s.doc_id, s.shingle
-       FROM shall s JOIN ded USING (doc_id)),
-s AS (SELECT doc_id, count(*) n FROM ds GROUP BY doc_id),
-inter AS (SELECT x.doc_id a, y.doc_id b, count(*) c
-          FROM ds x JOIN ds y USING (shingle)
-          WHERE x.doc_id < y.doc_id GROUP BY 1, 2),
-pairs AS (
-  SELECT a AS doc_a, b AS doc_b
-  FROM inter JOIN s sa ON sa.doc_id = inter.a
-             JOIN s sb ON sb.doc_id = inter.b
-  WHERE c::DOUBLE / (sa.n + sb.n - c) >= 0.5
-),
-e AS (SELECT doc_a a, doc_b b FROM pairs
-      UNION SELECT doc_b, doc_a FROM pairs),
-reach(src, dst) AS (
-  SELECT a, b FROM e
-  UNION
-  SELECT r.src, e.b FROM reach r JOIN e ON r.dst = e.a WHERE e.b <> r.src
-),
-rep AS (SELECT src AS doc_id, least(src, min(dst)) AS rep_id
-        FROM reach GROUP BY src)
-SELECT d.doc_id, a.n_tokens
-FROM ded d JOIN clean a USING (doc_id)
-LEFT JOIN rep r ON r.doc_id = d.doc_id
-WHERE coalesce(r.rep_id, d.doc_id) = d.doc_id
-""",
-        "mips_topk": """
-SELECT q.vec_id AS query_id, e.vec_id AS neighbor_id,
-       CAST(row_number() OVER (
-         PARTITION BY q.vec_id
-         ORDER BY list_inner_product(q.embedding, e.embedding) DESC,
-                  e.vec_id ASC) AS BIGINT) AS rank
-FROM embeddings q, embeddings e
-WHERE q.vec_id < 10 AND e.vec_id <> q.vec_id
-QUALIFY rank <= 5
-""",
-        "embedding_quantize": """
-WITH u AS (SELECT vec_id, CAST(unnest(embedding) AS DOUBLE) AS x,
-                  generate_subscripts(embedding, 1) AS d
-           FROM embeddings),
-s AS (SELECT d, max(abs(x)) / 127.0 AS scale FROM u GROUP BY d),
-q AS (SELECT vec_id,
-             x,
-             scale,
-             CASE WHEN scale = 0 THEN 0
-                  ELSE greatest(-127.0, least(127.0,
-                       floor(x / scale + 0.5))) END AS qv,
-             CASE WHEN scale <> 0
-                   AND abs(floor(x / scale + 0.5)) > 127
-                  THEN 1 ELSE 0 END AS clip
-      FROM u JOIN s USING (d)),
-e AS (SELECT vec_id, clip,
-             CAST(floor((x - qv * scale) * 1e9 + 0.5) AS BIGINT) AS efp
-      FROM q)
-SELECT vec_id, CAST(sum(clip) AS BIGINT) AS n_clipped,
-       CAST(sum(efp * efp) AS BIGINT) AS qerr_sq
-FROM e GROUP BY vec_id
 """,
         "ttr_hapax": """
 WITH t AS (SELECT doc_id, string_split(text, ' ') w FROM documents),
@@ -2930,38 +2053,6 @@ WHERE CAST(CAST((CAST(doc_id AS HUGEINT) * 11400714819323198485)
       < score * 18446744073709551616.0
 """,
         "pii_scrub": _pii_scrub_sql(),
-        "chunk_dedup": """
-WITH t AS (SELECT doc_id, string_split(text, ' ') AS toks FROM documents),
-c AS (SELECT doc_id,
-        [array_to_string(toks[(i*20+1):((i+1)*20)], ' ')
-         FOR i IN range(CAST(ceil(len(toks)/20.0) AS INT))] AS chunks
-      FROM t),
-e AS (SELECT doc_id, unnest(chunks) AS chunk,
-        CAST(generate_subscripts(chunks, 1) - 1 AS BIGINT) AS chunk_seq
-      FROM c),
-r AS (SELECT doc_id, chunk_seq, chunk,
-        row_number() OVER (PARTITION BY chunk
-                           ORDER BY doc_id, chunk_seq) AS rn
-      FROM e)
-SELECT doc_id, chunk_seq, chunk FROM r WHERE rn = 1
-""",
-        "quota_sample": """
-WITH h AS (SELECT source, doc_id,
-                  (doc_id * 2654435761) % 4294967296 AS h
-           FROM documents),
-r AS (SELECT source, doc_id,
-             row_number() OVER (PARTITION BY source
-                                ORDER BY h, doc_id) AS rnk
-      FROM h)
-SELECT source, CAST(rnk AS BIGINT) AS rnk, doc_id FROM r WHERE rnk <= 5
-""",
-        "quality_percentile": """
-WITH c AS (SELECT n_chars, count(*) AS c FROM documents GROUP BY 1),
-cum AS (SELECT n_chars, sum(c) OVER (ORDER BY n_chars) AS cc FROM c),
-thr AS (SELECT min(n_chars) AS t FROM cum
-        WHERE cc >= ceil(0.9 * (SELECT count(*) FROM documents)))
-SELECT d.doc_id, d.n_chars FROM documents d, thr WHERE d.n_chars >= thr.t
-""",
         # unigram-LM scoring: same cast points and libm ln() as
         # corpus_stats.unigram_nll; half-up 1e-6 rounding on the score
         "unigram_nll": """
@@ -3222,22 +2313,5 @@ SELECT doc_id,
        CAST(count(*) AS BIGINT) AS n_tok,
        CAST(sum(CASE WHEN id = 30 THEN 1 ELSE 0 END) AS BIGINT) AS n_oov
 FROM e GROUP BY doc_id
-""",
-        # per-dimension class centroids; avg in double, half-up 1e-6
-        # rounding mirrors stages/similarity.label_centroids
-        "label_centroids": """
-WITH u AS (SELECT label, unnest(embedding) AS e,
-                  generate_subscripts(embedding, 1) AS dim
-           FROM embeddings)
-SELECT CAST(label AS BIGINT) AS label, CAST(dim AS BIGINT) AS dim,
-       floor(avg(CAST(e AS DOUBLE)) * 1e6 + 0.5) / 1e6 AS centroid
-FROM u GROUP BY label, dim
-""",
-        "dedup_incremental": """
-WITH newd AS (SELECT doc_id, text FROM documents WHERE doc_id % 3 = 0),
-seen AS (SELECT DISTINCT text FROM documents WHERE doc_id % 3 <> 0),
-surv AS (SELECT n.doc_id, n.text FROM newd n
-         WHERE NOT EXISTS (SELECT 1 FROM seen s WHERE s.text = n.text))
-SELECT min(doc_id) AS doc_id, text FROM surv GROUP BY text
 """,
     }

@@ -1,7 +1,9 @@
 """kgray — Ray-Data-native knowledge-graph construction engine.
 
 Public API surface (mirrors the reference's exports, tKG/__init__.py:1-13,
-re-expressed for Dataset pipelines):
+re-expressed for Dataset pipelines).  Only the KG path is re-exported, so
+``import kgray.<anything>`` (every Ray worker that unpickles a KG stage
+does one) loads no corpus-statistics, graph-analytics or media module.
 """
 from .pipelines.kg import (  # noqa: F401
     KGConfig,
@@ -22,24 +24,6 @@ from .functions.bel import (  # noqa: F401
 )
 from .functions.prompts import load_prompt  # noqa: F401
 from .corpus import generate_documents, write_corpus  # noqa: F401
-from .pipelines.curate import (  # noqa: F401
-    curate_corpus,
-    quality_percentile_filter,
-    quota_sample,
-    train_val_split,
-)
-from .stages.scrub import pii_redact, pii_scrub, pii_stats  # noqa: F401
-from .stages.dedup import (  # noqa: F401
-    chunk_dedup_exact,
-    exact_dedup,
-    near_dup_groups,
-    near_dup_groups_distributed,
-)
-from .stages.graph_algos import connected_components, pagerank  # noqa: F401
-from .stages.corpus_stats import (  # noqa: F401
-    length_deciles,
-    unigram_nll,
-)
 
 __all__ = [
     "KGConfig",
@@ -56,19 +40,4 @@ __all__ = [
     "load_prompt",
     "generate_documents",
     "write_corpus",
-    "curate_corpus",
-    "quality_percentile_filter",
-    "quota_sample",
-    "train_val_split",
-    "pii_stats",
-    "pii_redact",
-    "pii_scrub",
-    "chunk_dedup_exact",
-    "exact_dedup",
-    "pagerank",
-    "connected_components",
-    "near_dup_groups",
-    "near_dup_groups_distributed",
-    "length_deciles",
-    "unigram_nll",
 ]

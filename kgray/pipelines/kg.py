@@ -169,6 +169,14 @@ def _graph_inputs(extractions: "ray.data.Dataset", materialize: bool):
         # schema_floor: a zero-row edges block loses its schema, and an
         # empty corpus must still yield the typed EDGES table.
         edges = schema_floor(edges, schemas.EDGES)
+        # ``extractions`` is materialized here, so count() reads block
+        # metadata; zero rows must still give typed unary / URL tables.
+        if extractions.count() == 0:
+            return (
+                edges,
+                ray.data.from_arrow(schemas.UNARY_NODES.empty_table()),
+                ray.data.from_arrow(schemas.ANNOTATION_URLS.empty_table()),
+            )
     unary = extractions.map_batches(
         edge_stage.extractions_to_unary_nodes, batch_format="pyarrow"
     )

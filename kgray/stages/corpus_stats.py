@@ -24,6 +24,7 @@ import ray
 import ray.data
 
 from ..utils import coarse_grouped_map, repartition_join
+from .filters import SAMPLE_MULT
 
 
 def _read_docs(sf_dir: str, columns) -> "ray.data.Dataset":
@@ -293,7 +294,7 @@ def stratified_sample(
     """~``per_stratum`` documents per stratum, deterministically.
 
     Bernoulli rate per stratum = per_stratum / |stratum|, decided by pure
-    integer arithmetic on the train_val_split multiplicative hash: keep
+    integer arithmetic on the ``filters.SAMPLE_MULT`` multiplicative hash: keep
     doc iff  hash(doc_id) · |stratum|  <  per_stratum · 2⁶⁴  (exact
     128-bit comparison — the SQL oracle runs the identical HUGEINT
     expression, so the sample is bit-reproducible on any engine).  Like
@@ -302,8 +303,6 @@ def stratified_sample(
     broadcast into the filter; the sample itself is a pure map — no
     shuffle.
     """
-    from ..pipelines.curate import SPLIT_MULT
-
     docs = _read_docs(sf_dir, ["doc_id", stratum_col])
 
     def count_partial(batch: pa.Table) -> pa.Table:
@@ -331,7 +330,7 @@ def stratified_sample(
         thrs = ray.get(thr_ref)
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         with np.errstate(over="ignore"):
-            h = ids.astype(np.uint64) * np.uint64(SPLIT_MULT)
+            h = ids.astype(np.uint64) * np.uint64(SAMPLE_MULT)
         strata = batch.column(stratum_col).to_pylist()
         # per-row threshold via a tiny dict lookup vectorized by factorize
         uniq, inv = np.unique(np.asarray(strata, dtype=object),
@@ -375,8 +374,6 @@ def temperature_mix(
     """
     import math
 
-    from ..pipelines.curate import SPLIT_MULT
-
     docs = _read_docs(sf_dir, ["doc_id", stratum_col])
 
     def count_partial(batch: pa.Table) -> pa.Table:
@@ -404,7 +401,7 @@ def temperature_mix(
         rmap = ray.get(rate_ref)
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         with np.errstate(over="ignore"):
-            h = ids.astype(np.uint64) * np.uint64(SPLIT_MULT)
+            h = ids.astype(np.uint64) * np.uint64(SAMPLE_MULT)
         strata = np.asarray(
             batch.column(stratum_col).to_pylist(), dtype=object
         )
@@ -439,8 +436,8 @@ def decontaminate(sf_dir: str, bench_mod: int = 97) -> "ray.data.Dataset":
     gathered once and broadcast via ``ray.put``; the probe is then a pure
     map over the corpus — per-batch shingling + a vectorized hash-set
     membership test (`pandas.Series.isin`), zero shuffle.  Shingles use
-    the engine's minhash convention (raw single-space split including
-    empties, 3-token window) so the DuckDB oracle is exact.
+    a raw single-space split (including empties) and a 3-token window,
+    so the DuckDB oracle is exact.
     """
     docs = _read_docs(sf_dir, ["doc_id", "text"])
 
@@ -1665,8 +1662,7 @@ def tfidf_similar_docs(
 ) -> "ray.data.Dataset":
     """Document pairs (doc_a < doc_b) whose TF-IDF vectors have cosine
     similarity ≥ ``threshold`` — the SPARSE similarity join (inverted
-    index over shared terms) that complements the dense-embedding
-    near-dup ops: exact, no LSH, no embedding model.
+    index over shared terms): exact, no LSH, no embedding model.
 
     Plan: per-doc term frequencies map-side (a doc's text lives in one
     row); document frequencies by one term-keyed reduce; terms with

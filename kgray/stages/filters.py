@@ -39,7 +39,8 @@ import ray.data
 
 from ..utils import coarse_grouped_map
 
-#: odd 64-bit golden-ratio multiplier, shared with pipelines.curate
+#: odd 64-bit golden-ratio multiplier of every hash sample (quality_filter,
+#: stratified_sample, temperature_mix, shuffle_order)
 SAMPLE_MULT = 11400714819323198485
 
 #: stop words present in the synthetic vocabulary

@@ -53,9 +53,8 @@ def _distinct_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
 # bounded (≤ a few MB at the bound) and the distributed path's per-
 # iteration fixed cost (3 shuffles × 2·iters rounds) dwarfs the actual
 # arithmetic.  Bigger graphs run the shuffle-per-iteration path, which
-# never holds the rank vector or edge list in one place.  Same policy
-# (constant bounds memory, not the corpus) as
-# stages/dedup.COMPONENTS_DRIVER_MAX_PAIRS.
+# never holds the rank vector or edge list in one place: the constant
+# bounds memory, not the corpus.
 RANK_LOCAL_MAX_EDGES = 200_000
 
 
@@ -228,232 +227,6 @@ def pagerank(
         )
 
     return state.map_batches(finalize, batch_format="pandas")
-
-
-def connected_components(
-    pairs: "ray.data.Dataset",
-    max_iters: int = 50,
-    num_partitions: int = 8,
-    node_type: "pa.DataType" = None,
-    left_col: str = "doc_a",
-    right_col: str = "doc_b",
-    jump_after: int = 3,
-) -> "ray.data.Dataset":
-    """Distributed connected components over an undirected pair-edge
-    Dataset (doc_a, doc_b) → (doc_id, rep_id), rep = component minimum.
-
-    Iterative min-label propagation, fully distributed — THE production
-    component solver (``stages/dedup.pair_components``'s driver
-    union-find remains only as a test utility; every composite dedups
-    through this path).  Each round: ship every node's current
-    label across its edges in both directions (one repartition join per
-    direction), take the per-node minimum of self+received labels (one
-    coarse keyed reduce), then COMPOSE the label map with itself
-    (pointer jumping: label'[v] = label[label[v]], one label-keyed
-    self-join), and stop when a round changes nothing (scalar
-    aggregate).  The jump halves label-chain depth every round, so
-    rounds needed are O(log diameter) — long-path graphs converge in a
-    dozen rounds instead of thousands; it engages from round
-    ``jump_after`` so shallow graphs (near-dup clusters, diameter 2-3)
-    never pay its extra join.  ``num_partitions`` sizes the per-round
-    shuffles (scale like any keyed reduce).
-
-    ``node_type`` generalizes the node domain: int64 (default) for doc
-    ids, string for surface forms — "min" is then the lexicographic
-    minimum, matching SQL ``least()`` over VARCHAR.
-    """
-    if node_type is None:
-        node_type = pa.int64()
-    is_int = pa.types.is_integer(node_type)
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        # pair sources can emit zero-column empty blocks (map_groups of
-        # an empty frame) — substitute a typed empty so schemas unify
-        if left_col not in batch.schema.names or batch.num_rows == 0:
-            return pa.table(
-                {"src": pa.array([], node_type),
-                 "dst": pa.array([], node_type)}
-            )
-        a = batch.column(left_col).cast(node_type)
-        b = batch.column(right_col).cast(node_type)
-        return pa.table(
-            {
-                "src": pa.chunked_array(a.chunks + b.chunks),
-                "dst": pa.chunked_array(b.chunks + a.chunks),
-            }
-        )
-
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
-
-    labels = coarse_grouped_map(
-        edges.map_batches(
-            lambda b: pa.table({"node": b.column("src")}),
-            batch_format="pyarrow",
-        ),
-        "node",
-        lambda df: df.drop_duplicates("node"),
-        num_partitions=num_partitions,
-    ).map_batches(
-        lambda b: b.append_column("label", b.column("node")),
-        batch_format="pyarrow",
-    ).materialize()
-
-    for it in range(max_iters):
-        # FUSED relaxation round (2 all-to-alls, was 3): the per-node
-        # min over received labels and the merge with the node's own
-        # label are both node-keyed, so they share ONE shuffle — the
-        # label table rides along tagged is_self=1 and the grouped
-        # reducer computes min + changed in the same pass.
-        received = repartition_join(
-            edges,
-            labels,
-            "src",
-            "node",
-            {"src": node_type, "dst": node_type},
-            {"node": node_type, "label": node_type},
-            num_partitions=num_partitions,
-        )
-
-        def recv_partial(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("dst", as_index=False).agg(
-                lab=("label", "min")
-            )
-            g = g.rename(columns={"dst": "node"})
-            g["is_self"] = np.int64(0)
-            return g
-
-        def self_rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "node": df.node,
-                    "lab": df.label,
-                    "is_self": np.int64(1),
-                }
-            )
-
-        tagged = labels.map_batches(
-            self_rows, batch_format="pandas"
-        ).union(
-            received.map_batches(
-                recv_partial, batch_format="pandas", batch_size=None
-            )
-        )
-
-        def fused_min(df: pd.DataFrame) -> pd.DataFrame:
-            if is_int:
-                lab = df.lab.astype("int64")
-                node = df.node.astype("int64")
-            else:
-                lab = df.lab.astype(object)
-                node = df.node.astype(object)
-            d = pd.DataFrame(
-                {"node": node, "lab": lab, "is_self": df.is_self}
-            )
-            g = d.groupby("node", as_index=False).agg(
-                label=("lab", "min")
-            )
-            old = d[d.is_self == 1][["node", "lab"]].rename(
-                columns={"lab": "old"}
-            )
-            g = g.merge(old, on="node", how="left")
-            # every node has a self row; min(received ∪ self) ≤ old
-            g["changed"] = (g.label < g.old).astype("int64")
-            return g[["node", "label", "changed"]]
-
-        new_labels = coarse_grouped_map(
-            tagged,
-            "node",
-            fused_min,
-            num_partitions=num_partitions,
-        ).materialize()
-        n_changed = new_labels.sum("changed") or 0
-        labels = new_labels.drop_columns(["changed"]).materialize()
-
-        # at an edge-relaxation fixpoint labels are already component
-        # minima — the jump below would be a paid-for no-op
-        if n_changed == 0:
-            break
-        if it + 1 < jump_after:
-            continue
-
-        # pointer-jumping (hash-to-min doubling): compose the label map
-        # with itself — label'[v] = label[label[v]] — so label chains
-        # halve every round and total rounds drop from O(diameter) to
-        # O(log diameter).  Valid because a label is always the id of a
-        # node in the same component and monotonically non-increasing;
-        # one label-keyed self-join of the n-row label table, cheaper
-        # than the 2m-row edge relaxation above.  Engaged only from
-        # round ``jump_after`` on: near-dup/similarity graphs converge
-        # in 2-3 rounds and would pay the extra join for nothing, while
-        # a long-path graph still collapses logarithmically.
-        as_ptr = labels.map_batches(
-            lambda b, _t=node_type: pa.table(
-                {"jkey": b.column("label").cast(_t),
-                 "node": b.column("node").cast(_t)}
-            ) if "node" in b.schema.names and b.num_rows else pa.table(
-                {"jkey": pa.array([], _t), "node": pa.array([], _t)}
-            ),
-            batch_format="pyarrow",
-        )
-        as_target = labels.map_batches(
-            lambda b, _t=node_type: pa.table(
-                {"jnode": b.column("node").cast(_t),
-                 "label2": b.column("label").cast(_t)}
-            ) if "node" in b.schema.names and b.num_rows else pa.table(
-                {"jnode": pa.array([], _t), "label2": pa.array([], _t)}
-            ),
-            batch_format="pyarrow",
-        )
-        jumped = repartition_join(
-            as_ptr,
-            as_target,
-            "jkey",
-            "jnode",
-            {"jkey": node_type, "node": node_type},
-            {"jnode": node_type, "label2": node_type},
-            num_partitions=num_partitions,
-            how="left",
-        )
-
-        def jump_min(df: pd.DataFrame) -> pd.DataFrame:
-            # jkey is the node's current label, label2 = label[label];
-            # label2 <= jkey by monotonicity, so it IS the new label
-            if is_int:
-                lab = df.jkey.astype("int64")
-                nl = df.label2.fillna(df.jkey).astype("int64")
-                node = df.node.astype("int64")
-            else:
-                lab = df.jkey.astype(object)
-                nl = df.label2.where(
-                    df.label2.notna(), df.jkey
-                ).astype(object)
-                node = df.node.astype(object)
-            hit = nl < lab
-            return pd.DataFrame(
-                {
-                    "node": node,
-                    "label": lab.where(~hit, nl),
-                    "changed": hit.astype("int64"),
-                }
-            )
-
-        post_jump = jumped.map_batches(
-            jump_min, batch_format="pandas"
-        ).materialize()
-        labels = post_jump.drop_columns(["changed"]).materialize()
-
-    def rename_out(b: pa.Table) -> pa.Table:
-        if "node" not in b.schema.names or b.num_rows == 0:
-            return pa.table(
-                {"doc_id": pa.array([], node_type),
-                 "rep_id": pa.array([], node_type)}
-            )
-        return pa.table(
-            {"doc_id": b.column("node").cast(node_type),
-             "rep_id": b.column("label").cast(node_type)}
-        )
-
-    return labels.map_batches(rename_out, batch_format="pyarrow")
 
 
 def _hits_half(

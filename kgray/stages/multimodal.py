@@ -596,9 +596,8 @@ def media_dedup(chunks) -> "ray.data.Dataset":
     decode/embed stages touch each asset once, not once per reuse.
 
     Shape: key computation is a pure map; the keep-first + copy-count is
-    a combiner-first keyed reduce (exact_dedup's shape on the content
-    key).  The payload bytes themselves never shuffle — only keys and
-    span coordinates move.
+    a combiner-first keyed reduce on the content key.  The payload bytes
+    themselves never shuffle — only keys and span coordinates move.
     """
     import pandas as pd
 

@@ -23,6 +23,7 @@ import ray
 import ray.data
 
 from ..utils import coarse_grouped_map
+from .filters import SAMPLE_MULT
 
 
 def _read_docs(sf_dir: str, columns) -> "ray.data.Dataset":
@@ -119,26 +120,25 @@ def pack_sequences(
 
 
 def shuffle_order(sf_dir: str, bucket_bits: int = 6) -> "ray.data.Dataset":
-    """Deterministic global shuffle: position = rank of the train/val
-    multiplicative hash h(doc_id), ties by doc_id.  Reproducible on any
-    engine (the oracle is `row_number() OVER (ORDER BY h, doc_id)`), yet
-    statistically a full shuffle — the right way to fix a training order
-    across reruns without `random_shuffle`'s nondeterminism.
+    """Deterministic global shuffle: position = rank of the
+    ``filters.SAMPLE_MULT`` multiplicative hash h(doc_id), ties by
+    doc_id.  Reproducible on any engine (the oracle is
+    `row_number() OVER (ORDER BY h, doc_id)`), yet statistically a full
+    shuffle — the right way to fix a training order across reruns
+    without `random_shuffle`'s nondeterminism.
 
     Ranks are global via the same prefix-sum trick as pack_sequences,
     but range-partitioned on the TOP BITS of h — bucket b's hashes all
     sort before bucket b+1's, so local rank + broadcast bucket offsets =
     global rank.  One shuffle; driver state = 2^bucket_bits counts.
     """
-    from ..pipelines.curate import SPLIT_MULT
-
     docs = _read_docs(sf_dir, ["doc_id"])
     shift = np.uint64(64 - bucket_bits)
 
     def hash_partial(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         with np.errstate(over="ignore"):
-            h = ids.astype(np.uint64) * np.uint64(SPLIT_MULT)
+            h = ids.astype(np.uint64) * np.uint64(SAMPLE_MULT)
         return pa.table(
             {
                 "doc_id": pa.array(ids.astype(np.int64), pa.int64()),

@@ -414,51 +414,3 @@ def smart_join(
     return left.map_batches(probe, batch_format="pandas").map_batches(
         plain_arrow, batch_format="pyarrow", batch_size=None
     )
-
-
-# ---------------------------------------------------------------------------
-# Bloom filter kernels (shared by the semi-join and dedup prefilters)
-# ---------------------------------------------------------------------------
-
-_BLOOM_MIX = np.uint64(0xFF51AFD7ED558CCD)
-
-
-def bloom_hashes(keys: np.ndarray):
-    """Two independent 64-bit hash streams for double hashing
-    (pos_i = h1 + i·h2), both via the engine's stable vectorized hasher."""
-    from pandas.util import hash_array
-
-    k = np.asarray(keys)
-    h1 = hash_array(k)
-    with np.errstate(over="ignore"):
-        h2 = hash_array(h1 * _BLOOM_MIX) | np.uint64(1)  # odd → full cycle
-    return h1, h2
-
-
-def bloom_positions(keys: np.ndarray, m_bits: int, n_hashes: int):
-    h1, h2 = bloom_hashes(keys)
-    m = np.uint64(m_bits)
-    with np.errstate(over="ignore"):
-        return [
-            ((h1 + np.uint64(i) * h2) % m).astype(np.int64)
-            for i in range(n_hashes)
-        ]
-
-
-def bloom_set(bits: np.ndarray, keys: np.ndarray, m_bits: int,
-              n_hashes: int) -> None:
-    """OR the keys into a packed uint8 bitmap in place."""
-    if len(keys):
-        for pos in bloom_positions(keys, m_bits, n_hashes):
-            np.bitwise_or.at(
-                bits, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8)
-            )
-
-
-def bloom_test(bits: np.ndarray, keys: np.ndarray, m_bits: int,
-               n_hashes: int) -> np.ndarray:
-    """Boolean membership-candidate mask (no false negatives)."""
-    ok = np.ones(len(keys), dtype=bool)
-    for pos in bloom_positions(keys, m_bits, n_hashes):
-        ok &= (bits[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1 == 1
-    return ok

@@ -17,7 +17,7 @@ import pandas as pd
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 # the tables the remaining oracles read
-TABLES = ["part", "documents", "embeddings"]
+TABLES = ["documents"]
 
 
 def to_pandas(obj):

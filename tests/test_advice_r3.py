@@ -1,7 +1,5 @@
-"""Round-3 regression tests for the r2 ADVICE findings: smart_join
-type validation, knn tie handling across blocks, media content-key
-semantics."""
-import numpy as np
+"""Round-3 regression test for an r2 ADVICE finding: smart_join type
+validation."""
 import pyarrow as pa
 import pytest
 import ray
@@ -30,62 +28,3 @@ def test_smart_join_rejects_bad_how_regardless_of_side_size():
                 {"k": pa.int64(), "b": pa.int64()},
                 how=bad,
             )
-
-
-def test_knn_cosine_keeps_lowest_id_among_block_ties():
-    """Duplicate embeddings spread over many blocks: the global top-k
-    must rank tied neighbors by ascending vec_id even when a block's
-    shortlist would have cut arbitrarily at the tie score."""
-    from kgray.stages.similarity import knn_cosine
-
-    dim = 8
-    base = np.zeros(dim)
-    base[0] = 1.0
-    # 40 identical vectors (ids 0..39) + 10 orthogonal distractors
-    vecs = [base] * 40 + [np.eye(dim)[1]] * 10
-    ids = list(range(50))
-    emb = ray.data.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "embedding": pa.array(
-                    [list(map(float, v)) for v in vecs],
-                    pa.list_(pa.float32()),
-                ),
-            }
-        )
-    ).repartition(10)  # force ties to span blocks
-    out = (
-        knn_cosine(emb, np.array([base]), np.array([999]), k=5,
-                   exclude_self=False)
-        .to_pandas()
-        .sort_values("rank")
-    )
-    assert list(out.neighbor_id) == [0, 1, 2, 3, 4]
-
-
-def test_mips_topk_keeps_lowest_id_among_block_ties():
-    from kgray.stages.similarity import mips_topk
-
-    dim = 4
-    v = np.zeros(dim)
-    v[0] = 2.0
-    vecs = [v] * 30 + [np.eye(dim)[1] * 0.1] * 6
-    emb = ray.data.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(list(range(36)), pa.int64()),
-                "embedding": pa.array(
-                    [list(map(float, x)) for x in vecs],
-                    pa.list_(pa.float32()),
-                ),
-            }
-        )
-    ).repartition(9)
-    out = (
-        mips_topk(emb, np.array([v]), np.array([777]), k=3,
-                  exclude_self=False)
-        .to_pandas()
-        .sort_values("rank")
-    )
-    assert list(out.neighbor_id) == [0, 1, 2]

@@ -305,3 +305,7 @@ def test_empty_corpus_yields_typed_edges_and_nodes(tmp_path):
         assert res.edges.count() == 0 and res.nodes.count() == 0
     assert plain.extractions.schema().names == schemas.EXTRACTIONS.names
     assert plain.annotation_url_agg.schema().names == schemas.URL_AGG.names
+    for res in (plain, ckpt):
+        assert res.unary_nodes.schema().names == schemas.UNARY_NODES.names
+        assert (res.annotation_urls.schema().names
+                == schemas.ANNOTATION_URLS.names)

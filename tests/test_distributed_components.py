@@ -1,24 +1,18 @@
-"""Round-3 guards: the keep-one dedup composites must solve connected
-components DISTRIBUTED (graph_algos.connected_components), never via
-driver-side union-find over the pair edges — even on a worst-case pair
-graph where everything is near-dup (r2 verdict #1).
+"""Round-3 guards: distributed operators must never collect a
+vocabulary- or corpus-sized table to the driver.
 
 The guard monkeypatches Dataset.take_all (banned outright) and
-Dataset.to_pandas (allowed only for model-/eval-sized results: k-means'
-k-row centroid tables and pretrain's bench-shingle broadcast), so a
-pair-graph- or corpus-sized driver collection anywhere in the path
-fails the test.
+Dataset.to_pandas (allowed only for model-sized results), so a
+corpus-sized driver collection anywhere in the path fails the test.
 """
 import contextlib
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 import ray
 import ray.data
 
-_SMALL_ROWS = 64  # model-sized: k-means centroids, scalar aggregates
+_SMALL_ROWS = 64  # model-sized: scalar aggregates
 
 
 def _collect(refs) -> pd.DataFrame:
@@ -36,16 +30,8 @@ def _collect(refs) -> pd.DataFrame:
 
 
 @contextlib.contextmanager
-def collection_guard(allow_shingle_broadcast: bool = False):
-    """Blocks driver collection AND forces the distributed component
-    solver (COMPONENTS_DRIVER_MAX_PAIRS = -1): the auto dispatch would
-    legitimately take the bounded driver union-find on these test-sized
-    graphs, but these tests exist to prove the LP path is
-    collection-free."""
-    from kgray.stages import dedup as dedup_mod
-
-    orig_bound = dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS
-    dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS = -1
+def collection_guard():
+    """Blocks driver collection of more than _SMALL_ROWS rows."""
     orig_take_all = ray.data.Dataset.take_all
     orig_to_pandas = ray.data.Dataset.to_pandas
 
@@ -54,8 +40,6 @@ def collection_guard(allow_shingle_broadcast: bool = False):
 
     def bounded_to_pandas(self, *a, **k):
         df = orig_to_pandas(self, *a, **k)
-        if allow_shingle_broadcast and list(df.columns) == ["shingle"]:
-            return df  # decontamination's documented eval-sized broadcast
         assert len(df) <= _SMALL_ROWS, (
             f"driver collection of {len(df)} rows "
             f"(columns={list(df.columns)}) inside a distributed operator"
@@ -69,192 +53,6 @@ def collection_guard(allow_shingle_broadcast: bool = False):
     finally:
         ray.data.Dataset.take_all = orig_take_all
         ray.data.Dataset.to_pandas = orig_to_pandas
-        dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS = orig_bound
-
-
-def _worst_case_corpus(n: int = 36):
-    """Every document near-identical: the pair graph is ~n² — exactly
-    the templated-crawl shape that melts a driver union-find."""
-    rng = np.random.RandomState(7)
-    vocab = [f"tok{i}" for i in range(40)]
-    base = list(rng.choice(vocab, 60))
-    texts = []
-    for i in range(n):
-        t = list(base)
-        t[i % len(t)] = f"var{i}"  # one-token variation → Jaccard ≈ 0.9
-        texts.append(" ".join(t))
-    return pa.table(
-        {
-            "doc_id": pa.array(list(range(n)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        }
-    )
-
-
-def test_near_dup_groups_distributed_default_and_union_find_parity():
-    from kgray.stages.dedup import (
-        minhash_lsh_pairs,
-        near_dup_groups,
-        pair_components,
-    )
-
-    tbl = _worst_case_corpus()
-    docs = ray.data.from_arrow(tbl).repartition(6)
-
-    with collection_guard():
-        got = (
-            near_dup_groups(docs, threshold=0.5)
-            .to_arrow_refs()
-        )
-    got = _collect(got).sort_values("doc_id").reset_index(drop=True)
-
-    # independent small-scale cross-check: the driver union-find utility
-    rep = pair_components(minhash_lsh_pairs(docs, threshold=0.5))
-    want = [rep.get(i, i) for i in range(tbl.num_rows)]
-    assert list(got.doc_id) == list(range(tbl.num_rows))
-    assert list(got.rep_id) == want
-    # everything collapsed to one component on this corpus
-    assert set(got.rep_id) == {0}
-
-
-def test_curate_corpus_no_driver_graph(tmp_path):
-    from kgray.pipelines.curate import curate_corpus
-
-    tbl = _worst_case_corpus()
-    df = tbl.to_pandas()
-    df["lang"] = "en"
-    df.to_parquet(tmp_path / "documents.parquet", index=False)
-
-    with collection_guard():
-        out_refs = curate_corpus(
-            str(tmp_path), min_tokens=10, max_tokens=200
-        ).to_arrow_refs()
-    out = _collect(out_refs)
-    # one survivor of the all-near-dup component: the min doc_id
-    assert list(out.doc_id) == [0]
-    assert out.n_tokens.iloc[0] == 60
-
-
-def test_pretrain_corpus_no_driver_graph(tmp_path):
-    from kgray.pipelines.curate import pretrain_corpus
-    from kgray.stages.filters import STOPWORDS
-
-    tbl = _worst_case_corpus()
-    df = tbl.to_pandas()
-    stop = sorted(STOPWORDS)[0]
-    # make every text pass the Gopher gates (stopword hit, mean length)
-    df["text"] = df.text + f" {stop} {stop} {stop}"
-    # doc 0 is the benchmark doc (0 % 97 == 0): give it DISJOINT text so
-    # decontamination doesn't wipe the whole near-dup corpus
-    df.loc[0, "text"] = " ".join(f"bench{i}" for i in range(20))
-    df["lang"] = "en"
-    df.to_parquet(tmp_path / "documents.parquet", index=False)
-
-    with collection_guard(allow_shingle_broadcast=True):
-        out_refs = pretrain_corpus(
-            str(tmp_path),
-            min_words=10,
-            max_words=200,
-            min_mean_len=1.0,
-            max_mean_len=10.0,
-            min_distinct_frac=0.1,
-        ).to_arrow_refs()
-    out = _collect(out_refs)
-    # doc 0 is the bench doc (0 % 97 == 0) and is excluded by design;
-    # the survivors of the remaining near-dup component collapse to
-    # the smallest remaining doc_id
-    assert list(out.doc_id) == [1]
-
-
-def test_semantic_dedup_no_driver_graph(tmp_path):
-    from kgray.stages.similarity import semantic_dedup
-
-    rng = np.random.RandomState(11)
-    dim = 16
-    # 14 diverse singletons FIRST (k-means seeds are the k smallest
-    # vec_ids — seeding all 8 inside one tight cluster would split it
-    # across cells, SemDeDup's documented cluster-local approximation),
-    # then 3 tight clusters of 12 near-identical vectors
-    vecs, ids = [], []
-    vid = 0
-    for _ in range(14):
-        vecs.append(rng.normal(0, 1, dim))
-        ids.append(vid)
-        vid += 1
-    cluster_start = {}
-    for c in range(3):
-        center = rng.normal(0, 1, dim)
-        cluster_start[c] = vid
-        for _ in range(12):
-            vecs.append(center + rng.normal(0, 1e-4, dim))
-            ids.append(vid)
-            vid += 1
-    pd.DataFrame(
-        {
-            "vec_id": np.array(ids, dtype=np.int64),
-            "embedding": [list(map(float, v)) for v in vecs],
-        }
-    ).to_parquet(tmp_path / "embeddings.parquet", index=False)
-
-    with collection_guard():
-        out_refs = semantic_dedup(
-            str(tmp_path), k=8, iters=3, threshold=0.95
-        ).to_arrow_refs()
-    out = _collect(out_refs).sort_values("vec_id")
-    assert len(out) == vid
-    # each planted near-dup cluster collapses to its min vec_id
-    for c in range(3):
-        s = cluster_start[c]
-        members = out[(out.vec_id >= s) & (out.vec_id < s + 12)]
-        assert set(members.rep_id) == {s}
-    singles = out[out.vec_id < 14]
-    assert (singles.rep_id == singles.vec_id).all()
-
-
-def test_cluster_surface_forms_no_driver_graph():
-    from kgray.stages.cluster import cluster_surface_forms
-
-    names = []
-    for i in range(200):
-        base = f"GENE{i}"
-        names += [base, base.lower(), f"{base[:-1]}-{base[-1]}"]
-    ds = ray.data.from_arrow(
-        pa.table({"name": pa.array(names, pa.string())})
-    ).repartition(4)
-
-    with collection_guard():
-        out_refs = cluster_surface_forms(ds).to_arrow_refs()
-    out = _collect(out_refs)
-    assert len(out) == len(set(names))
-    # variants of one base share the lexicographically-min canonical
-    g5 = out[out.name.isin(["GENE5", "gene5", "GENE-5"])]
-    assert len(g5) == 3
-    assert set(g5.canonical) == {"GENE-5"}
-    assert g5.cluster_id.nunique() == 1
-
-
-def test_connected_components_string_nodes():
-    from kgray.stages.graph_algos import connected_components
-
-    pairs = ray.data.from_arrow(
-        pa.table(
-            {
-                "name_a": pa.array(["b", "c", "x"], pa.string()),
-                "name_b": pa.array(["a", "b", "y"], pa.string()),
-            }
-        )
-    )
-    out = (
-        connected_components(
-            pairs, node_type=pa.string(),
-            left_col="name_a", right_col="name_b",
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-    )
-    assert dict(zip(out.doc_id, out.rep_id)) == {
-        "a": "a", "b": "a", "c": "a", "x": "x", "y": "x",
-    }
 
 
 def test_tfidf_and_unigram_no_vocab_broadcast():
@@ -267,98 +65,6 @@ def test_tfidf_and_unigram_no_vocab_broadcast():
         n1 = tfidf_top_terms(sf, k=5).count()
         n2 = unigram_nll(sf).count()
     assert n1 > 0 and n2 == 500
-
-
-def test_component_auto_dispatch_parity():
-    """The auto dispatch (driver union-find under the constant pair
-    bound, LP above it) must return identical results either way."""
-    from kgray.stages import dedup as dedup_mod
-    from kgray.stages.dedup import near_dup_groups
-
-    tbl = _worst_case_corpus()
-    docs = ray.data.from_arrow(tbl).repartition(6)
-
-    # small path (bound is 200k, 36² pairs is far under it)
-    assert dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS > 10_000
-    small = (
-        near_dup_groups(docs, threshold=0.5)
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    )
-    # forced LP path
-    orig = dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS
-    try:
-        dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS = -1
-        lp = (
-            near_dup_groups(docs, threshold=0.5)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-    finally:
-        dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS = orig
-    pd.testing.assert_frame_equal(small, lp)
-
-
-def test_cluster_surface_forms_auto_dispatch_parity():
-    from kgray.stages import dedup as dedup_mod
-    from kgray.stages.cluster import cluster_surface_forms
-
-    names = []
-    for i in range(60):
-        names += [f"GENE{i}", f"gene{i}"]
-    ds = ray.data.from_arrow(
-        pa.table({"name": pa.array(names, pa.string())})
-    ).repartition(3)
-    small = (
-        cluster_surface_forms(ds)
-        .to_pandas().sort_values("name").reset_index(drop=True)
-    )
-    orig = dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS
-    try:
-        dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS = -1
-        lp = (
-            cluster_surface_forms(ds)
-            .to_pandas().sort_values("name").reset_index(drop=True)
-        )
-    finally:
-        dedup_mod.COMPONENTS_DRIVER_MAX_PAIRS = orig
-    pd.testing.assert_frame_equal(small, lp)
-
-
-def test_connected_components_long_path_pointer_jumping():
-    """A path graph far longer than max_iters: plain one-hop min
-    propagation would stop unconverged at 50 rounds, but the pointer-
-    jumping (hash-to-min doubling) step collapses label chains in
-    O(log diameter) rounds — every node must reach the global min."""
-    from kgray.stages.graph_algos import connected_components
-
-    n = 120  # diameter 119 > max_iters=50
-    edges = pa.table(
-        {"doc_a": list(range(n - 1)), "doc_b": list(range(1, n))}
-    )
-    out = connected_components(
-        ray.data.from_arrow(edges)
-    ).to_pandas()
-    assert len(out) == n
-    assert (out.rep_id == 0).all()
-
-
-def test_connected_components_jump_preserves_multi_component():
-    """Pointer jumping must not merge distinct components: two long
-    chains plus singleton-free isolated pairs keep separate minima."""
-    from kgray.stages.graph_algos import connected_components
-
-    chain_a = [(i, i + 1) for i in range(0, 59)]          # 0..59
-    chain_b = [(i, i + 1) for i in range(100, 159)]        # 100..159
-    pairs = [(500, 501), (600, 601)]
-    all_e = chain_a + chain_b + pairs
-    edges = pa.table(
-        {"doc_a": [a for a, _ in all_e], "doc_b": [b for _, b in all_e]}
-    )
-    out = connected_components(ray.data.from_arrow(edges)).to_pandas()
-    lab = dict(zip(out.doc_id, out.rep_id))
-    assert all(lab[i] == 0 for i in range(0, 60))
-    assert all(lab[i] == 100 for i in range(100, 160))
-    assert lab[500] == lab[501] == 500
-    assert lab[600] == lab[601] == 600
 
 
 def test_node_canonicalization_no_driver_collection():

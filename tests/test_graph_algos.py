@@ -116,74 +116,6 @@ def test_length_deciles_balanced_on_sf():
     assert sizes.max() - sizes.min() <= 1
 
 
-def test_connected_components_multi_component_and_path():
-    from kgray.stages.graph_algos import connected_components
-
-    pairs = pa.table(
-        {
-            "doc_a": pa.array([1, 2, 9, 5, 10, 11, 12, 13], pa.int64()),
-            "doc_b": pa.array([2, 3, 1, 6, 11, 12, 13, 14], pa.int64()),
-        }
-    )
-    out = (
-        connected_components(ray.data.from_arrow(pairs))
-        .to_pandas()
-        .sort_values("doc_id")
-    )
-    assert out.rep_id.tolist() == [1, 1, 1, 5, 5, 1] + [10] * 5
-
-
-def test_near_dup_distributed_matches_union_find():
-    from kgray.stages.dedup import (
-        near_dup_groups,
-        near_dup_groups_distributed,
-    )
-
-    docs = ray.data.read_parquet(
-        SF + "/documents.parquet", columns=["doc_id", "text"]
-    )
-    a = (
-        near_dup_groups(docs, threshold=0.5)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    b = (
-        near_dup_groups_distributed(docs, threshold=0.5)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)
-
-
-def test_dedup_incremental_semantics(tmp_path):
-    from kgray.stages.dedup import dedup_incremental
-
-    seen = pd.DataFrame(
-        {"doc_id": [100, 101], "text": ["old one", "old two"]}
-    )
-    new = pd.DataFrame(
-        {
-            "doc_id": [1, 2, 3, 4],
-            "text": ["old one", "fresh", "fresh", "brand new"],
-        }
-    )
-    out = (
-        dedup_incremental(
-            ray.data.from_pandas(new), ray.data.from_pandas(seen)
-        )
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    # 'old one' dropped (seen); 'fresh' kept once at its min doc_id
-    assert list(zip(out.doc_id, out.text)) == [
-        (2, "fresh"),
-        (4, "brand new"),
-    ]
-
-
 def test_two_hop_counts_hand_graph():
     from kgray.stages.graph_algos import two_hop_counts
 

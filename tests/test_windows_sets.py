@@ -1,7 +1,6 @@
-"""Semantics tests for sliding-window chunks, per-source percent-rank
-normalization, and edit-distance name matching.  Exact cross-engine
-parity is covered by the DuckDB oracles in __ray_entry__."""
-import numpy as np
+"""Semantics tests for sliding-window chunks and per-source percent-rank
+normalization.  Exact cross-engine parity is covered by the DuckDB
+oracles in __ray_entry__."""
 import pandas as pd
 import ray
 import ray.data
@@ -51,50 +50,3 @@ def test_source_percent_rank_bounds_and_ties():
             assert row.pr == exp_map[row.doc_id]
         # min is always rank 0; max is 1 unless everything ties
         assert g.pr.min() == 0.0
-
-
-def test_levenshtein_batch_matches_reference():
-    from kgray.stages.cluster import levenshtein_batch
-
-    def ref(a, b):
-        dp = list(range(len(b) + 1))
-        for i, ca in enumerate(a, 1):
-            new = [i]
-            for j, cb in enumerate(b, 1):
-                new.append(min(dp[j] + 1, new[j - 1] + 1,
-                               dp[j - 1] + (ca != cb)))
-            dp = new
-        return dp[len(b)]
-
-    pairs = [
-        ("kitten", "sitting"), ("", ""), ("", "abc"), ("abc", ""),
-        ("same", "same"), ("a", "b"), ("red widget", "red midget"),
-        ("blue bolt", "blue bolts"), ("x", "xyz"), ("flaw", "lawn"),
-    ]
-    got = levenshtein_batch([p[0] for p in pairs], [p[1] for p in pairs])
-    assert got.tolist() == [ref(a, b) for a, b in pairs]
-
-
-def test_fuzzy_name_pairs_blocked_and_bounded():
-    from kgray.stages.cluster import fuzzy_name_pairs
-
-    df = pd.DataFrame(
-        {
-            "blk": ["x", "x", "x", "x", "y", "y"],
-            "nm": ["gear", "gears", "bolt", "gear", "bolt", "bolts"],
-        }
-    )
-    out = (
-        fuzzy_name_pairs(ray.data.from_pandas(df), "blk", "nm",
-                         max_dist=2)
-        .to_pandas()
-        .sort_values(["blk", "name_a"])
-        .reset_index(drop=True)
-    )
-    # within x: gear~gears (1); bolt vs gear* too far; duplicate 'gear'
-    # collapses. within y: bolt~bolts (1). never across blocks.
-    assert list(
-        zip(out.blk, out.name_a, out.name_b, out.dist)
-    ) == [("x", "gear", "gears", 1), ("y", "bolt", "bolts", 1)]
-
-
