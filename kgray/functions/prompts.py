@@ -7,8 +7,9 @@ line after the marker containing the identifier until the next ``#`` line
 variants ship with the reference (data/prompt_file*.txt) — selection via
 (prompt_file, prompt_identifier) is the user-extension hook (main.py:358-367).
 
-In this engine the loaded prompt text is an actor-constructor argument for
-the extraction backend (broadcast once per actor, never per batch).
+In this engine the loaded prompt text is a constructor argument of the
+extraction backend, part of the run's spec (one ``ray.put`` per run, read
+once per worker process, never per batch).
 """
 from __future__ import annotations
 

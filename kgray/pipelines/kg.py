@@ -2,8 +2,7 @@
 
 documents (doc_id, spans)                       # read_parquet / read_lance
   → map_batches(explode_spans)                  # all spans kept, admission flag
-  → map_batches(DictionaryAnnotator, pool)      # + annotations   [stateful]
-  → map_batches(BELExtractor, pool)             # + results       [stateful]
+  → map_batches(_annotate_extract)              # + annotations, + results
   → ├─ map_batches(extractions_to_edges)        # edges table
   │  ├─ map_batches(extractions_to_unary_nodes) # node-only records
   │  └─ map_batches(extractions_to_annotation_urls)
@@ -11,10 +10,18 @@ documents (doc_id, spans)                       # read_parquet / read_lance
 
 Mirrors reference lifecycle main.py:31-118 (§3.2 of SURVEY.md) as a
 streaming DAG; per-stage checkpointing lives in pipelines/checkpoint.py.
+
+The prefix runs as plain Ray tasks: Ray Data fuses explode and grounding +
+extraction into one task per bundle.  Grounding and extraction are built
+once per worker process per run (the reference's lru_cache'd chain build,
+sentence_level_extraction.py:18-35): the run's spec is one ``ray.put``, and
+each worker keeps the stage pair built from it in a one-entry cache keyed
+by that ref.  A killed worker's task is retried by Ray's task retry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
 import pyarrow as pa
@@ -37,7 +44,8 @@ from ..utils import schema_floor
 
 
 class AnnotateExtract:
-    """Fused grounding + extraction actor (one pool, one IPC hop)."""
+    """Grounding + extraction stage pair: ``DictionaryAnnotator`` then
+    ``BELExtractor``."""
 
     def __init__(self, annotator_kwargs=None, backend="stub",
                  backend_kwargs=None):
@@ -50,28 +58,48 @@ class AnnotateExtract:
         return self._extract(self._annotate(batch))
 
 
+# This worker process's stage pair: (spec ref hex, AnnotateExtract).  One
+# entry, so a new run's spec replaces (and frees) the previous run's pair.
+_STAGE = (None, None)
+
+
+def _annotate_extract(spec_ref, batch: pa.Table) -> pa.Table:
+    global _STAGE
+    key = spec_ref.hex()
+    if _STAGE[0] != key:
+        _STAGE = (None, None)
+        _STAGE = (key, AnnotateExtract(**ray.get(spec_ref)))
+    return _STAGE[1](batch)
+
+
+def _annotate_extract_fn(cfg: "KGConfig"):
+    """The prefix's map function: it carries only the ref of the run's
+    spec, so the task payload does not grow with the vocabulary."""
+    spec = ray.put({
+        "annotator_kwargs": cfg.annotator_kwargs,
+        "backend": cfg.backend,
+        "backend_kwargs": cfg.backend_kwargs,
+    })
+    return partial(_annotate_extract, spec)
+
+
 @dataclass
 class KGConfig:
-    """Stage knobs.  The annotate and extract pools autoscale: each starts
-    at one actor and Ray's streaming executor grows it to its maximum as
-    CPUs free up (pool sizes are per-job, not per-node).  The minimums
-    stay at 1 so that small nodes do not deadlock."""
+    """Stage knobs.  Grounding and extraction run as Ray tasks (one CPU
+    each, as many as the cluster's CPUs allow), ``batch_size`` paragraphs
+    per call.
 
-    # Pool minimums stay at 1: Ray creates min actors eagerly and RESERVES
-    # their CPUs before upstream stages have scheduled; a min that adds up to
-    # the whole cluster deadlocks small nodes (observed with an upstream
-    # repartition's split tasks starving behind 2+2 pinned actors on 4 CPUs).
+    ``annotate_concurrency`` and ``extract_concurrency`` are read by no
+    pipeline; perfbench's layered trace still sizes its own two pools from
+    them, and they go when that trace runs the prefix through
+    ``run_extractions``."""
+
     batch_size: int = 256          # paragraphs per extractor call
     annotate_concurrency: tuple = (1, 8)
     extract_concurrency: tuple = (1, 12)
     backend: object = "stub"       # name, or a backend instance
     backend_kwargs: Dict = field(default_factory=dict)
     annotator_kwargs: Dict = field(default_factory=dict)
-    # One fused annotate+extract pool instead of two: halves per-batch IPC
-    # through the object store and stops the two pools fragmenting a small
-    # CPU budget.  Keep False when the two stages need different resources
-    # (e.g. GPU extraction vs CPU grounding).
-    fuse_annotate_extract: bool = False
 
 
 @dataclass
@@ -124,35 +152,12 @@ def run_extractions(
 ) -> "ray.data.Dataset":
     """documents → EXTRACTIONS dataset (the LLM-bearing prefix)."""
     cfg = cfg or KGConfig()
-    chunks = documents.map_batches(explode_spans, batch_format="pyarrow")
-    if cfg.fuse_annotate_extract:
-        return chunks.map_batches(
-            AnnotateExtract,
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-            concurrency=cfg.extract_concurrency,
-            num_cpus=1,
-            fn_constructor_kwargs={
-                "annotator_kwargs": cfg.annotator_kwargs,
-                "backend": cfg.backend,
-                "backend_kwargs": cfg.backend_kwargs,
-            },
-        )
-    annotated = chunks.map_batches(
-        DictionaryAnnotator,
+    return documents.map_batches(
+        explode_spans, batch_format="pyarrow"
+    ).map_batches(
+        _annotate_extract_fn(cfg),
         batch_format="pyarrow",
         batch_size=cfg.batch_size,
-        concurrency=cfg.annotate_concurrency,
-        num_cpus=1,
-        fn_constructor_kwargs=cfg.annotator_kwargs,
-    )
-    return annotated.map_batches(
-        BELExtractor,
-        batch_format="pyarrow",
-        batch_size=cfg.batch_size,
-        concurrency=cfg.extract_concurrency,
-        num_cpus=1,
-        fn_constructor_kwargs={"backend": cfg.backend, **cfg.backend_kwargs},
     )
 
 
@@ -193,7 +198,7 @@ def run_graph_stages(
 
     ``extractions`` fans out to four consumers; Ray Data re-executes a lazy
     lineage per consumer, which would re-invoke the (expensive) extraction
-    actors 4×.  We pin the LLM output once (``materialize``) — it is orders
+    tasks 4×.  We pin the LLM output once (``materialize``) — it is orders
     of magnitude smaller than the input corpus, and in the checkpointed
     production path (pipelines/checkpoint.py) this is a parquet round-trip
     instead, so the LLM is never re-invoked either way.

@@ -1,14 +1,14 @@
-"""Mention-detection (grounding) actor stage.
+"""Mention-detection (grounding) stage.
 
 Reference contract: grounding_genes.py:13-52 — per paragraph, run the Gilda
 grounder over the text and keep the top-1 match ``(db, id, entry_name)`` per
 detected mention, in order of appearance.  Gilda holds a large in-memory
-terms index loaded once per process and looks names up in it; here that
-maps to a **callable-class actor pool**: a dict index over the planted
-vocabulary (the sandbox stand-in; a real Gilda backend plugs in via the same
-interface) is built once in ``__init__`` and reused per batch via
-``map_batches(DictionaryAnnotator, concurrency=N)``.  A lookup costs the
-same at 40 names as at 10^6.
+terms index loaded once per process and looks names up in it; here a dict
+index over the planted vocabulary (the offline stand-in; a real Gilda
+backend plugs in via the same interface) is built in ``__init__``, once per
+worker process per run (``pipelines/kg``'s stage cache), and reused for
+every batch that process runs.  A lookup costs the same at 40 names as at
+10^6.
 
 Output schema: ANNOTATED_CHUNKS (chunks + annotations list<struct>).
 Non-admitted spans get an empty annotation list and pass through untouched.
@@ -45,7 +45,7 @@ class DictionaryAnnotator:
     the scan looks up each run that starts at a ``\\b`` at or past the last
     match and takes the first candidate that the text continues with and
     that ends at a ``\\b``.  The index is built in ``__init__`` — once per
-    actor, never per batch.  Empty names are never matched.
+    worker process and run, never per batch.  Empty names are never matched.
     """
 
     def __init__(self, extra_vocab: Optional[dict] = None,
@@ -60,9 +60,9 @@ class DictionaryAnnotator:
         self._lookup = dict(ENTITY_BY_NAME if vocab is None else vocab)
         if extra_vocab:
             self._lookup.update(extra_vocab)
-        # once per actor: "load the terms index".  Tuples, not lists: most
-        # keys hold one name, and a million lists cost twice the build time
-        # in garbage-collector passes.
+        # once per worker process: "load the terms index".  Tuples, not
+        # lists: most keys hold one name, and a million lists cost twice
+        # the build time in garbage-collector passes.
         index: Dict[str, Tuple[str, ...]] = {}
         for name in sorted(self._lookup, key=len, reverse=True):
             first = _RUN.match(name)

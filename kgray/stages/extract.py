@@ -1,4 +1,4 @@
-"""BEL statement extraction actor pool (the reference's LLM stage).
+"""BEL statement extraction stage (the reference's LLM stage).
 
 Reference contract (sentence_level_extraction.py:43-78 + bel_model.py:22-58 +
 get_interactions.py:38-64): per paragraph, invoke a chat model with the
@@ -7,11 +7,12 @@ annotations are projected to ``{db, entry_name}`` pairs
 (sentence_level_extraction.py:56-60); output is schema-constrained to
 ``BELInteractions{interactions: [{bel_statement, evidence}]}``.
 
-Ray-Data design: a callable-class actor pool —
-``ds.map_batches(BELExtractor, concurrency=N, batch_size=B)``.  Model /
-prompt / backend are constructor args (the reference's lru_cache'd chain
-build, sentence_level_extraction.py:18-35, becomes once-per-actor init).
-Batched inference replaces the sequential per-paragraph loop.
+Ray-Data design: a callable class run inside the prefix's Ray tasks
+(``pipelines/kg.run_extractions``, ``batch_size=B``).  Model / prompt /
+backend are constructor args, and each worker process builds the extractor
+once per run and keeps it in a stage cache (the reference's lru_cache'd
+chain build, sentence_level_extraction.py:18-35).  Batched inference
+replaces the sequential per-paragraph loop.
 
 Backends:
 - ``StubBackend`` (default, sandbox): a deterministic pure function of
@@ -177,7 +178,8 @@ class OpenAIChatBackend:
     """OpenAI-compatible chat backend (vLLM serve / api.openai.com).
 
     Not exercised in the sandbox (no network); plumbing is real: one client
-    per actor, the reference's exact message layout, forced JSON output.
+    per worker process and run, the reference's exact message layout,
+    forced JSON output.
     """
 
     def __init__(
@@ -237,12 +239,12 @@ class OpenAIChatBackend:
 class VLLMBackend:
     """In-process vLLM engine backend (the north-star production path).
 
-    One engine per actor (weights load once in ``__init__``), continuous
-    batching across the paragraph batch, decoding constrained to the
-    BELInteractions JSON schema via guided decoding.  vLLM (and a GPU) are
-    not present in this container, so construction raises immediately —
-    the actor-pool wiring, prompt assembly and schema contract are the
-    tested parts (StubBackend exercises them end-to-end).
+    One engine per worker process and run (weights load once in
+    ``__init__``), continuous batching across the paragraph batch,
+    decoding constrained to the BELInteractions JSON schema via guided
+    decoding.  vLLM (and a GPU) are not present here, so construction
+    raises immediately — the stage wiring, prompt assembly and schema
+    contract are the tested parts (StubBackend exercises them end-to-end).
     """
 
     def __init__(
@@ -288,7 +290,7 @@ class VLLMBackend:
 
 
 class BELExtractor:
-    """Actor-pool stage: ANNOTATED_CHUNKS batch → EXTRACTIONS batch.
+    """Extraction stage: ANNOTATED_CHUNKS batch → EXTRACTIONS batch.
 
     Error containment (r3 verdict next-round ask #6): transient backend
     failures (429s, timeouts, connection resets) get BOUNDED RETRIES —
