@@ -8,8 +8,8 @@ here (or in kgray) calls ray.init()/ray.shutdown().
                      (SURVEY.md §2 + the training-data operator suites).
 - ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible query
                      (column names match exactly).  Non-relational ops
-                     (media plumbing, eval harnesses, checkpointing)
-                     are rows-only checked by the driver.
+                     (eval harnesses, checkpointing) are rows-only
+                     checked by the driver.
 """
 
 from __future__ import annotations
@@ -300,25 +300,13 @@ def _q_lang_id(sf_dir: str):
     ).map_batches(LangId, batch_format="pyarrow", concurrency=lang_pool())
 
 
-def _q_fingerprints(sf_dir: str):
-    import os
-
-    import ray.data
-
-    from kgray.stages.text_analysis import fingerprint
-
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).map_batches(fingerprint, batch_format="pyarrow")
-
-
 def _q_fingerprints_rolling(sf_dir: str):
     """The content-defined rolling fingerprint alone (doc_id,
     fp_rolling): minimum Rabin-Karp hash over all 16-byte windows, base
     1000003 mod 2^64, sign-masked — fully recomputable in SQL (windowed
     power-table dot products + unsigned MIN), promoting the rolling half
-    of the fingerprint lane to a hash-exact oracle.  fp_crc stays
-    rows-only: DuckDB has no crc32.  ASCII corpus assumption (bytes ==
+    of the fingerprint lane to a hash-exact oracle.  fp_crc is left
+    out: DuckDB has no crc32.  ASCII corpus assumption (bytes ==
     codepoints), same as the kwic oracle."""
     import os
 
@@ -436,133 +424,6 @@ def _q_entity_faithfulness(sf_dir: str):
             Sum("total", alias_name="total"),
         )
     )
-
-
-def _q_media_features(sf_dir: str):
-    """Multimodal plumbing: media spans → decoded metadata (rows-only)."""
-    import ray.data
-
-    from kgray.corpus import generate_documents
-    from kgray.stages.chunk import explode_spans
-    from kgray.stages.multimodal import decode_media
-
-    docs, _, _ = generate_documents(80, seed=42)
-    chunks = ray.data.from_arrow(docs).map_batches(
-        explode_spans, batch_format="pyarrow"
-    )
-    return decode_media(chunks).select_columns(
-        ["doc_id", "span_seq", "media_ref", "width", "height",
-         "unsupported"]
-    )
-
-
-def _q_media_real_decode(sf_dir: str):
-    """REAL pure-python media decode (rows-only): a deterministic
-    synthetic corpus of PNG images and WAV clips decodes through the
-    strict MediaDecoder actor pool — pixel dims / sample counts and
-    content-derived features, no fakes anywhere on this path."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from kgray.sources import minimedia as mm
-    from kgray.stages.multimodal import MediaDecoder
-
-    rows = {"doc_id": [], "span_seq": [], "media_ref": [], "payload": []}
-    for i in range(48):
-        rng = np.random.RandomState(1000 + i)
-        if i % 2 == 0:
-            h, w = 8 + (i % 5) * 4, 12 + (i % 7) * 4
-            img = rng.randint(0, 256, (h, w, 3), dtype=np.uint8)
-            payload = mm.encode_png(img)
-            ref = f"mem://img{i}"
-        else:
-            n = 4000 + (i % 9) * 500
-            sig = 0.3 * np.sin(
-                2 * np.pi * (200 + 20 * i)
-                * np.arange(n, dtype=np.float32) / 8000.0
-            )
-            payload = mm.encode_wav(sig, 8000)
-            ref = f"mem://aud{i}"
-        rows["doc_id"].append(f"m{i:03d}")
-        rows["span_seq"].append(0)
-        rows["media_ref"].append(ref)
-        rows["payload"].append(payload)
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "span_seq": pa.array(rows["span_seq"], pa.int32()),
-                "media_ref": pa.array(rows["media_ref"], pa.string()),
-                "payload": pa.array(rows["payload"], pa.binary()),
-            }
-        )
-    ).repartition(4)
-    out = ds.map_batches(
-        MediaDecoder,
-        batch_format="pyarrow",
-        batch_size=16,
-        concurrency=(1, 2),
-        num_cpus=1,
-        fn_constructor_kwargs={"strict": True},
-    )
-
-    def flatten(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        f0 = pc.round(
-            pc.list_element(batch.column("feature"), 0), ndigits=5
-        )
-        return pa.table(
-            {
-                "media_ref": batch.column("media_ref"),
-                "width": batch.column("width"),
-                "height": batch.column("height"),
-                "feat0": pc.cast(f0, pa.float64()),
-            }
-        )
-
-    return out.map_batches(flatten, batch_format="pyarrow")
-
-
-def _q_media_gate_stats(sf_dir: str):
-    """Per-reason counts of codec-gated media assets (rows-only): real
-    PNG/WAV payloads decode ('decoded'), an arithmetic-coded JPEG and a
-    payload-less ref hit their gates — the corpus report a 100-TB run
-    publishes next to its media features (r3 verdict ask #7)."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from kgray.sources import minimedia as mm
-    from kgray.stages.multimodal import MediaDecoder, unsupported_media_stats
-
-    rng = np.random.RandomState(77)
-    png = mm.encode_png(rng.randint(0, 256, (8, 8, 3), dtype=np.uint8))
-    wav = mm.encode_wav(
-        0.2 * np.sin(np.arange(2000, dtype=np.float32) / 5.0), 8000
-    )
-    sof9 = bytes([0xFF, 0xD8, 0xFF, 0xC9, 0x00, 0x0B,
-                  8, 0, 8, 0, 8, 1, 1, 0x11, 0])  # arithmetic-coded gate
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(["a", "b", "c", "d"], pa.string()),
-                "span_seq": pa.array([0, 0, 0, 0], pa.int32()),
-                "media_ref": pa.array(
-                    ["mem://png", "mem://wav", "mem://ajpeg",
-                     "s3://missing"],
-                    pa.string(),
-                ),
-                "payload": pa.array([png, wav, sof9, None], pa.binary()),
-            }
-        )
-    ).repartition(2)
-    decoded = ds.map_batches(
-        MediaDecoder, batch_format="pyarrow", batch_size=8,
-        concurrency=(1, 2), num_cpus=1,
-    )
-    return unsupported_media_stats(decoded)
 
 
 class _GatedStub:
@@ -691,94 +552,6 @@ def _q_doc_quarantine(sf_dir: str):
             "n_quarantined": [quarantined.count()],
         }
     )
-
-
-def _q_media_video_real(sf_dir: str):
-    """REAL video frame sampling (rows-only): a deterministic synthetic
-    corpus of MJPEG-AVI containers probes (avih header → true duration)
-    and frame-samples (only the PICKED frames' byte ranges decode via
-    the vendored JPEG codec) through the strict actor pools — no fake
-    kernels anywhere on this path."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from kgray.sources import minimedia as mm
-    from kgray.stages.multimodal import FrameSampler, MediaProber
-
-    rows = {"doc_id": [], "span_seq": [], "media_ref": [], "payload": []}
-    for i in range(12):
-        rng = np.random.RandomState(4000 + i)
-        n_frames = 6 + (i % 5) * 3
-        h, w = 8 + (i % 3) * 8, 16 + (i % 4) * 8
-        base = rng.randint(0, 256, (h, w, 3), dtype=np.uint8)
-        frames = [
-            np.clip(
-                base.astype(np.int32) + k * 7 - 20, 0, 255
-            ).astype(np.uint8)
-            for k in range(n_frames)
-        ]
-        rows["doc_id"].append(f"v{i:03d}")
-        rows["span_seq"].append(0)
-        rows["media_ref"].append(f"mem://vid{i}.avi")
-        rows["payload"].append(
-            mm.encode_avi_mjpeg(frames, fps=4 + (i % 3) * 2)
-        )
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.string()),
-                "span_seq": pa.array(rows["span_seq"], pa.int32()),
-                "media_ref": pa.array(rows["media_ref"], pa.string()),
-                "payload": pa.array(rows["payload"], pa.binary()),
-            }
-        )
-    ).repartition(4)
-    probed = ds.map_batches(
-        MediaProber, batch_format="pyarrow", batch_size=4,
-        concurrency=(1, 2), num_cpus=1,
-        fn_constructor_kwargs={"strict": True},
-    )
-    sampled = probed.map_batches(
-        FrameSampler, batch_format="pyarrow", batch_size=4,
-        concurrency=(1, 2), num_cpus=1,
-        fn_constructor_kwargs={
-            "interval_ms": 250, "max_frames": 6, "strict": True,
-        },
-    )
-
-    def project(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        f0 = pc.round(
-            pc.list_element(batch.column("feature"), 0), ndigits=5
-        )
-        return pa.table(
-            {
-                "media_ref": batch.column("media_ref"),
-                "frame_idx": batch.column("frame_idx"),
-                "ts_ms": batch.column("ts_ms"),
-                "feat0": pc.cast(f0, pa.float64()),
-            }
-        )
-
-    return sampled.map_batches(project, batch_format="pyarrow")
-
-
-def _q_media_frames(sf_dir: str):
-    """Video frame sampling over the synthetic interleaved corpus' media
-    spans (rows-only: modality/duration are probe-derived, non-SQL)."""
-    import ray.data
-
-    from kgray.corpus import generate_documents
-    from kgray.stages.chunk import explode_spans
-    from kgray.stages.multimodal import sample_video_frames
-
-    docs, _, _ = generate_documents(60, seed=13)
-    chunks = ray.data.from_arrow(docs).map_batches(
-        explode_spans, batch_format="pyarrow"
-    )
-    return sample_video_frames(chunks, interval_ms=1000, max_frames=8)
 
 
 def _q_bioc_ingest(sf_dir: str):
@@ -944,12 +717,6 @@ def _q_source_token_entropy(sf_dir: str):
     return source_token_entropy(sf_dir)
 
 
-def _q_bpe_merges(sf_dir: str):
-    from kgray.stages.pack import learn_bpe_merges
-
-    return learn_bpe_merges(sf_dir)
-
-
 def _q_temperature_mix(sf_dir: str):
     from kgray.stages.corpus_stats import temperature_mix
 
@@ -999,16 +766,6 @@ def _q_kwic(sf_dir: str):
     from kgray.stages.text_analysis import kwic_snippets
 
     return kwic_snippets(sf_dir)
-
-
-def _q_span_corrupt(sf_dir: str):
-    # rows-only by nature: the deterministic hash-seeded masking is
-    # checked by pytest invariants (byte-exact reconstruction,
-    # repartition-determinism, mask-rate band) — the sentinel string
-    # assembly has no reasonable SQL expression
-    from kgray.stages.pack import span_corrupt
-
-    return span_corrupt(sf_dir)
 
 
 def _q_encode_token_ids(sf_dir: str):
@@ -1195,32 +952,10 @@ def _q_kg_comention(sf_dir: str):
     return comention_graph(edges)
 
 
-def _q_bpe_encode(sf_dir: str):
-    from kgray.stages.pack import bpe_encode
-
-    return bpe_encode(sf_dir)
-
-
 def _q_tfidf_similar_docs(sf_dir: str):
     from kgray.stages.corpus_stats import tfidf_similar_docs
 
     return tfidf_similar_docs(sf_dir)
-
-
-def _q_media_dedup(sf_dir: str):
-    """Content-identity dedup over the synthetic corpus's media spans
-    (rows-only: content keys are crc hashes, not SQL-derivable)."""
-    import ray.data
-
-    from kgray.corpus import generate_documents
-    from kgray.stages.chunk import explode_spans
-    from kgray.stages.multimodal import media_dedup
-
-    docs, _, _ = generate_documents(80, seed=42)
-    chunks = ray.data.from_arrow(docs).map_batches(
-        explode_spans, batch_format="pyarrow"
-    )
-    return media_dedup(chunks)
 
 
 def _q_kg_incremental(sf_dir: str):
@@ -1297,8 +1032,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     """All driver-checkable pipelines, ORACLE-BEARING ENTRIES FIRST.
 
     The driver's correctness gate samples the first 50 dict entries; the
-    self-checking (no-SQL-oracle) pipelines — eval harnesses, media
-    plumbing, checkpoint lineage — are re-ordered after
+    self-checking (no-SQL-oracle) pipelines — eval harnesses,
+    checkpoint lineage — are re-ordered after
     every oracle-bearing entry so the sampled window is 100%
     value-hash-checked (r3 verdict next-round ask #3).  Membership is
     derived from oracle_sql() itself, so a query gains its place in the
@@ -1325,11 +1060,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "kg_synthetic_parity": _q_kg_synthetic_parity,
         "kg_eval_matcher": _q_kg_eval_matcher,
         "entity_faithfulness": _q_entity_faithfulness,
-        "media_features": _q_media_features,
-        "media_frames": _q_media_frames,
-        "media_real_decode": _q_media_real_decode,
-        "media_video_real": _q_media_video_real,
-        "media_gate_stats": _q_media_gate_stats,
         "extract_errors": _q_extract_errors,
         "graph_summaries": _q_graph_summaries,
         "checkpoint_lineage": _q_checkpoint_lineage,
@@ -1339,7 +1069,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "token_count_bpe": _q_token_count_bpe,
         "text_quality": _q_text_quality,
         "lang_id": _q_lang_id,
-        "fingerprints": _q_fingerprints,
         "fingerprints_rolling": _q_fingerprints_rolling,
         # XML sources (BioC ingestion + E-utilities metadata kernels)
         "bioc_ingest": _q_bioc_ingest,
@@ -1357,7 +1086,6 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "duplicate_ngrams": _q_duplicate_ngrams,
         "zipf_slope": _q_zipf_slope,
         "source_token_entropy": _q_source_token_entropy,
-        "bpe_merges": _q_bpe_merges,
         "trigram_topk": _q_trigram_topk,
         "source_lang_chi2": _q_source_lang_chi2,
         "temperature_mix": _q_temperature_mix,
@@ -1377,11 +1105,8 @@ def _query_impls() -> dict[str, Callable[[str], Any]]:
         "source_percent_rank": _q_source_percent_rank,
         "encode_token_ids": _q_encode_token_ids,
         "kwic": _q_kwic,
-        "span_corrupt": _q_span_corrupt,
-        "media_dedup": _q_media_dedup,
         "kg_incremental": _q_kg_incremental,
         "tfidf_similar_docs": _q_tfidf_similar_docs,
-        "bpe_encode": _q_bpe_encode,
         "kg_comention": _q_kg_comention,
         # lexical / chunking text-analysis suite
         "ttr_hapax": _q_ttr_hapax,

@@ -3,7 +3,7 @@
 Public API surface (mirrors the reference's exports, tKG/__init__.py:1-13,
 re-expressed for Dataset pipelines).  Only the KG path is re-exported, so
 ``import kgray.<anything>`` (every Ray worker that unpickles a KG stage
-does one) loads no corpus-statistics, graph-analytics or media module.
+does one) loads no corpus-statistics or graph-analytics module.
 """
 from .pipelines.kg import (  # noqa: F401
     KGConfig,

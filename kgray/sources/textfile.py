@@ -134,9 +134,9 @@ def raw_text_to_documents(batch: pa.Table) -> pa.Table:
 def binary_files_to_documents(batch: pa.Table) -> pa.Table:
     """(doc_id, payload: binary, ext: string) → documents.
 
-    The multimodal-plumbing contract: binary columns stay opaque until a
-    decode stage; schema/actor wiring is real, PDF decode itself is stubbed
-    (decode_payload).
+    Each payload is decoded to text by ``decode_payload`` (txt as UTF-8,
+    pdf through the pluggable extractor seam), then split into text
+    spans exactly like ``raw_text_to_documents``.
     """
     ids = batch.column("doc_id").to_pylist()
     payloads = batch.column("payload").to_pylist()

@@ -1,5 +1,5 @@
-"""Tests for smart_join (adaptive broadcast/shuffle), media content
-dedup, and the id-stable incremental KG update."""
+"""Tests for smart_join (adaptive broadcast/shuffle) and the id-stable
+incremental KG update."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -51,64 +51,6 @@ def test_smart_join_inner_values():
     out = smart_join(left, right, "k", "rk", lt, rt).to_pandas()
     got = sorted(zip(out.k, out.lv, out.rv))
     assert got == [(2, 20, "b"), (2, 21, "b"), (3, 30, "c")]
-
-
-# ---------------------------------------------------------------------------
-# media content dedup
-# ---------------------------------------------------------------------------
-
-def test_media_dedup_by_payload_content():
-    from kgray.stages.multimodal import media_content_key, media_dedup
-
-    rows = pd.DataFrame(
-        {
-            "doc_id": ["d1", "d1", "d2", "d2", "d3"],
-            "span_seq": [0, 1, 0, 1, 0],
-            "kind": ["media", "media", "media", "text", "media"],
-            "media_ref": ["m://a", "m://b", "m://a2", "", "m://c"],
-            "payload": [b"XX", b"YY", b"XX", None, b"ZZ"],
-        }
-    )
-    chunks = ray.data.from_arrow(pa.Table.from_pandas(rows))
-    out = media_dedup(chunks).to_pandas()
-    # payload XX appears twice under different refs → one survivor
-    # (text spans never participate)
-    assert len(out) == 3
-    xx_key = int(media_content_key(["m://a"], [b"XX"])[0])
-    xx = out[out.content_key == xx_key]
-    assert xx.n_copies.iloc[0] == 2
-    assert xx.doc_id.iloc[0] == "d1" and xx.span_seq.iloc[0] == 0
-    assert set(out.n_copies) == {1, 2}
-
-
-def test_media_content_key_empty_payload_is_content():
-    """b'' is present content: two EMPTY payloads share a key regardless
-    of ref, and differ from a MISSING payload's ref-keyed fallback."""
-    from kgray.stages.multimodal import media_content_key
-
-    keys = media_content_key(
-        ["m://a", "m://b", "m://a"], [b"", b"", None]
-    )
-    assert keys[0] == keys[1]
-    assert keys[0] != keys[2]
-
-
-def test_media_dedup_falls_back_to_ref_without_payload():
-    from kgray.stages.multimodal import media_dedup
-
-    rows = pd.DataFrame(
-        {
-            "doc_id": ["a", "b"],
-            "span_seq": [0, 0],
-            "kind": ["media", "media"],
-            "media_ref": ["m://same", "m://same"],
-        }
-    )
-    chunks = ray.data.from_arrow(pa.Table.from_pandas(rows))
-    out = media_dedup(chunks).to_pandas()
-    assert len(out) == 1
-    assert out.n_copies.iloc[0] == 2
-    assert out.doc_id.iloc[0] == "a"
 
 
 # ---------------------------------------------------------------------------

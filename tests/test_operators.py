@@ -1,5 +1,5 @@
-"""Unit tests: text analysis, graph assembly, media plumbing, sources and
-the shared shuffle kernels."""
+"""Unit tests: text analysis, graph assembly, sources and the shared
+shuffle kernels."""
 import json
 
 import numpy as np
@@ -9,7 +9,6 @@ import pytest
 import ray.data
 
 from kgray.stages.graph import build_document_graphs, merge_graphs
-from kgray.stages.multimodal import MediaDecoder, MediaResizer, decode_media
 from kgray.stages.text_analysis import (
     LangId,
     fingerprint,
@@ -132,84 +131,6 @@ def test_textfile_source():
         decode_payload(b"%PDF", "pdf")  # truncated: no parseable objects
     with pytest.raises(ValueError):
         decode_payload(b"x", "docx")
-
-
-def test_multimodal_plumbing():
-    from kgray.corpus import generate_documents
-    from kgray.stages.chunk import explode_spans
-
-    docs, _, _ = generate_documents(20, seed=4)
-    chunks = ray.data.from_arrow(docs).map_batches(
-        explode_spans, batch_format="pyarrow"
-    )
-    feats = decode_media(chunks).to_pandas()
-    assert len(feats) > 0
-    assert feats.media_ref.str.startswith("synthetic://").all()
-    assert feats.feature.map(len).eq(16).all()
-    # determinism: same ref → same feature
-    d1 = MediaDecoder().decode("synthetic://x", None)
-    d2 = MediaDecoder().decode("synthetic://x", None)
-    assert (d1["feature"] == d2["feature"]).all()
-    with pytest.raises(NotImplementedError):
-        MediaDecoder(strict=True).decode("synthetic://x", None)
-    resized = MediaResizer(max_w=100, max_h=100)(
-        pa.table(
-            {
-                "width": pa.array([1000, 50], pa.int32()),
-                "height": pa.array([500, 80], pa.int32()),
-            }
-        )
-    )
-    assert resized.column("width").to_pylist() == [100, 50]
-    assert resized.column("height").to_pylist() == [50, 80]
-
-
-def test_frame_sampling_and_audio_windows():
-    from kgray.corpus import generate_documents
-    from kgray.stages.chunk import explode_spans
-    from kgray.stages.multimodal import (
-        AudioWindowFeatures,
-        FrameSampler,
-        MediaProber,
-        media_chunks,
-        sample_video_frames,
-    )
-
-    docs, _, _ = generate_documents(40, seed=21)
-    chunks = ray.data.from_arrow(docs).map_batches(
-        explode_spans, batch_format="pyarrow"
-    )
-    frames = sample_video_frames(chunks, interval_ms=1000, max_frames=4)
-    fdf = frames.to_pandas()
-    assert len(fdf) > 0
-    # caps respected, timestamps within duration, features fixed-dim
-    assert fdf.groupby(["doc_id", "span_seq"]).frame_idx.count().max() <= 4
-    assert (fdf.frame_idx >= 0).all() and (fdf.ts_ms >= 0).all()
-    assert fdf.feature.map(len).eq(16).all()
-    # determinism
-    fdf2 = sample_video_frames(chunks, interval_ms=1000, max_frames=4).to_pandas()
-    a = fdf.sort_values(["media_ref", "frame_idx"]).reset_index(drop=True)
-    b = fdf2.sort_values(["media_ref", "frame_idx"]).reset_index(drop=True)
-    assert a.ts_ms.tolist() == b.ts_ms.tolist()
-    # audio windows
-    probed = media_chunks(chunks).map_batches(
-        MediaProber(), batch_format="pyarrow"
-    )
-    wins = probed.map_batches(
-        AudioWindowFeatures(win_ms=400, hop_ms=200), batch_format="pyarrow"
-    ).to_pandas()
-    if len(wins):
-        assert wins.feature.map(len).eq(13).all()
-        per = wins.groupby(["media_ref"]).start_ms.agg(["min", "max", "count"])
-        assert (per["min"] == 0).all()
-    # strict mode raises at the kernel
-    import pyarrow as pa_
-    probe_batch = pa_.table(
-        {"doc_id": ["d"], "span_seq": pa_.array([0], pa_.int32()),
-         "media_ref": ["synthetic://media/x/1"]}
-    )
-    with pytest.raises(NotImplementedError):
-        MediaProber(strict=True)(probe_batch)
 
 
 def test_repartition_join_types():

@@ -162,43 +162,6 @@ def test_tfidf_similar_docs_matches_sklearn_style_reference():
     assert ((out.cosine >= 0.2) & (out.cosine <= 1.0)).all()
 
 
-def _ref_bpe_encode_word(word, merge_list):
-    ranks = {m: i for i, m in enumerate(merge_list)}
-    syms = list(word) + ["</w>"]
-    while len(syms) > 1:
-        cands = [
-            (ranks[p], i)
-            for i, p in enumerate(zip(syms[:-1], syms[1:]))
-            if p in ranks
-        ]
-        if not cands:
-            break
-        _, pos = min(cands)
-        syms[pos : pos + 2] = [syms[pos] + syms[pos + 1]]
-    return len(syms)
-
-
-def test_bpe_encode_matches_reference_encoder():
-    from kgray.stages.pack import bpe_encode, learn_bpe_merges
-
-    merges = learn_bpe_merges(SF, n_merges=12)
-    merge_list = list(zip(merges.left, merges.right))
-    out = bpe_encode(SF, n_merges=12).to_pandas().set_index("doc_id")
-    docs = pd.read_parquet(SF + "/documents.parquet")
-    for _, r in docs.head(15).iterrows():
-        words = [w for w in r.text.split(" ") if w]
-        exp = sum(_ref_bpe_encode_word(w, merge_list) for w in words)
-        got = out.loc[r.doc_id]
-        assert got.n_words == len(words)
-        assert got.n_subwords == exp
-        assert got.compression == np.floor(
-            exp / len(words) * 1e6 + 0.5
-        ) / 1e6
-    # merging can only shorten: subwords <= chars+1 per word, and
-    # >= words (every word is at least one symbol)
-    assert (out.n_subwords >= out.n_words).all()
-
-
 def test_kwic_window_clipping(tmp_path):
     from kgray.stages.text_analysis import kwic_snippets
 
