@@ -167,7 +167,9 @@ def _q_kg_nodes(sf_dir: str):
 
 
 def _q_kg_annotation_urls(sf_dir: str):
-    from kgray.utils import coarse_grouped_map
+    import pyarrow as pa
+
+    from kgray.utils import coarse_grouped_map, schema_floor
 
     # distinct (entry_name, url): per-batch drop_duplicates combiner, one
     # entry_name-keyed coarse reduce — not a per-group map over
@@ -179,13 +181,17 @@ def _q_kg_annotation_urls(sf_dir: str):
     def _distinct_partial(df):
         return df.drop_duplicates()
 
-    return coarse_grouped_map(
-        urls.map_batches(
-            _distinct_partial, batch_format="pandas", batch_size=None
+    # schema_floor: a corpus with no annotation still yields a typed result
+    return schema_floor(
+        coarse_grouped_map(
+            urls.map_batches(
+                _distinct_partial, batch_format="pandas", batch_size=None
+            ),
+            "entry_name",
+            _distinct_partial,
+            num_partitions=4,
         ),
-        "entry_name",
-        _distinct_partial,
-        num_partitions=4,
+        pa.schema([("entry_name", pa.string()), ("url", pa.string())]),
     )
 
 
@@ -919,8 +925,12 @@ def _q_kg_bfs(sf_dir: str):
         batch_format="pandas",
         batch_size=None,
     ).to_pandas()
-    seed = mins.m.min()
-    seeds = ray.data.from_pandas(pd.DataFrame({"node": [seed]}))
+    if mins.empty:
+        # to_pandas() of an all-empty dataset has no "m" column at all
+        raise ValueError(
+            "kg_bfs needs a seed node, but the edge table is empty"
+        )
+    seeds = ray.data.from_pandas(pd.DataFrame({"node": [mins.m.min()]}))
     return bfs_distances(edges, seeds, max_depth=3)
 
 

@@ -296,7 +296,7 @@ def consolidate_edges(
     import numpy as np
     import pyarrow as pa
 
-    from ..utils import coarse_grouped_map
+    from ..utils import coarse_grouped_map, schema_floor
 
     KEY = ["subj", "pred", "obj"]
 
@@ -320,9 +320,15 @@ def consolidate_edges(
         out["n_docs"] = out.n_docs.astype(np.int64)
         return out
 
-    return coarse_grouped_map(
-        edges.map_batches(partial, batch_format="pyarrow"),
-        KEY,
-        reduce_triples,
-        num_partitions=num_partitions,
+    # schema_floor: an empty edge table still yields a typed result
+    return schema_floor(
+        coarse_grouped_map(
+            edges.map_batches(partial, batch_format="pyarrow"),
+            KEY,
+            reduce_triples,
+            num_partitions=num_partitions,
+        ),
+        pa.schema([(k, pa.string()) for k in KEY]
+                  + [("n_evidence", pa.int64()), ("n_docs", pa.int64()),
+                     ("first_doc", pa.string())]),
     )

@@ -28,7 +28,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..utils import coarse_grouped_map, repartition_join
+from ..utils import coarse_grouped_map, repartition_join, schema_floor
 
 
 def _distinct_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -428,13 +428,18 @@ def degree_stats(
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return coarse_grouped_map(
-        e.map_batches(halves, batch_format="pyarrow"),
-        "node",
-        lambda df: df.groupby("node", as_index=False).agg(
-            out_deg=("out_deg", "sum"), in_deg=("in_deg", "sum")
+    # schema_floor: an empty edge table still yields a typed result
+    return schema_floor(
+        coarse_grouped_map(
+            e.map_batches(halves, batch_format="pyarrow"),
+            "node",
+            lambda df: df.groupby("node", as_index=False).agg(
+                out_deg=("out_deg", "sum"), in_deg=("in_deg", "sum")
+            ),
+            num_partitions=num_partitions,
         ),
-        num_partitions=num_partitions,
+        pa.schema([("node", pa.string()), ("out_deg", pa.int64()),
+                   ("in_deg", pa.int64())]),
     )
 
 
@@ -576,7 +581,12 @@ def local_clustering(
             }
         )
 
-    return joined.map_batches(finish, batch_format="pandas")
+    return schema_floor(
+        joined.map_batches(finish, batch_format="pandas"),
+        pa.schema([("node", pa.string()), ("degree", pa.int64()),
+                   ("n_triangles", pa.int64()),
+                   ("clustering", pa.float64())]),
+    )
 
 
 def bfs_distances(
@@ -646,8 +656,6 @@ def bfs_distances(
         ).materialize()
         visited = visited.union(fresh).materialize()
         frontier = fresh.select_columns(["node"]).materialize()
-
-    from ..utils import schema_floor
 
     return schema_floor(
         visited,
@@ -749,7 +757,11 @@ def neighbor_jaccard(
             }
         )
 
-    return with_db.map_batches(finish, batch_format="pandas")
+    return schema_floor(
+        with_db.map_batches(finish, batch_format="pandas"),
+        pa.schema([("node_a", pa.string()), ("node_b", pa.string()),
+                   ("jaccard", pa.float64())]),
+    )
 
 
 def two_hop_counts(
@@ -810,11 +822,14 @@ def two_hop_counts(
         g["n_two_hop"] = g["n_two_hop"].astype(np.int64)
         return g.rename(columns={"src": "node"})
 
-    return coarse_grouped_map(
-        pairs.map_batches(count_partial, batch_format="pandas"),
-        "src",
-        count_final,
-        num_partitions=num_partitions,
+    return schema_floor(
+        coarse_grouped_map(
+            pairs.map_batches(count_partial, batch_format="pandas"),
+            "src",
+            count_final,
+            num_partitions=num_partitions,
+        ),
+        pa.schema([("node", pa.string()), ("n_two_hop", pa.int64())]),
     )
 
 
@@ -874,12 +889,17 @@ def comention_graph(
         mentions, "doc_id", pair_partition, num_partitions=num_partitions
     )
 
-    return coarse_grouped_map(
-        pairs,
-        ["entity_a", "entity_b"],
-        lambda df: df.groupby(["entity_a", "entity_b"],
-                              as_index=False).agg(n_docs=("n_docs", "sum")),
-        num_partitions=num_partitions,
+    return schema_floor(
+        coarse_grouped_map(
+            pairs,
+            ["entity_a", "entity_b"],
+            lambda df: df.groupby(
+                ["entity_a", "entity_b"], as_index=False
+            ).agg(n_docs=("n_docs", "sum")),
+            num_partitions=num_partitions,
+        ),
+        pa.schema([("entity_a", pa.string()), ("entity_b", pa.string()),
+                   ("n_docs", pa.int64())]),
     )
 
 
@@ -976,8 +996,6 @@ def multi_source_bfs(
         ).materialize()
         visited = visited.union(fresh).materialize()
         frontier = fresh.select_columns(["s", "node"]).materialize()
-
-    from ..utils import schema_floor
 
     return schema_floor(
         visited,

@@ -69,6 +69,68 @@ def test_span_sequence_invariant_roundtrip():
         raise AssertionError("invariant check failed to detect corruption")
 
 
+_D1 = [
+    ("text", "TP53 activates AKT1 in tumor cells.", ""),
+    ("media", "", "synthetic://media/D1/0"),
+    ("title", "Results", ""),
+]
+_D2 = [
+    ("text", "MYC inhibits EGFR under hypoxia.", ""),
+    ("ref", "Smith et al. 2001.", ""),
+]
+_MEDIA = ("media", "", "synthetic://media/D2/0")
+
+# each breaks one part of the invariant: kind, text, media_ref, order, or
+# the set of documents and spans
+_VIOLATIONS = {
+    "text_changed": {
+        "D1": [("text", "TP53 activates AKT2 in tumor cells.", "")]
+        + _D1[1:],
+        "D2": _D2,
+    },
+    "kind_changed": {"D1": _D1[:2] + [("text", "Results", "")], "D2": _D2},
+    "media_ref_changed": {
+        "D1": [_D1[0], ("media", "", "synthetic://media/D1/1"), _D1[2]],
+        "D2": _D2,
+    },
+    "spans_swapped": {"D1": [_D1[1], _D1[0], _D1[2]], "D2": _D2},
+    "media_span_dropped": {"D1": [_D1[0], _D1[2]], "D2": _D2},
+    "media_span_added": {"D1": _D1, "D2": _D2 + [_MEDIA]},
+    "doc_dropped": {"D1": _D1},
+    "doc_added": {"D1": _D1, "D2": _D2, "D3": [_MEDIA]},
+}
+
+
+def _docs_table(docs, offset_step=1):
+    return pa.Table.from_pydict(
+        {
+            "doc_id": list(docs),
+            "spans": [
+                [{"kind": k, "text": t, "media_ref": r,
+                  "offset": i * offset_step}
+                 for i, (k, t, r) in enumerate(spans)]
+                for spans in docs.values()
+            ],
+        },
+        schema=schemas.DOCUMENTS,
+    )
+
+
+@pytest.mark.parametrize("violation", list(_VIOLATIONS))
+def test_span_invariant_detects_each_violation(violation):
+    original = _docs_table({"D1": _D1, "D2": _D2})
+    rebuilt = reassemble_documents(explode_spans(original))
+    check_span_invariant(original, rebuilt)
+    with pytest.raises(AssertionError, match="span invariant"):
+        check_span_invariant(original, _docs_table(_VIOLATIONS[violation]))
+
+
+def test_span_invariant_ignores_offsets():
+    # the invariant is (kind, text, media_ref, order); offsets may differ
+    docs = {"D1": _D1, "D2": _D2}
+    check_span_invariant(_docs_table(docs), _docs_table(docs, offset_step=7))
+
+
 def test_pdf_extractor_seam():
     from kgray.sources import textfile
 

@@ -5,10 +5,12 @@ span or a text span under 20 characters, pub.py:51-58) must come out of
 ``extractions`` as an untouched row with empty ``results``, under the
 span-sequence invariant (kind, text, media_ref, order).  Each corpus shape
 runs in one block and in 3, 4 and 7 blocks, and the graph it yields must
-not depend on the split.  A corpus with no admitted span at all must still
+not depend on the split.  Seeded random span lists, split at random, must
+keep the same contract.  A corpus with no admitted span at all must still
 give typed, empty graph tables.
 """
 import functools
+import random
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -54,12 +56,16 @@ SHAPES = {
 def _corpus(shape_spans):
     """The shape's document between ordinary relation documents, so a
     many-block split puts it in a block of its own."""
-    docs = [
+    return _documents([
         ("PMC0000001", [_text(REL_B), _text(UNARY)]),
         ("PMC0000002", shape_spans),
         ("PMC0000003", [_text(REL_A)]),
         ("PMC0000004", [_media(9), _text(REL_B)]),
-    ]
+    ])
+
+
+def _documents(docs):
+    """(doc_id, [(kind, text, media_ref)]) pairs → a DOCUMENTS table."""
     rows = []
     for doc_id, spans in docs:
         offset, out = 0, []
@@ -75,7 +81,11 @@ def _corpus(shape_spans):
 
 
 def _arrow(ds):
-    return pa.Table.from_pandas(ds.to_pandas(), preserve_index=False)
+    df = ds.to_pandas()
+    if not len(df.columns):
+        # to_pandas() drops every column of an all-empty dataset
+        return ds.schema().base_schema.empty_table()
+    return pa.Table.from_pandas(df, preserve_index=False)
 
 
 def _rows(ds):
@@ -83,13 +93,9 @@ def _rows(ds):
                   key=repr)
 
 
-@functools.lru_cache(maxsize=None)
-def _graph(shape, n_blocks):
-    """Run the shape's corpus split into ``n_blocks`` blocks, check the
-    span contract on its extractions, and return its sorted edges and
-    nodes."""
-    spans, has_edges = SHAPES[shape]
-    docs = _corpus(spans)
+def _run(docs, n_blocks):
+    """Run ``docs`` split into ``n_blocks`` blocks, check the span
+    contract on its extractions, and return its sorted edges and nodes."""
     res = run_kg_pipeline(ray.data.from_arrow(docs).repartition(n_blocks))
     ext = _arrow(res.extractions)
 
@@ -106,8 +112,13 @@ def _graph(shape, n_blocks):
             assert not admitted
         if not admitted:
             assert not results, kind
+    return _rows(res.edges), _rows(res.nodes)
 
-    edges, nodes = _rows(res.edges), _rows(res.nodes)
+
+@functools.lru_cache(maxsize=None)
+def _graph(shape, n_blocks):
+    spans, has_edges = SHAPES[shape]
+    edges, nodes = _run(_corpus(spans), n_blocks)
     assert has_edges == any(e[0] == "PMC0000002" for e in edges)
     return edges, nodes
 
@@ -117,6 +128,26 @@ def _graph(shape, n_blocks):
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_media_spans_pass_through_at_any_block_split(shape, n_blocks):
     assert _graph(shape, n_blocks) == _graph(shape, 1)
+
+
+# what a random span is drawn from; None stands for a fresh media span
+SPAN_POOL = [
+    _text(REL_A), _text(REL_B), _text(UNARY), _text(TEXT_19),
+    _text(TEXT_20), ("title", REL_A, ""), ("ref", REL_B, ""), None,
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_span_lists_keep_the_contract_at_any_block_split(seed):
+    rng = random.Random(seed)
+    docs = _documents([
+        (f"PMC{d:07d}",
+         [rng.choice(SPAN_POOL) or _media(f"{d}-{i}")
+          for i in range(rng.randint(0, 6))])
+        for d in range(rng.randint(2, 6))
+    ])
+    n_blocks = rng.randint(2, 7)
+    assert _run(docs, n_blocks) == _run(docs, 1), n_blocks
 
 
 @pytest.mark.parametrize("n_blocks", [1, 3])
