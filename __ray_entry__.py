@@ -144,9 +144,25 @@ def _kg_result(sf_dir: str):
     )
 
 
+def _project(ds, schema, cols: list):
+    """``ds`` with exactly ``cols``, typed as in ``schema``: Ray's
+    ``select_columns`` over an all-empty dataset keeps every input
+    column."""
+    import pyarrow as pa
+
+    from kgray.utils import schema_floor
+
+    return schema_floor(
+        ds.select_columns(cols), pa.schema([schema.field(c) for c in cols])
+    )
+
+
 def _q_kg_edges(sf_dir: str):
-    return _kg_result(sf_dir).edges.select_columns(
-        ["doc_id", "span_seq", "subj", "pred", "obj"]
+    from kgray.schemas import EDGES
+
+    return _project(
+        _kg_result(sf_dir).edges, EDGES,
+        ["doc_id", "span_seq", "subj", "pred", "obj"],
     )
 
 
@@ -161,8 +177,10 @@ def _q_kg_edge_evidence(sf_dir: str):
 
 
 def _q_kg_nodes(sf_dir: str):
-    return _kg_result(sf_dir).nodes.select_columns(
-        ["name", "label", "type", "url"]
+    from kgray.schemas import NODES
+
+    return _project(
+        _kg_result(sf_dir).nodes, NODES, ["name", "label", "type", "url"]
     )
 
 
@@ -976,6 +994,7 @@ def _q_kg_incremental(sf_dir: str):
     import pyarrow.compute as pc
 
     from kgray.pipelines.kg import incremental_update, run_kg_pipeline
+    from kgray.schemas import NODES
     from kgray.sources.generic import (
         generic_documents_dataset,
         generic_kg_config,
@@ -1005,7 +1024,7 @@ def _q_kg_incremental(sf_dir: str):
     merged = incremental_update(
         base.nodes, delta_docs, generic_kg_config()
     )
-    return merged.nodes.select_columns(["name", "label", "type", "url"])
+    return _project(merged.nodes, NODES, ["name", "label", "type", "url"])
 
 
 def _q_ttr_hapax(sf_dir: str):

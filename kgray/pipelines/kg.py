@@ -6,7 +6,7 @@ documents (doc_id, spans)                       # read_parquet / read_lance
   → ├─ map_batches(extractions_to_edges)        # edges table
   │  ├─ map_batches(extractions_to_unary_nodes) # node-only records
   │  └─ map_batches(extractions_to_annotation_urls)
-  → node canonicalization (stages/nodes.py: four keyed exchanges) → nodes
+  → node canonicalization (stages/nodes.py: name reduce, sort) → nodes
 
 Mirrors reference lifecycle main.py:31-118 (§3.2 of SURVEY.md) as a
 streaming DAG; per-stage checkpointing lives in pipelines/checkpoint.py.
@@ -36,9 +36,9 @@ from ..stages.extract import BELExtractor
 from ..stages.nodes import (
     NAMES,
     assign_node_ids,
-    build_url_agg,
     first_seen_names,
     node_tables,
+    split_names,
 )
 from ..utils import schema_floor
 
@@ -239,25 +239,24 @@ def incremental_update(
     tables other systems already reference.
 
     Plan: the new shard runs the normal extraction prefix and the full
-    build's ``first_seen_names``; its names ANTI-join the existing node
-    names (utils.smart_join — the node table is the compact entity
-    vocabulary, broadcast when small, shuffled when not), and the
-    survivors go through the full build's ``assign_node_ids`` from
-    ``max(existing)+1``.  The returned ``nodes`` is existing ∪ new.
-    Edges/extractions in the result are the NEW shard's only — the
-    caller appends them to its stores.
+    build's name reduce (``first_seen_names``, which also yields the
+    shard's URL aggregate); its names ANTI-join the existing node names
+    (utils.smart_join — the node table is the compact entity vocabulary,
+    broadcast when small, shuffled when not), and the survivors go
+    through the full build's ``assign_node_ids`` from ``max(existing)+1``.
+    The returned ``nodes`` is existing ∪ new.  Edges/extractions in the
+    result are the NEW shard's only — the caller appends them to its
+    stores.
     """
     from ..utils import smart_join
 
     extractions = run_extractions(new_docs, cfg).materialize()
     edges, unary, ann_urls = _graph_inputs(extractions, materialize=True)
-    # materialize: feeds both probes and the result field without
-    # re-running the extraction prefix per consumer
-    url_agg = build_url_agg(ann_urls).materialize()
+    names, url_agg = split_names(first_seen_names(edges, unary, ann_urls))
 
     existing_nodes = existing_nodes.materialize()
     fresh = smart_join(
-        first_seen_names(edges, unary, url_agg),
+        names,
         existing_nodes.select_columns(["name"]),
         "name",
         "name",
@@ -267,7 +266,7 @@ def incremental_update(
     )
     next_id = existing_nodes.max("node_id") if existing_nodes.count() else -1
     merged = existing_nodes.union(
-        assign_node_ids(fresh, url_agg, offset=int(next_id) + 1)
+        assign_node_ids(fresh, offset=int(next_id) + 1)
     )
 
     return KGResult(

@@ -8,21 +8,23 @@ dict probed by node name then by extracted label (convert_to_cx2.py:159).
 "First-seen" is the MINIMUM of a total ordering key (doc_id, span_seq,
 stmt_seq, side), so parallel execution is deterministic (the reference's
 single-process arrival order is this key).  Every map task first collapses
-its batch to one row per distinct name (a combiner), so a hot entity ships
-one row per block, not one per mention.
+its batch to one row per distinct name or entry name (a combiner), so a hot
+entity ships one row per block, not one per mention.
 
-An unsalted build runs four all-to-all exchanges, each a keyed reduce over
-combiner output; the URL aggregate and the nodes stay Datasets end to end:
+An unsalted build runs two all-to-all exchanges; the URL aggregate and the
+nodes stay Datasets end to end:
 
-1. ``build_url_agg``: first-seen URL per ``entry_name``.
-2. ``first_seen_names``: first-seen key per name.  The URL aggregate rides
-   the same exchange, so each name leaves with its name-probe URL.
-3. ``assign_node_ids``: a global sort by first-seen key, then
-   ``zip_with_index`` from an offset (0 for a full build; past the existing
-   maximum in ``pipelines.kg.incremental_update``, which calls the same two
-   functions).
-4. One label-keyed left join against the URL aggregate, for the nodes whose
-   name probe missed.
+1. ``first_seen_names``: one keyed reduce routed by ``term_label``, a pure
+   function of the name.  Partition ``hash(term_label(n))`` gets name
+   ``n``'s mentions; each URL entry ``e`` sends a name-probe copy to
+   ``hash(term_label(e))`` and a label-probe copy to ``hash(e)``.  It
+   yields each name's first-seen key, URL (name probe, else label probe),
+   label and type, and each entry name's first-seen URL (``entry`` rows,
+   unmentioned entries included), materialized once for its two readers
+   (``split_names``).
+2. ``assign_node_ids``: a global sort by first-seen key, then
+   ``zip_with_index`` from an offset (past the existing maximum in
+   ``pipelines.kg.incremental_update``, which calls the same functions).
 
 When one name holds more than ``SALT_SHARE_THRESHOLD`` of the post-combiner
 mention rows, a salted pre-reduce on (name, salt) first splits that name's
@@ -32,23 +34,20 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 from .. import schemas
 from ..functions.bel import term_label, term_type
-from ..utils import (
-    coarse_grouped_map,
-    repartition_join,
-    schema_floor,
-    zip_with_index,
-)
+from ..utils import coarse_grouped_map, nonempty_blocks, zip_with_index
 
 _SEP = "\x00"
 
-# one row per canonical name: its first-seen key, name-probe URL (null on a
-# miss), label and type
+# one row per canonical name: first-seen key, URL (null on two misses),
+# label and type
 NAMES = pa.schema(
     [
         pa.field("name", pa.string()),
@@ -58,6 +57,12 @@ NAMES = pa.schema(
         pa.field("type", pa.string()),
     ]
 )
+# the name reduce's output: NAMES rows plus ``entry`` rows (name, url)
+_TAGGED = NAMES.append(pa.field("entry", pa.bool_()))
+
+# reduce-row kinds: a mention (key = first-seen key), or a URL entry's
+# name-probe or label-probe copy (key = "order_key<SEP>url")
+_MENTION, _NAME_PROBE, _LABEL_PROBE = 0, 1, 2
 
 
 def _order_key(
@@ -88,82 +93,23 @@ def _keyed_reduce(ds, keys, fn, num_partitions: int = 8):
     )
 
 
-def edge_node_mentions(batch: pa.Table) -> pa.Table:
-    """EDGES batch → partial (name, first_key) rows for subj and obj sides."""
-    doc = batch.column("doc_id")
-    span = batch.column("span_seq")
-    stmt = batch.column("stmt_seq")
-    parts = []
-    for side, col in ((0, "subj"), (1, "obj")):
-        parts.append(
-            pa.table(
-                {
-                    "name": batch.column(col),
-                    "first_key": _order_key(doc, span, stmt, side),
-                }
-            )
-        )
-    merged = pa.concat_tables(parts)
-    return _partial_first_seen(merged, "name", "first_key")
-
-
-def unary_node_mentions(batch: pa.Table) -> pa.Table:
-    """(doc_id, span_seq, stmt_seq, name) batch → partial first-seen rows."""
-    t = pa.table(
-        {
-            "name": batch.column("name"),
-            "first_key": _order_key(
-                batch.column("doc_id"),
-                batch.column("span_seq"),
-                batch.column("stmt_seq"),
-                0,
-            ),
-        }
+def _mentions(batch: pa.Table, sides) -> pa.Table:
+    keys = (batch["doc_id"], batch["span_seq"], batch["stmt_seq"])
+    t = pa.concat_tables(
+        pa.table({"name": batch[col], "first_key": _order_key(*keys, side)})
+        for side, col in sides
     )
     return _partial_first_seen(t, "name", "first_key")
 
 
-def build_url_agg(annotation_urls: "ray.data.Dataset") -> "ray.data.Dataset":
-    """First-seen entry_name → URL (convert_to_cx2.py:77-82) as a DATASET.
+def edge_node_mentions(batch: pa.Table) -> pa.Table:
+    """EDGES batch → partial (name, first_key) rows for subj and obj sides."""
+    return _mentions(batch, ((0, "subj"), (1, "obj")))
 
-    The min aggregate runs over ``order_key + SEP + url`` strings so the URL
-    of the *earliest* occurrence wins (Min of the concatenation is the Min of
-    the key since the key prefix is unique per row position).  The result —
-    columns (entry_name, url) — stays distributed; consumers attach it by
-    entry_name-keyed exchanges, never a collected dict (on web-scale corpora
-    the entity vocabulary grows with the data).
-    """
 
-    def partial(batch: pa.Table) -> pa.Table:
-        key = _order_key(
-            batch.column("doc_id"),
-            batch.column("span_seq"),
-            batch.column("ann_seq"),
-            0,
-        )
-        keyed = pc.binary_join_element_wise(key, batch.column("url"), _SEP)
-        t = pa.table({"entry_name": batch.column("entry_name"), "ku": keyed})
-        return _partial_first_seen(t, "entry_name", "ku")
-
-    agg = _keyed_reduce(
-        annotation_urls.map_batches(partial, batch_format="pyarrow"),
-        "entry_name",
-        lambda df: df.groupby("entry_name", as_index=False).agg(
-            ku=("ku", "min")
-        ),
-    )
-
-    def split(batch: pa.Table) -> pa.Table:
-        ku = batch.column("ku").cast(pa.string())
-        # drop the "order_key\x00" prefix: everything after the first SEP
-        url = pc.list_element(
-            pc.split_pattern(ku, _SEP, max_splits=1), 1
-        )
-        return pa.table(
-            {"entry_name": batch.column("entry_name"), "url": url}
-        )
-
-    return agg.map_batches(split, batch_format="pyarrow")
+def unary_node_mentions(batch: pa.Table) -> pa.Table:
+    """(doc_id, span_seq, stmt_seq, name) batch → partial first-seen rows."""
+    return _mentions(batch, ((0, "name"),))
 
 
 def measure_top_key_share(
@@ -203,48 +149,94 @@ SALT_MIN_ROWS = 50_000
 AUTO_SALT_BUCKETS = 16
 
 
-def _reduce_input(batch: pa.Table) -> pa.Table:
-    """A mention (name, first_key) or a URL entry (entry_name, url) as a
-    (name, first_key, url) name-reduce row; the side it lacks is null."""
-    none = pa.nulls(batch.num_rows, pa.string())
-    if "entry_name" in batch.column_names:
-        return pa.table(
-            {"name": batch["entry_name"], "first_key": none, "url": batch["url"]}
+def _rows(kind: int, route, name, key) -> pa.Table:
+    kinds = pa.array(np.full(len(name), kind, np.int8))
+    return pa.table({"kind": kinds, "route": route, "name": name, "key": key})
+
+
+def _labels(names) -> pa.Array:
+    return pa.array([term_label(n) for n in names.to_pylist()], pa.string())
+
+
+def _route_mentions(batch: pa.Table) -> pa.Table:
+    """Mention (name, first_key) rows → reduce rows routed by label."""
+    names = batch["name"]
+    return _rows(_MENTION, _labels(names), names, batch["first_key"])
+
+
+def _route_urls(batch: pa.Table) -> pa.Table:
+    """URL combiner: each entry name's first-seen ``order_key<SEP>url`` in
+    this batch (the min of the concatenation is the URL of the min key,
+    which is unique per row position), as a name-probe row routed by the
+    entry's label and a label-probe row routed by the entry itself.  An
+    (entry_name, url) aggregate has no position columns: each of its rows
+    counts as one first-seen occurrence of its entry."""
+    if "doc_id" in batch.column_names:
+        key = _order_key(
+            batch["doc_id"], batch["span_seq"], batch["ann_seq"], 0
         )
-    return pa.table(
-        {"name": batch["name"], "first_key": batch["first_key"], "url": none}
+    else:
+        key = pa.array([""] * batch.num_rows, pa.string())
+    ku = pc.binary_join_element_wise(key, batch["url"], _SEP)
+    first = _partial_first_seen(
+        pa.table({"name": batch["entry_name"], "key": ku}), "name", "key"
     )
+    names, ku = first["name"], first["key"]
+    return pa.concat_tables([_rows(_NAME_PROBE, _labels(names), names, ku),
+                             _rows(_LABEL_PROBE, names, names, ku)])
 
 
-def _first_seen(df) -> pa.Table:
-    """Per partition: each MENTIONED name's min first-seen key, its
-    name-probe URL, label and type.  URL rows of unmentioned entry names
-    drop out here."""
-    seen = df[df.first_key.notna()].groupby("name", as_index=False).agg(
-        first_key=("first_key", "min")
+def _canonicalize(df: pd.DataFrame) -> pa.Table:
+    """Per partition: each mentioned name's first-seen key, URL (its name
+    probe, else its label probe), label and type, and each entry name's
+    first-seen URL.  Every row of a name's label lands here, so both
+    probes are local lookups."""
+    best = df.groupby(["kind", "route", "name"], as_index=False).key.min()
+    kind = best.pop("kind")
+    seen = best[kind == _MENTION]
+    by_name = best[kind == _NAME_PROBE].set_index("name").key
+    by_label = best[kind == _LABEL_PROBE].set_index("route").key
+    name_ku = seen.name.map(by_name)
+    names = pd.DataFrame(
+        {
+            "name": seen.name,
+            "first_key": seen.key,
+            "url": np.where(
+                name_ku.isna(), seen.route.map(by_label), name_ku
+            ),
+            "label": seen.route,
+            "type": seen.name.map(term_type),
+            "entry": False,
+        }
     )
-    # entry names are unique in the aggregate: at most one URL per name
-    out = seen.merge(
-        df.loc[df.url.notna(), ["name", "url"]], on="name", how="left"
+    entries = pd.DataFrame(
+        {"name": by_name.index, "url": by_name.values, "entry": True}
     )
-    out["label"] = out.name.map(term_label)
-    out["type"] = out.name.map(term_type)
-    # no pandas metadata: a schema carrying it cannot be hashed
-    # (utils.plain_arrow)
-    return pa.Table.from_pandas(
-        out, schema=NAMES, preserve_index=False
+    out = pa.Table.from_pandas(
+        pd.concat([names, entries]).astype({"url": object}),
+        schema=_TAGGED,
+        preserve_index=False,
+    )
+    # drop the "order_key<SEP>" prefix; no pandas metadata: a schema
+    # carrying it cannot be hashed (utils.plain_arrow)
+    url = pc.list_element(pc.split_pattern(out["url"], _SEP, max_splits=1), 1)
+    return out.set_column(
+        NAMES.get_field_index("url"), "url", url
     ).replace_schema_metadata(None)
 
 
 def first_seen_names(
     edges: "ray.data.Dataset",
     unary: "ray.data.Dataset",
-    url_agg: "ray.data.Dataset",
+    annotation_urls: "ray.data.Dataset",
     salt_buckets: int | None = None,
     salt_share_threshold: float = SALT_SHARE_THRESHOLD,
     salt_min_rows: int = SALT_MIN_ROWS,
 ) -> "ray.data.Dataset":
-    """edges + unary mentions → one ``NAMES`` row per canonical name.
+    """edges + unary mentions + URL records → the name reduce's output,
+    materialized: one ``NAMES`` row per canonical name and one ``entry``
+    row per entry name (``split_names`` separates them).
+    ``annotation_urls`` may also be an (entry_name, url) aggregate.
 
     ``salt_buckets=None`` (default) decides from measured skew: when
     ``measure_top_key_share`` reports one name holding more than
@@ -288,56 +280,53 @@ def first_seen_names(
                 first_key=("first_key", "min")
             ),
         )
-    rows = mentions.map_batches(_reduce_input, batch_format="pyarrow").union(
-        url_agg.map_batches(_reduce_input, batch_format="pyarrow")
+    rows = mentions.map_batches(_route_mentions, batch_format="pyarrow").union(
+        annotation_urls.map_batches(_route_urls, batch_format="pyarrow")
     )
-    return _keyed_reduce(rows, "name", _first_seen)
+    # materialized once: the names and the URL aggregate both read it.
+    # Zero-row blocks go (nonempty_blocks): a map over one would emit a
+    # block without columns.
+    return nonempty_blocks(_keyed_reduce(rows, "route", _canonicalize))
 
 
-def _name_hits(batch: pa.Table) -> pa.Table:
-    return batch.filter(pc.is_valid(batch["url"])).select(schemas.NODES.names)
+def _names(batch: pa.Table) -> pa.Table:
+    return batch.filter(pc.invert(batch["entry"])).select(NAMES.names)
 
 
-def _name_misses(batch: pa.Table) -> pa.Table:
-    return batch.filter(pc.is_null(batch["url"])).select(
-        ["label", "name", "type", "node_id"]
+def _entries(batch: pa.Table) -> pa.Table:
+    return batch.filter(batch["entry"]).select(["name", "url"]).rename_columns(
+        schemas.URL_AGG.names
+    )
+
+
+def split_names(
+    tagged: "ray.data.Dataset",
+) -> Tuple["ray.data.Dataset", "ray.data.Dataset"]:
+    """``first_seen_names`` output → (``NAMES`` rows, URL aggregate)."""
+    if tagged.count() == 0:  # typed even when empty
+        return (
+            ray.data.from_arrow(NAMES.empty_table()),
+            ray.data.from_arrow(schemas.URL_AGG.empty_table()),
+        )
+    return (
+        tagged.map_batches(_names, batch_format="pyarrow"),
+        tagged.map_batches(_entries, batch_format="pyarrow"),
     )
 
 
 def _as_nodes(batch: pa.Table) -> pa.Table:
-    return batch.select(schemas.NODES.names).cast(schemas.NODES)
+    return batch.select(schemas.NODES.names)
 
 
 def assign_node_ids(
-    names: "ray.data.Dataset",
-    url_agg: "ray.data.Dataset",
-    offset: int = 0,
+    names: "ray.data.Dataset", offset: int = 0
 ) -> "ray.data.Dataset":
     """``NAMES`` rows → NODES with dense ids ``offset, offset+1, …`` in
-    first-seen order.  A node whose name probe missed takes the URL of its
-    label (convert_to_cx2.py:159's fallback) from one label-keyed left
-    join; ``url_agg`` has one row per entry name, so every node yields
-    exactly one row."""
+    first-seen order."""
     ranked = zip_with_index(names.sort("first_key"), "node_id", offset)
-    probed = repartition_join(
-        ranked.map_batches(_name_misses, batch_format="pyarrow"),
-        url_agg,
-        "label",
-        "entry_name",
-        {
-            "label": pa.string(),
-            "name": pa.string(),
-            "type": pa.string(),
-            "node_id": pa.int64(),
-        },
-        {"entry_name": pa.string(), "url": pa.string()},
-        num_partitions=8,
-        coalesce_blocks=None,
-        how="left",
-    ).map_batches(_as_nodes, batch_format="pyarrow", batch_size=None)
-    hits = ranked.map_batches(_name_hits, batch_format="pyarrow")
-    # schema_floor: an empty corpus must still yield the typed NODES schema
-    return schema_floor(hits.union(probed), schemas.NODES)
+    if ranked.count() == 0:  # typed even when empty
+        return ray.data.from_arrow(schemas.NODES.empty_table())
+    return ranked.map_batches(_as_nodes, batch_format="pyarrow")
 
 
 def canonicalize_nodes(
@@ -350,11 +339,13 @@ def canonicalize_nodes(
 ) -> "ray.data.Dataset":
     """edges + unary mentions → NODES dataset with dense first-seen ids
     (salting as in ``first_seen_names``)."""
-    names = first_seen_names(
-        edges, unary, url_agg, salt_buckets, salt_share_threshold,
-        salt_min_rows,
+    names, _ = split_names(
+        first_seen_names(
+            edges, unary, url_agg, salt_buckets, salt_share_threshold,
+            salt_min_rows,
+        )
     )
-    return assign_node_ids(names, url_agg)
+    return assign_node_ids(names)
 
 
 def node_tables(
@@ -366,9 +357,7 @@ def node_tables(
     """(canonical nodes, entry_name→url aggregate) — BOTH datasets; the
     URL aggregate never lands on the driver (r3 verdict 'What's wrong
     #1': the collected dict grew with the entity vocabulary)."""
-    # materialize: the aggregate feeds both probes and (optionally) the
-    # caller's CX2/export path; lazy lineage would re-run the whole
-    # extraction prefix once per consumer; schema_floor keeps an empty
-    # aggregate typed
-    url_agg = schema_floor(build_url_agg(annotation_urls), schemas.URL_AGG)
-    return canonicalize_nodes(edges, unary, url_agg, salt_buckets), url_agg
+    names, url_agg = split_names(
+        first_seen_names(edges, unary, annotation_urls, salt_buckets)
+    )
+    return assign_node_ids(names), url_agg

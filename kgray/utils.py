@@ -27,14 +27,36 @@ def zip_with_index(
     for the schema); block row counts come from the block metadata, and
     one remote task per block appends ``offset + arange``.  Blocks never
     move to the driver — intended for SMALL sorted outputs (e.g. the
-    nodes table after canonicalization), not the main corpus.
+    nodes table after canonicalization), not the main corpus.  Zero-row
+    blocks are dropped: Ray's sort emits them without columns, and the
+    index column alone would make an untyped block.
     """
     out = []
+    for ref, rows in _block_rows(ds):
+        if rows:
+            out.append(_append_index.remote(ref, col, offset))
+            offset += rows
+    return ray.data.from_arrow_refs(out)
+
+
+def nonempty_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """``ds`` run once, without its zero-row blocks.
+
+    A map over a zero-row block never calls its function, and Ray emits
+    a block without columns in its place; a dataset read by several maps
+    (a materialized fan-out point) keeps every output block typed this
+    way.
+    """
+    return ray.data.from_arrow_refs(
+        [ref for ref, rows in _block_rows(ds) if rows]
+    )
+
+
+def _block_rows(ds: "ray.data.Dataset"):
+    """(block ref, row count) of every block of ``ds``, run once."""
     for bundle in ds.materialize().iter_internal_ref_bundles():
         for ref, meta in bundle.blocks:
-            out.append(_append_index.remote(ref, col, offset))
-            offset += meta.num_rows
-    return ray.data.from_arrow_refs(out)
+            yield ref, meta.num_rows
 
 
 def _session_token():

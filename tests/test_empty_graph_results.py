@@ -167,9 +167,7 @@ def test_kg_query_on_all_non_admitted_corpus(name, non_admitted_sf):
         mine = check_oracle.canon(check_oracle.to_pandas(out))
     else:
         cols, mine = set(out.columns), check_oracle.canon(out)
-    # a subset, not equality: Ray's select_columns over an all-empty
-    # dataset keeps the input's schema (kg_edges, kg_nodes)
-    assert set(oracle.columns) <= cols, (name, sorted(cols))
+    assert set(oracle.columns) == cols, (name, sorted(cols))
     if len(mine) or len(oracle):
         why = check_oracle.mismatch(mine, check_oracle.canon(oracle))
         assert why is None, (name, why)

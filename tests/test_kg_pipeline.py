@@ -132,35 +132,47 @@ def test_salted_canonicalization_identical(pipeline_result):
 
 
 def test_node_tables_exchange_budget(pipeline_result):
-    """An unsalted build canonicalizes nodes in at most four all-to-all
-    exchanges (URL reduce, name reduce, sort, label join), counted from
-    every plan node_tables executes, barriers included."""
+    """An unsalted build canonicalizes nodes in at most two all-to-all
+    exchanges (name reduce, sort), a salted one in at most three (the
+    salted pre-reduce first), counted from every plan node_tables
+    executes, barriers included."""
     from kgray.stages.nodes import node_tables
     from perfbench.trace import Tracer
 
     _, _, _, res = pipeline_result
-    tr = Tracer("exchange-budget")
-    # credit the fixture's own exchanges (its input repartition) elsewhere
-    tr.collect("inputs", res.extractions)
-    tr.collect("inputs", res.edges)
-    with tr.watch_plans():
-        nodes, _ = node_tables(
-            res.edges, res.unary_nodes, res.annotation_urls
-        )
-        nodes = nodes.materialize()
-    tr.collect("nodes", nodes)
-    assert len(tr.exchanges("nodes")) <= 4, [
-        o["operator"] for o in tr.exchanges("nodes")
-    ]
+    for salt_buckets, budget in ((None, 2), (7, 3)):
+        tr = Tracer("exchange-budget")
+        # credit the fixture's own exchanges (its input repartition)
+        # elsewhere
+        tr.collect("inputs", res.extractions)
+        tr.collect("inputs", res.edges)
+        with tr.watch_plans():
+            nodes, _ = node_tables(
+                res.edges, res.unary_nodes, res.annotation_urls,
+                salt_buckets=salt_buckets,
+            )
+            nodes = nodes.materialize()
+        tr.collect("nodes", nodes)
+        assert len(tr.exchanges("nodes")) <= budget, (salt_buckets, [
+            o["operator"] for o in tr.exchanges("nodes")
+        ])
 
 
 def test_node_tables_blocks_have_hashable_schemas(pipeline_result):
     """Every block node_tables produces has a schema Ray can hash, so
     ``unify_schemas`` takes its one-schema fast path (a schema carrying
-    pandas metadata cannot be hashed)."""
+    pandas metadata cannot be hashed).  On a 4-document corpus split into
+    3 blocks, every block of the nodes and of the URL aggregate carries
+    exactly its table's columns: no untyped block reaches a consumer."""
     from ray.data.block import BlockAccessor
 
+    from kgray import schemas
     from kgray.stages.nodes import first_seen_names, node_tables
+
+    def blocks(ds):
+        for bundle in ds.materialize().iter_internal_ref_bundles():
+            for ref, _ in bundle.blocks:
+                yield BlockAccessor.for_block(ray.get(ref)).schema()
 
     _, _, _, res = pipeline_result
     nodes, url_agg = node_tables(
@@ -169,11 +181,40 @@ def test_node_tables_blocks_have_hashable_schemas(pipeline_result):
     names = first_seen_names(res.edges, res.unary_nodes, url_agg)
     n_blocks = 0
     for ds in (nodes, url_agg, names):
-        for bundle in ds.materialize().iter_internal_ref_bundles():
-            for ref, _ in bundle.blocks:
-                hash(BlockAccessor.for_block(ray.get(ref)).schema())
-                n_blocks += 1
+        for schema in blocks(ds):
+            hash(schema)
+            n_blocks += 1
     assert n_blocks >= 3
+
+    spans = {
+        "PMC0000001": [("text", "MYC inhibits EGFR under hypoxic conditions."),
+                       ("text", "HSF1 is phosphorylated in vivo.")],
+        "PMC0000002": [("media", ""),
+                       ("text", "TP53 activates AKT1 in tumor cells."),
+                       ("text", "MYC inhibits EGFR under hypoxic conditions.")],
+        "PMC0000003": [("text", "TP53 activates AKT1 in tumor cells.")],
+        "PMC0000004": [("media", ""),
+                       ("text", "MYC inhibits EGFR under hypoxic conditions.")],
+    }
+    docs = pa.Table.from_pydict(
+        {
+            "doc_id": list(spans),
+            "spans": [
+                [{"kind": kind, "text": text, "offset": 100 * i,
+                  "media_ref": "synthetic://media/test/0" if kind == "media"
+                  else ""} for i, (kind, text) in enumerate(doc)]
+                for doc in spans.values()
+            ],
+        },
+        schema=schemas.DOCUMENTS,
+    )
+    small = run_kg_pipeline(ray.data.from_arrow(docs).repartition(3))
+    for ds, table in ((small.nodes, schemas.NODES),
+                      (small.annotation_url_agg, schemas.URL_AGG)):
+        got = list(blocks(ds))
+        assert got, table
+        for schema in got:
+            assert schema.names == table.names, (table, schema)
 
 
 def test_span_invariant_through_pipeline(pipeline_result):
