@@ -40,7 +40,7 @@ from ..stages.nodes import (
     node_tables,
     split_names,
 )
-from ..utils import schema_floor
+from ..utils import repartition_join, schema_floor
 
 
 class AnnotateExtract:
@@ -241,21 +241,19 @@ def incremental_update(
     Plan: the new shard runs the normal extraction prefix and the full
     build's name reduce (``first_seen_names``, which also yields the
     shard's URL aggregate); its names ANTI-join the existing node names
-    (utils.smart_join — the node table is the compact entity vocabulary,
-    broadcast when small, shuffled when not), and the survivors go
-    through the full build's ``assign_node_ids`` from ``max(existing)+1``.
+    (``utils.repartition_join``: both sides shuffle once on the name, and
+    nothing is collected on the driver), and the survivors go through
+    the full build's ``assign_node_ids`` from ``max(existing)+1``.
     The returned ``nodes`` is existing ∪ new.  Edges/extractions in the
     result are the NEW shard's only — the caller appends them to its
     stores.
     """
-    from ..utils import smart_join
-
     extractions = run_extractions(new_docs, cfg).materialize()
     edges, unary, ann_urls = _graph_inputs(extractions, materialize=True)
     names, url_agg = split_names(first_seen_names(edges, unary, ann_urls))
 
     existing_nodes = existing_nodes.materialize()
-    fresh = smart_join(
+    fresh = repartition_join(
         names,
         existing_nodes.select_columns(["name"]),
         "name",

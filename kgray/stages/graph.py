@@ -10,8 +10,9 @@ Reference semantics:
 - examples merge_cx2 (simple_example.ipynb "Merge Graphs") — union of two
   graphs with node dedup by (name, type), edges rewired to the merged ids.
 
-Assembly is ``groupby('doc_id').map_groups`` — per-document state fits in
-one group by construction (a document's graph is KB-sized).
+Assembly is one co-group on ``doc_id`` (``utils.coarse_grouped_map``) —
+per-document state fits in one group by construction (a document's graph
+is KB-sized).
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ import pandas as pd
 import ray
 import ray.data
 
+from .. import schemas
 from ..functions.bel import term_label, term_type
+from ..utils import KIND, coarse_grouped_map, tag
 
 
 def _document_cx2(
@@ -88,37 +91,12 @@ def _document_cx2(
     ]
 
 
-_GRAPH_UNION_COLS = [
-    "doc_id", "span_seq", "stmt_seq", "ann_seq", "kind", "subj", "pred",
-    "obj", "subj_label", "obj_label", "bel_expression", "text", "evidence",
-    "name", "entry_name", "url",
-]
-_GRAPH_UNION_TYPES = {"span_seq": "int32", "stmt_seq": "int32",
-                      "ann_seq": "int32"}
-
-
-def _tag_for_union(batch: "pa.Table", kind: int) -> "pa.Table":
-    """Project edge (kind=0), unary (kind=1) or annotation-URL (kind=2)
-    rows onto the shared union schema, nulling the columns the other
-    kinds own."""
-    import pyarrow as pa
-
-    n = batch.num_rows
-    cols = {}
-    for c in _GRAPH_UNION_COLS:
-        if c == "kind":
-            cols[c] = pa.array([kind] * n, pa.int8())
-        elif c in batch.column_names:
-            col = batch.column(c)
-            if pa.types.is_dictionary(col.type):
-                col = col.cast(pa.string())
-            cols[c] = col
-        else:
-            t = _GRAPH_UNION_TYPES.get(c)
-            cols[c] = pa.nulls(
-                n, pa.int32() if t == "int32" else pa.string()
-            )
-    return pa.table(cols)
+# the co-group's union schema: every column of the three record kinds
+_GRAPH_TYPES = {
+    f.name: f.type
+    for s in (schemas.EDGES, schemas.UNARY_NODES, schemas.ANNOTATION_URLS)
+    for f in s
+}
 
 
 def build_document_graphs(
@@ -130,12 +108,13 @@ def build_document_graphs(
     """One row per document WITH ≥1 edge: (doc_id, cx2 JSON string,
     n_nodes, n_edges).
 
-    Edges, unary node records AND annotation-URL records are tagged onto
-    one shared schema and unioned, so a single ``groupby(doc_id)``
-    co-groups all three record kinds — no driver-side collection, no
-    broadcast URL dict.  Each document's ``annotation_map`` is built
-    INSIDE its group from its own URL rows, first-wins in
-    (span_seq, ann_seq) order — exactly the reference's scope:
+    Edges (kind 0), unary node records (kind 1) AND annotation-URL
+    records (kind 2) are ``tag``-ged onto one shared schema and
+    co-grouped on ``doc_id`` in one exchange — no driver-side
+    collection, no broadcast URL dict.  Each document's
+    ``annotation_map`` is built INSIDE its group from its own URL rows,
+    first-wins in (span_seq, ann_seq) order — exactly the reference's
+    scope:
     convert_to_cx2.py:77-82 builds the map from the one document's
     ``extracted_results`` (convert_to_cx2 is invoked once per pmc_id,
     main.py:82).  Documents whose statements are all unary emit no graph
@@ -145,16 +124,6 @@ def build_document_graphs(
     ``style``: pre-loaded visual aspects (``load_visual_style``) appended
     to every document's CX2 (reference --style_path / cx_style.json)."""
     style_ref = ray.put(style)
-    tagged = edges.map_batches(
-        lambda b: _tag_for_union(b, 0), batch_format="pyarrow"
-    ).union(
-        unary.map_batches(
-            lambda b: _tag_for_union(b, 1), batch_format="pyarrow"
-        ),
-        annotation_urls.map_batches(
-            lambda b: _tag_for_union(b, 2), batch_format="pyarrow"
-        ),
-    )
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
         # one Ray task per coarse partition; the per-document loop is a
@@ -164,17 +133,17 @@ def build_document_graphs(
         style_ = ray.get(style_ref)
         out = {"doc_id": [], "cx2": [], "n_nodes": [], "n_edges": []}
         for doc, gd in g.groupby("doc_id", sort=False):
-            ge = gd[gd.kind == 0]
+            ge = gd[gd[KIND] == 0]
             if ge.empty:
                 continue
-            ga = gd[gd.kind == 2]
+            ga = gd[gd[KIND] == 2]
             urls: Dict[str, str] = {}
             if not ga.empty:
                 for r in ga.sort_values(["span_seq", "ann_seq"]).itertuples():
                     if r.entry_name not in urls:
                         urls[r.entry_name] = r.url
             cx = apply_style(
-                _document_cx2(ge, gd[gd.kind == 1], urls), style_
+                _document_cx2(ge, gd[gd[KIND] == 1], urls), style_
             )
             out["doc_id"].append(doc)
             out["cx2"].append(json.dumps(cx))
@@ -189,9 +158,11 @@ def build_document_graphs(
             )
         return pd.DataFrame(out)
 
-    from ..utils import coarse_grouped_map
-
-    return coarse_grouped_map(tagged, "doc_id", per_partition)
+    parts = [
+        tag(ds, kind, _GRAPH_TYPES)
+        for kind, ds in enumerate((edges, unary, annotation_urls))
+    ]
+    return coarse_grouped_map(parts, "doc_id", per_partition)
 
 
 def load_visual_style(style_path: str) -> Dict[str, list]:
@@ -296,7 +267,7 @@ def consolidate_edges(
     import numpy as np
     import pyarrow as pa
 
-    from ..utils import coarse_grouped_map, schema_floor
+    from ..utils import schema_floor
 
     KEY = ["subj", "pred", "obj"]
 

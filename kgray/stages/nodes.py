@@ -68,11 +68,15 @@ _MENTION, _NAME_PROBE, _LABEL_PROBE = 0, 1, 2
 def _order_key(
     doc_id: pa.Array, span_seq: pa.Array, stmt_seq: pa.Array, side: int
 ) -> pa.Array:
-    """Lexicographically sortable composite first-seen key."""
+    """Lexicographically sortable composite first-seen key.  The parts
+    are joined by the control character U+0001, which sorts below every
+    printable character, so a doc id orders before any doc id it is a
+    prefix of (``d1`` before ``d10``); it is not ``_SEP``, at which
+    ``_canonicalize`` splits."""
     pad_span = pc.utf8_lpad(pc.cast(span_seq, pa.string()), 8, "0")
     pad_stmt = pc.utf8_lpad(pc.cast(stmt_seq, pa.string()), 6, "0")
     return pc.binary_join_element_wise(
-        doc_id, pad_span, pad_stmt, str(side), "|"
+        doc_id, pad_span, pad_stmt, str(side), "\x01"
     )
 
 
@@ -84,7 +88,8 @@ def _partial_first_seen(batch: pa.Table, name_col: str, key_col: str) -> pa.Tabl
 
 
 def _keyed_reduce(ds, keys, fn, num_partitions: int = 8):
-    """One exchange: ``fn`` over each coarse hash partition of ``keys``.
+    """One exchange: ``fn`` over each coarse hash partition of ``keys``
+    (``ds``: one Dataset or a list of parts, as in coarse_grouped_map).
     Not Ray's ``.aggregate()``: key cardinality is the corpus vocabulary,
     and per-group Python in Ray's reducer grows with it.  Inputs are
     combiner output, so no coalescing repartition goes first."""
@@ -280,9 +285,10 @@ def first_seen_names(
                 first_key=("first_key", "min")
             ),
         )
-    rows = mentions.map_batches(_route_mentions, batch_format="pyarrow").union(
-        annotation_urls.map_batches(_route_urls, batch_format="pyarrow")
-    )
+    rows = [
+        mentions.map_batches(_route_mentions, batch_format="pyarrow"),
+        annotation_urls.map_batches(_route_urls, batch_format="pyarrow"),
+    ]
     # materialized once: the names and the URL aggregate both read it.
     # Zero-row blocks go (nonempty_blocks): a map over one would emit a
     # block without columns.

@@ -1,4 +1,8 @@
-"""Small Ray helpers the Dataset API cannot express directly."""
+"""Small Ray helpers the Dataset API cannot express directly.
+
+``coarse_grouped_map`` is the one keyed exchange: a join or a co-group is
+a list of ``tag``-ged parts handed to it (``repartition_join``,
+``stages.graph.build_document_graphs``)."""
 from __future__ import annotations
 
 import numpy as np
@@ -112,7 +116,7 @@ def plain_arrow(block: pa.Table) -> pa.Table:
 
 
 def coarse_grouped_map(
-    ds: "ray.data.Dataset",
+    ds,
     key_cols,
     fn,
     num_partitions: int = 32,
@@ -129,6 +133,11 @@ def coarse_grouped_map(
     pandas DataFrame, so the reduce is one C-speed ``df.groupby`` per
     partition.  Every row of a group lands in the same partition by
     construction.
+
+    ``ds`` may be one Dataset or a list of Datasets with one schema (a
+    co-group, e.g. parts made by ``tag``).  Each part is hashed in its
+    own map, which Ray fuses into that part's upstream maps, and the parts
+    are unioned after: no map runs between the union and the shuffle.
 
     ``fn(df) -> df`` must itself group by ``key_cols`` (it sees all rows of
     each of its groups, nothing else is guaranteed about partition
@@ -158,10 +167,17 @@ def coarse_grouped_map(
     def run_partition(g):
         return fn(g.drop(columns=["_pkey"]))
 
-    tagged = ds.map_batches(add_pkey, batch_format="pyarrow")
-    # bound the sort fan-in (same rationale as repartition_join): micro-
-    # blocks from a small read make the shuffle pay per-task cost for
-    # nothing; one partition per core is right while partitions fit in heap
+    parts = [
+        part.map_batches(add_pkey, batch_format="pyarrow")
+        for part in (ds if isinstance(ds, list) else [ds])
+    ]
+    tagged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    # Bound the sort fan-in: a union CONCATENATES its parts' block lists,
+    # and a small read gives micro-blocks; Ray's sort inherits that block
+    # count and pays a fixed per-task cost per partition.  One partition
+    # per cluster core is right while partitions fit in worker heap; at
+    # 100 TB callers should size ``num_partitions ≈ total_bytes / 256 MB``
+    # and pass ``coalesce_blocks=None``.
     width = coalesce_blocks
     if width == "auto":
         try:
@@ -177,6 +193,36 @@ def coarse_grouped_map(
     )
 
 
+# the kind column ``tag`` adds: which part of a union a row came from
+KIND = "_kind"
+
+
+def tag(ds: "ray.data.Dataset", kind: int, types: dict) -> "ray.data.Dataset":
+    """``ds`` on a union schema: an int8 ``_kind`` column holding ``kind``,
+    then the ``types`` ({column: pyarrow type}) columns in order.
+
+    Every declared column is cast to its declared type, so dictionary
+    columns are decoded and the parts of a union share one schema.  A
+    column ``ds`` lacks is filled: numeric ones with zeros (pandas would
+    turn a null-padded int into float64), the rest with nulls.  The
+    fillers are never read: a consumer takes each kind's own columns from
+    its own rows.
+    """
+    def project(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        cols = {KIND: pa.array(np.full(n, kind, np.int8))}
+        for c, t in types.items():
+            if c in b.column_names:
+                cols[c] = b.column(c).cast(t)
+            elif pa.types.is_integer(t) or pa.types.is_floating(t):
+                cols[c] = pa.array(np.zeros(n, t.to_pandas_dtype()), t)
+            else:
+                cols[c] = pa.nulls(n, t)
+        return pa.table(cols)
+
+    return ds.map_batches(project, batch_format="pyarrow")
+
+
 def repartition_join(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
@@ -185,12 +231,12 @@ def repartition_join(
     left_types: dict,
     right_types: dict,
     num_partitions: int = 64,
-    coalesce_blocks="auto",
     how: str = "inner",
     post_fn=None,
 ):
-    """Distributed hash-join via tag-union + coarse-partition groupby
-    + per-partition vectorized pandas merge.
+    """Distributed hash-join: both sides ``tag``-ged onto one schema and
+    co-grouped on the key by ``coarse_grouped_map``, one vectorized
+    pandas merge per partition.
 
     ``post_fn(df) -> df``, if given, runs on each partition's joined
     frame BEFORE it is emitted — join + grouped-reduce FUSION.  Every
@@ -224,73 +270,19 @@ def repartition_join(
     be disjoint.  Output columns: [left_on] + left non-keys + right
     non-keys, as pandas blocks.
     """
-    from pandas.util import hash_array
-
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported join type: {how!r}")
     lcols = [c for c in left_types if c != left_on]
     rcols = [c for c in right_types if c != right_on]
-    key_type = left_types[left_on]
-    P = num_partitions
+    types = {"_jkey": left_types[left_on]}
+    types.update((c, left_types[c]) for c in lcols)
+    types.update((c, right_types[c]) for c in rcols)
 
-    def pkey_of(arr: pa.ChunkedArray) -> pa.Array:
-        v = arr.to_numpy(zero_copy_only=False)
-        h = hash_array(np.asarray(v)) % np.uint64(P)
-        return pa.array(h.astype(np.int32), pa.int32())
+    def side(ds, on, cols, kind):
+        def keyed(b: pa.Table) -> pa.Table:
+            return b.select([on] + cols).rename_columns(["_jkey"] + cols)
 
-    def pad(n: int, t: pa.DataType) -> pa.Array:
-        # Zero-pad numeric filler columns: null-padded ints become float64
-        # after the pandas conversion inside the groupby, corrupting the
-        # joined dtypes.  The filler values are never read (the merge only
-        # takes each side's own columns from its own rows).
-        if pa.types.is_integer(t) or pa.types.is_floating(t):
-            return pa.array(np.zeros(n, dtype=t.to_pandas_dtype()), t)
-        return pa.nulls(n, t)
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        jkey = b.column(left_on).cast(key_type)
-        cols = {
-            "_pkey": pkey_of(jkey),
-            "_side": pa.array(np.zeros(b.num_rows, np.int8), pa.int8()),
-            "_jkey": jkey,
-        }
-        for c in lcols:
-            cols[c] = b.column(c)
-        for c in rcols:
-            cols[c] = pad(b.num_rows, right_types[c])
-        return pa.table(cols)
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        jkey = b.column(right_on).cast(key_type)
-        cols = {
-            "_pkey": pkey_of(jkey),
-            "_side": pa.array(np.ones(b.num_rows, np.int8), pa.int8()),
-            "_jkey": jkey,
-        }
-        for c in lcols:
-            cols[c] = pad(b.num_rows, left_types[c])
-        for c in rcols:
-            cols[c] = b.column(c)
-        return pa.table(cols)
-
-    tagged = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-    # Bound the sort-shuffle fan-in: the union CONCATENATES both sides'
-    # block lists, and Ray's sort inherits that block count, paying a fixed
-    # per-task cost per partition (two 64-block reads → a 128-partition
-    # sort for data that fits in 32).  One partition per cluster core is
-    # right while partitions fit in worker heap; at 100 TB callers should
-    # instead size ``num_partitions ≈ total_bytes / 256 MB`` and skip the
-    # coalesce by passing ``coalesce_blocks=None``.
-    width = coalesce_blocks
-    if width == "auto":
-        try:
-            width = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            width = 32
-    if width:
-        tagged = tagged.repartition(width)
+        return tag(ds.map_batches(keyed, batch_format="pyarrow"), kind, types)
 
     out_cols = (
         [left_on] + lcols if how in ("semi", "anti")
@@ -300,8 +292,8 @@ def repartition_join(
     def merge_partition(g: "pd.DataFrame") -> "pd.DataFrame":
         import pandas as pd
 
-        l = g[g._side == 0]
-        r = g[g._side == 1]
+        l = g[g[KIND] == 0]
+        r = g[g[KIND] == 1]
         if l.empty or (how == "inner" and r.empty):
             # ZERO-column empty frame: map_batches passes empties through
             # untouched and pd.concat ignores column-less frames, so this
@@ -320,10 +312,11 @@ def repartition_join(
         m = m[out_cols]
         return post_fn(m) if post_fn is not None else m
 
-    return (
-        tagged.groupby("_pkey")
-        .map_groups(merge_partition, batch_format="pandas")
-        .map_batches(plain_arrow, batch_format="pyarrow", batch_size=None)
+    return coarse_grouped_map(
+        [side(left, left_on, lcols, 0), side(right, right_on, rcols, 1)],
+        "_jkey",
+        merge_partition,
+        num_partitions,
     )
 
 
@@ -356,83 +349,3 @@ def schema_floor(ds: "ray.data.Dataset", schema: pa.Schema):
     if m.count() == 0:
         return ray.data.from_arrow(schema.empty_table())
     return m
-
-
-def smart_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    left_on: str,
-    right_on: str,
-    left_types: dict,
-    right_types: dict,
-    num_partitions: int = 64,
-    how: str = "inner",
-    broadcast_threshold: int = 100_000,
-):
-    """Adaptive join: broadcast the right side when it is small, shuffle
-    both sides otherwise — the one planning decision a distributed engine
-    must make per join, made here from an O(metadata) row count.
-
-    - right rows ≤ ``broadcast_threshold``: the right table is collected
-      ONCE, ``ray.put`` into the object store (zero-copy shared-memory
-      read per task), and the join is a pure map over the left side —
-      no shuffle at all, the fact table never moves.
-    - otherwise: ``repartition_join`` (both sides hash-partitioned once).
-
-    Same output contract as ``repartition_join`` for how ∈ {inner, left,
-    semi, anti}: columns [left_on] + left non-keys (+ right non-keys for
-    inner/left).
-
-    The threshold is rows, not bytes, deliberately: the caller knows the
-    row width; at 100 TB set it to whatever fits the task heap (the
-    default ≈ a few MB for typical dimension rows).
-    """
-    # validate up front: the broadcast path feeds ``how`` straight into
-    # pandas.merge, so an unsupported type would otherwise error (or
-    # silently mis-join) only when the right side happens to be small
-    if how not in ("inner", "left", "semi", "anti"):
-        raise ValueError(f"unsupported join type: {how!r}")
-    # materialize once: the count would otherwise execute the right plan
-    # and to_pandas()/the shuffle would re-execute it (lazy lineage).  A
-    # big right side lands in the object store and spills — same cost the
-    # shuffle was about to pay reading it.
-    right = right.materialize()
-    n_right = right.count()
-    if n_right > broadcast_threshold:
-        return repartition_join(
-            left, right, left_on, right_on, left_types, right_types,
-            num_partitions=num_partitions, how=how,
-        )
-
-    import pandas as pd
-
-    rcols = [c for c in right_types if c != right_on]
-    small = right.to_pandas()
-    if len(small) == 0:
-        small = pd.DataFrame({c: pd.Series([], dtype="object")
-                              for c in [right_on] + rcols})
-    small = small.rename(columns={right_on: left_on})
-    if how in ("semi", "anti"):
-        keys = set(small[left_on])
-    r_ref = ray.put(small if how in ("inner", "left") else keys)
-    lcols = [c for c in left_types if c != left_on]
-    out_cols = (
-        [left_on] + lcols if how in ("semi", "anti")
-        else [left_on] + lcols + rcols
-    )
-
-    def probe(df: "pd.DataFrame") -> "pd.DataFrame":
-        rhs = ray.get(r_ref)
-        if how == "semi":
-            m = df[df[left_on].isin(rhs)]
-        elif how == "anti":
-            m = df[~df[left_on].isin(rhs)]
-        else:
-            m = df.merge(rhs, on=left_on, how=how)
-        if m.empty:
-            return pd.DataFrame()
-        return m[out_cols]
-
-    return left.map_batches(probe, batch_format="pandas").map_batches(
-        plain_arrow, batch_format="pyarrow", batch_size=None
-    )

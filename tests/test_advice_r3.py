@@ -1,4 +1,4 @@
-"""Round-3 regression test for an r2 ADVICE finding: smart_join type
+"""Round-3 regression test for an r2 ADVICE finding: join type
 validation."""
 import pyarrow as pa
 import pytest
@@ -6,11 +6,10 @@ import ray
 import ray.data
 
 
-def test_smart_join_rejects_bad_how_regardless_of_side_size():
-    """An invalid ``how`` must raise up front — previously the broadcast
-    path fed it straight into pandas.merge, so whether it errored
-    depended on the right side's row count at runtime."""
-    from kgray.utils import smart_join
+def test_repartition_join_rejects_bad_how_before_planning():
+    """An invalid ``how`` must raise up front, before any plan is built
+    or run — not when a partition's merge first meets it."""
+    from kgray.utils import repartition_join
 
     left = ray.data.from_arrow(
         pa.table({"k": pa.array([1, 2], pa.int64()),
@@ -22,7 +21,7 @@ def test_smart_join_rejects_bad_how_regardless_of_side_size():
     )
     for bad in ("right", "cross", "full"):
         with pytest.raises(ValueError):
-            smart_join(
+            repartition_join(
                 left, right, "k", "k",
                 {"k": pa.int64(), "a": pa.int64()},
                 {"k": pa.int64(), "b": pa.int64()},

@@ -1,61 +1,9 @@
-"""Tests for smart_join (adaptive broadcast/shuffle) and the id-stable
-incremental KG update."""
-import numpy as np
+"""Tests for the id-stable incremental KG update."""
 import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 
-
-# ---------------------------------------------------------------------------
-# smart_join
-# ---------------------------------------------------------------------------
-
-def _sides():
-    left = ray.data.from_pandas(
-        pd.DataFrame({"k": [1, 2, 2, 3, 5], "lv": [10, 20, 21, 30, 50]})
-    )
-    right = ray.data.from_pandas(
-        pd.DataFrame({"rk": [2, 3, 4], "rv": ["b", "c", "d"]})
-    )
-    lt = {"k": pa.int64(), "lv": pa.int64()}
-    rt = {"rk": pa.int64(), "rv": pa.string()}
-    return left, right, lt, rt
-
-
-def test_smart_join_broadcast_equals_shuffle_all_hows():
-    from kgray.utils import repartition_join, smart_join
-
-    for how in ("inner", "left", "semi", "anti"):
-        left, right, lt, rt = _sides()
-        bc = smart_join(left, right, "k", "rk", lt, rt, how=how,
-                        broadcast_threshold=1000).to_pandas()
-        left, right, lt, rt = _sides()
-        sh = smart_join(left, right, "k", "rk", lt, rt, how=how,
-                        broadcast_threshold=0).to_pandas()
-        left, right, lt, rt = _sides()
-        rp = repartition_join(left, right, "k", "rk", lt, rt,
-                              how=how).to_pandas()
-        key = sorted(bc.columns)
-        for df in (bc, sh, rp):
-            df.sort_values(key, inplace=True)
-            df.reset_index(drop=True, inplace=True)
-        assert bc[key].astype(str).equals(sh[key].astype(str)), how
-        assert bc[key].astype(str).equals(rp[key].astype(str)), how
-
-
-def test_smart_join_inner_values():
-    from kgray.utils import smart_join
-
-    left, right, lt, rt = _sides()
-    out = smart_join(left, right, "k", "rk", lt, rt).to_pandas()
-    got = sorted(zip(out.k, out.lv, out.rv))
-    assert got == [(2, 20, "b"), (2, 21, "b"), (3, 30, "c")]
-
-
-# ---------------------------------------------------------------------------
-# incremental KG update
-# ---------------------------------------------------------------------------
 
 def test_incremental_update_id_stability_and_name_completeness():
     from kgray.corpus import generate_documents
@@ -99,6 +47,7 @@ def test_incremental_update_id_stability_and_name_completeness():
 
 
 def test_incremental_update_from_empty_graph():
+    from kgray import schemas
     from kgray.corpus import generate_documents
     from kgray.pipelines.kg import incremental_update, run_kg_pipeline
 
@@ -130,3 +79,8 @@ def test_incremental_update_from_empty_graph():
     no_docs = ray.data.from_arrow(docs.slice(0, 0))
     again = incremental_update(merged.nodes, no_docs)
     pd.testing.assert_frame_equal(frame(again.nodes), got)
+    # so does a delta of known documents: the anti-join then empties every
+    # partition, and its column-less blocks reach the id sort
+    known = incremental_update(merged.nodes, ds)
+    assert known.nodes.schema().names == schemas.NODES.names
+    pd.testing.assert_frame_equal(frame(known.nodes), got)

@@ -135,7 +135,8 @@ def test_node_tables_exchange_budget(pipeline_result):
     """An unsalted build canonicalizes nodes in at most two all-to-all
     exchanges (name reduce, sort), a salted one in at most three (the
     salted pre-reduce first), counted from every plan node_tables
-    executes, barriers included."""
+    executes, barriers included; no operator of them is a lone hash
+    map."""
     from kgray.stages.nodes import node_tables
     from perfbench.trace import Tracer
 
@@ -156,6 +157,10 @@ def test_node_tables_exchange_budget(pipeline_result):
         assert len(tr.exchanges("nodes")) <= budget, (salt_buckets, [
             o["operator"] for o in tr.exchanges("nodes")
         ])
+        # each part is hashed in its own upstream map, never by a lone
+        # map between a union and its shuffle
+        ops = [o["operator"] for o in tr.ops if o["layer"] == "nodes"]
+        assert "MapBatches(add_pkey)" not in ops, (salt_buckets, ops)
 
 
 def test_node_tables_blocks_have_hashable_schemas(pipeline_result):

@@ -8,7 +8,8 @@ URL, a label-only fallback, an entry whose earliest URL sits in a later
 block than a later one, an entry name that no node mentions, and names
 whose label routes to another reduce partition than the name itself.
 ``node_tables`` (through ``run_kg_pipeline``) and ``incremental_update``
-must both equal the model, in one block and in four.
+must both equal the model, in one block and in four.  A second corpus
+holds two doc ids of which one is a prefix of the other.
 """
 import numpy as np
 import pyarrow as pa
@@ -46,13 +47,24 @@ DOCS = {
 }
 
 
-def _documents(doc_ids):
+# two documents whose ids are a prefix of one another: the reference
+# reads "PMC0" before "PMC01", and the two name the same entities in
+# opposite orders, with a different URL for MYC
+PREFIX_DOCS = {
+    "PMC01": [("EGFR signalling raises c-Myc levels.",
+               ["p(HGNC:EGFR) increases p(HGNC:MYC)"])],
+    "PMC0": [("MYC expression raises EGFR levels.",
+              ["p(HGNC:MYC) increases p(HGNC:EGFR)"])],
+}
+
+
+def _documents(doc_ids, docs=DOCS):
     return pa.Table.from_pydict(
         {
             "doc_id": list(doc_ids),
             "spans": [
                 [{"kind": "text", "text": text, "media_ref": "",
-                  "offset": 0} for text, _ in DOCS[d]]
+                  "offset": 0} for text, _ in docs[d]]
                 for d in doc_ids
             ],
         },
@@ -60,7 +72,7 @@ def _documents(doc_ids):
     )
 
 
-def _config():
+def _config(docs=DOCS):
     class ScriptedBackend:
         """The scripted statements of each paragraph (defined here so it
         pickles by value to the workers)."""
@@ -75,14 +87,14 @@ def _config():
                 for t in texts
             ]
 
-    script = {t: stmts for paras in DOCS.values() for t, stmts in paras}
+    script = {t: stmts for paras in docs.values() for t, stmts in paras}
     return KGConfig(backend=ScriptedBackend(script),
                     annotator_kwargs={"vocab": VOCAB})
 
 
-def _run(doc_ids, n_blocks):
-    docs = ray.data.from_arrow(_documents(doc_ids)).repartition(n_blocks)
-    return run_kg_pipeline(docs, _config())
+def _run(doc_ids, n_blocks, docs=DOCS):
+    ds = ray.data.from_arrow(_documents(doc_ids, docs)).repartition(n_blocks)
+    return run_kg_pipeline(ds, _config(docs))
 
 
 def _rows(ds):
@@ -167,6 +179,19 @@ def test_node_tables_follow_the_reference_url_rules(n_blocks):
     # the name probe must cross partitions for these names
     for name in ("p(HGNC:TP53)", "p(HGNC:AKT1)"):
         assert _partition(name) != _partition(term_label(name)), name
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_prefix_doc_ids_follow_the_reference_order(n_blocks):
+    res = _run(list(PREFIX_DOCS), n_blocks, PREFIX_DOCS)
+    want_nodes, want_urls = model(
+        _rows(res.edges), _rows(res.unary_nodes), _rows(res.annotation_urls)
+    )
+    assert _nodes(res.nodes) == (want_nodes, [0, 1])
+    assert _url_agg(res.annotation_url_agg) == want_urls
+    # "PMC0" decides both the order and MYC's URL
+    assert [n for n, _, _, _ in want_nodes] == ["p(HGNC:MYC)", "p(HGNC:EGFR)"]
+    assert want_urls["MYC"] == "https://identifiers.org/HGNC:7553"
 
 
 @pytest.mark.parametrize("n_blocks", [1, 4])

@@ -134,16 +134,25 @@ def test_textfile_source():
 
 
 def test_repartition_join_types():
-    """inner/left/semi/anti semantics incl. duplicate keys and misses."""
+    """inner/left/semi/anti semantics incl. duplicate keys and misses,
+    also when a side carries a dictionary-encoded column declared as
+    ``pa.string()`` in one of its blocks (``edges.text`` and
+    ``edges.evidence`` are such columns)."""
     import numpy as np
     import pyarrow as pa
     import ray.data
     from kgray.utils import repartition_join
 
-    left = ray.data.from_arrow(pa.table({
+    plain = ray.data.from_arrow(pa.table({
         "k": pa.array([1, 2, 2, 3], pa.int64()),
         "lv": pa.array(["a", "b", "c", "d"], pa.string()),
     }))
+    dictionary = ray.data.from_arrow([
+        pa.table({"k": pa.array([1, 2], pa.int64()),
+                  "lv": pa.array(["a", "b"]).dictionary_encode()}),
+        pa.table({"k": pa.array([2, 3], pa.int64()),
+                  "lv": pa.array(["c", "d"], pa.string())}),
+    ])
     right = ray.data.from_arrow(pa.table({
         "rk": pa.array([2, 2, 4], pa.int64()),
         "rv": pa.array([10, 20, 30], pa.int64()),
@@ -151,26 +160,28 @@ def test_repartition_join_types():
     lt = {"k": pa.int64(), "lv": pa.string()}
     rt = {"rk": pa.int64(), "rv": pa.int64()}
 
-    def run(how):
-        df = repartition_join(
-            left, right, "k", "rk", lt, rt, num_partitions=4, how=how
-        ).to_pandas()
-        return df.sort_values(list(df.columns)).reset_index(drop=True)
+    for left in (plain, dictionary):
+        def run(how):
+            df = repartition_join(
+                left, right, "k", "rk", lt, rt, num_partitions=4, how=how
+            ).to_pandas()
+            return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    inner = run("inner")
-    assert len(inner) == 4  # two left k=2 rows x two right k=2 rows
-    assert set(inner.k) == {2}
+        inner = run("inner")
+        assert len(inner) == 4  # two left k=2 rows x two right k=2 rows
+        assert set(inner.k) == {2}
+        assert sorted(inner.lv) == ["b", "b", "c", "c"]
 
-    semi = run("semi")
-    assert sorted(zip(semi.k, semi.lv)) == [(2, "b"), (2, "c")]
+        semi = run("semi")
+        assert sorted(zip(semi.k, semi.lv)) == [(2, "b"), (2, "c")]
 
-    anti = run("anti")
-    assert sorted(zip(anti.k, anti.lv)) == [(1, "a"), (3, "d")]
+        anti = run("anti")
+        assert sorted(zip(anti.k, anti.lv)) == [(1, "a"), (3, "d")]
 
-    lj = run("left")
-    assert len(lj) == 6  # 1->null, 2x2 matched, 3->null
-    assert lj.rv.isna().sum() == 2
-    assert int(lj.rv.fillna(0).sum()) == 60
+        lj = run("left")
+        assert len(lj) == 6  # 1->null, 2x2 matched, 3->null
+        assert lj.rv.isna().sum() == 2
+        assert int(lj.rv.fillna(0).sum()) == 60
 
 
 def test_token_count_bpe_segmentation():
