@@ -287,21 +287,10 @@ def match_edge_datasets(edges_left, edges_right, threshold: float = 0.5):
     import pandas as pd
     import pyarrow as pa
 
-    def tag(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": batch.column("doc_id"),
-                    "stmt": batch.column("bel_expression"),
-                    "side": pa.array([side] * batch.num_rows, pa.string()),
-                }
-            )
+    from ..utils import KIND, coarse_grouped_map, tag
 
-        return fn
-
-    both = edges_left.map_batches(tag("L"), batch_format="pyarrow").union(
-        edges_right.map_batches(tag("R"), batch_format="pyarrow")
-    )
+    types = {"doc_id": pa.string(), "bel_expression": pa.string()}
+    parts = [tag(edges_left, 0, types), tag(edges_right, 1, types)]
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
         # coarse partition holds many whole documents; the per-doc matcher
@@ -312,8 +301,8 @@ def match_edge_datasets(edges_left, edges_right, threshold: float = 0.5):
             "left_only", "right_only", "precision",
         )}
         for doc, gd in g.groupby("doc_id", sort=False):
-            left = gd[gd.side == "L"].stmt.tolist()
-            right = gd[gd.side == "R"].stmt.tolist()
+            left = gd[gd[KIND] == 0].bel_expression.tolist()
+            right = gd[gd[KIND] == 1].bel_expression.tolist()
             rows = match_statement_sets(left, right, threshold)
             exact = sum(1 for r in rows if r["match_type"] == "exact_match")
             core = sum(1 for r in rows if r["match_type"] == "core_match")
@@ -330,6 +319,4 @@ def match_edge_datasets(edges_left, edges_right, threshold: float = 0.5):
             out["precision"].append((exact + core) / n_l if n_l else 1.0)
         return pd.DataFrame(out)
 
-    from ..utils import coarse_grouped_map
-
-    return coarse_grouped_map(both, "doc_id", per_partition)
+    return coarse_grouped_map(parts, "doc_id", per_partition)

@@ -447,7 +447,6 @@ def run_checkpointed_kg(
     nodes, url_agg = run_checkpointed_nodes(st, edges, unary, ann_urls)
     graphs = run_checkpointed_graphs(st, style=style)
     res = KGResult(
-        chunks=None,
         extractions=extractions,
         edges=edges,
         unary_nodes=unary,

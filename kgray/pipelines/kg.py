@@ -104,7 +104,6 @@ class KGConfig:
 
 @dataclass
 class KGResult:
-    chunks: "ray.data.Dataset"
     extractions: "ray.data.Dataset"
     edges: "ray.data.Dataset"
     unary_nodes: "ray.data.Dataset"
@@ -209,7 +208,6 @@ def run_graph_stages(
     edges, unary, ann_urls = _graph_inputs(extractions, materialize)
     nodes, url_agg = node_tables(edges, unary, ann_urls)
     return KGResult(
-        chunks=None,
         extractions=extractions,
         edges=edges,
         unary_nodes=unary,
@@ -268,7 +266,6 @@ def incremental_update(
     )
 
     return KGResult(
-        chunks=None,
         extractions=extractions,
         edges=edges,
         unary_nodes=unary,

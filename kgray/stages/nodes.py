@@ -87,17 +87,6 @@ def _partial_first_seen(batch: pa.Table, name_col: str, key_col: str) -> pa.Tabl
     )
 
 
-def _keyed_reduce(ds, keys, fn, num_partitions: int = 8):
-    """One exchange: ``fn`` over each coarse hash partition of ``keys``
-    (``ds``: one Dataset or a list of parts, as in coarse_grouped_map).
-    Not Ray's ``.aggregate()``: key cardinality is the corpus vocabulary,
-    and per-group Python in Ray's reducer grows with it.  Inputs are
-    combiner output, so no coalescing repartition goes first."""
-    return coarse_grouped_map(
-        ds, keys, fn, num_partitions=num_partitions, coalesce_blocks=None
-    )
-
-
 def _mentions(batch: pa.Table, sides) -> pa.Table:
     keys = (batch["doc_id"], batch["span_seq"], batch["stmt_seq"])
     t = pa.concat_tables(
@@ -134,7 +123,7 @@ def measure_top_key_share(
         g = t.group_by("name").aggregate([("name", "count")])
         return g.rename_columns(["name", "c"])
 
-    counts = _keyed_reduce(
+    counts = coarse_grouped_map(
         mentions.map_batches(partial, batch_format="pyarrow"),
         "name",
         lambda df: df.groupby("name", as_index=False).agg(c=("c", "sum")),
@@ -222,12 +211,9 @@ def _canonicalize(df: pd.DataFrame) -> pa.Table:
         schema=_TAGGED,
         preserve_index=False,
     )
-    # drop the "order_key<SEP>" prefix; no pandas metadata: a schema
-    # carrying it cannot be hashed (utils.plain_arrow)
+    # drop the "order_key<SEP>" prefix
     url = pc.list_element(pc.split_pattern(out["url"], _SEP, max_splits=1), 1)
-    return out.set_column(
-        NAMES.get_field_index("url"), "url", url
-    ).replace_schema_metadata(None)
+    return out.set_column(NAMES.get_field_index("url"), "url", url)
 
 
 def first_seen_names(
@@ -278,12 +264,13 @@ def first_seen_names(
                 "salt", pa.array(salts, pa.int32())
             )
 
-        mentions = _keyed_reduce(
+        mentions = coarse_grouped_map(
             mentions.map_batches(add_salt, batch_format="pyarrow"),
             ["name", "salt"],
             lambda df: df.groupby(["name", "salt"], as_index=False).agg(
                 first_key=("first_key", "min")
             ),
+            num_partitions=8,
         )
     rows = [
         mentions.map_batches(_route_mentions, batch_format="pyarrow"),
@@ -292,7 +279,9 @@ def first_seen_names(
     # materialized once: the names and the URL aggregate both read it.
     # Zero-row blocks go (nonempty_blocks): a map over one would emit a
     # block without columns.
-    return nonempty_blocks(_keyed_reduce(rows, "route", _canonicalize))
+    return nonempty_blocks(
+        coarse_grouped_map(rows, "route", _canonicalize, num_partitions=8)
+    )
 
 
 def _names(batch: pa.Table) -> pa.Table:

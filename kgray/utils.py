@@ -102,48 +102,30 @@ def session_memo(cache: dict, key, builder, probe=None):
     return val
 
 
-def plain_arrow(block: pa.Table) -> pa.Table:
-    """A pandas UDF's output block as Arrow without schema metadata.
-
-    Ray converts a pandas block with ``pa.Table.from_pandas``, which
-    records pandas metadata in the schema.  A schema with metadata cannot
-    be hashed, so Ray's ``unify_schemas`` skips its one-schema fast path
-    ("Failed to hash the schemas") and unifies every such block in full.
-    Run as a fused whole-block map, after Ray has concatenated the UDF's
-    frames: the block stays one contiguous chunk.
-    """
-    return block.replace_schema_metadata(None)
-
-
-def coarse_grouped_map(
-    ds,
-    key_cols,
-    fn,
-    num_partitions: int = 32,
-    coalesce_blocks="auto",
-):
+def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
     """Keyed aggregation/transform with VECTORIZED per-partition reduce.
 
-    ``ds.groupby(keys).aggregate(...)`` and ``.map_groups(...)`` pay a
+    ``ds.groupby(keys).aggregate`` and ``.map_groups`` pay a
     per-GROUP Python cost in the reduce phase — ~0.5 ms per group, which is
     15+ seconds for a 20k-group aggregate (measured) and grows with key
-    cardinality, i.e. with data scale.  This helper instead groups by a
-    COARSE partition key (hash of the group keys mod ``num_partitions``)
-    and hands each partition — thousands of whole groups — to ``fn`` as one
-    pandas DataFrame, so the reduce is one C-speed ``df.groupby`` per
-    partition.  Every row of a group lands in the same partition by
-    construction.
+    cardinality, i.e. with data scale.  This helper instead hashes the
+    group keys into ``num_partitions`` coarse buckets and hands each
+    reduce block — thousands of whole groups — to ``fn`` as one pandas
+    DataFrame, so the reduce is one C-speed ``df.groupby`` per block.
+    Every row of a group lands in the same bucket by construction.
 
     ``ds`` may be one Dataset or a list of Datasets with one schema (a
     co-group, e.g. parts made by ``tag``).  Each part is hashed in its
     own map, which Ray fuses into that part's upstream maps, and the parts
     are unioned after: no map runs between the union and the shuffle.
 
-    ``fn(df) -> df`` must itself group by ``key_cols`` (it sees all rows of
-    each of its groups, nothing else is guaranteed about partition
-    contents).  One all-to-all, same as the plain groupby; partition count
-    bounds both sort fan-in and reducer memory — raise it at scale so a
-    partition's groups fit in a worker's heap.
+    ``fn(df) -> df`` (or ``pa.Table``) must itself group by ``key_cols``:
+    it sees all rows of each of its groups, nothing else is guaranteed
+    about a block's contents.  The exchange is ONE all-to-all, a sort on
+    the bucket with fixed boundaries (Ray samples none), into
+    ``min(num_partitions, max(8, cluster CPUs))`` reduce blocks of whole
+    buckets; its fan-in is input blocks × reduce blocks.  Raise
+    ``num_partitions`` at scale so a reduce block fits in a worker's heap.
     """
     from pandas.util import hash_array
 
@@ -164,37 +146,32 @@ def coarse_grouped_map(
             "_pkey", pa.array((acc % np.uint64(P)).astype(np.int32))
         )
 
-    def run_partition(g):
-        return fn(g.drop(columns=["_pkey"]))
+    def run_partition(df: "pd.DataFrame") -> pa.Table:
+        # no pandas metadata: Ray's ``unify_schemas`` cannot hash a schema
+        # carrying it, and skips its one-schema fast path
+        out = fn(df.drop(columns=["_pkey"]))
+        if not isinstance(out, pa.Table):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        return out.replace_schema_metadata(None)
 
     parts = [
         part.map_batches(add_pkey, batch_format="pyarrow")
         for part in (ds if isinstance(ds, list) else [ds])
     ]
     tagged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    # Bound the sort fan-in: a union CONCATENATES its parts' block lists,
-    # and a small read gives micro-blocks; Ray's sort inherits that block
-    # count and pays a fixed per-task cost per partition.  One partition
-    # per cluster core is right while partitions fit in worker heap; at
-    # 100 TB callers should size ``num_partitions ≈ total_bytes / 256 MB``
-    # and pass ``coalesce_blocks=None``.
-    width = coalesce_blocks
-    if width == "auto":
-        try:
-            width = max(8, int(ray.cluster_resources().get("CPU", 8)))
-        except Exception:
-            width = 32
-    if width:
-        tagged = tagged.repartition(width)
-    return (
-        tagged.groupby("_pkey")
-        .map_groups(run_partition, batch_format="pandas")
-        .map_batches(plain_arrow, batch_format="pyarrow", batch_size=None)
-    )
+    res = ray.cluster_resources() if ray.is_initialized() else {"CPU": 32}
+    width = min(P, max(8, int(res.get("CPU", 8))))
+    return tagged.sort(
+        "_pkey", boundaries=[P * i // width for i in range(1, width)]
+    ).map_batches(run_partition, batch_format="pandas", batch_size=None)
 
 
 # the kind column ``tag`` adds: which part of a union a row came from
 KIND = "_kind"
+
+
+def _is_numeric(t: pa.DataType) -> bool:
+    return pa.types.is_integer(t) or pa.types.is_floating(t)
 
 
 def tag(ds: "ray.data.Dataset", kind: int, types: dict) -> "ray.data.Dataset":
@@ -214,7 +191,7 @@ def tag(ds: "ray.data.Dataset", kind: int, types: dict) -> "ray.data.Dataset":
         for c, t in types.items():
             if c in b.column_names:
                 cols[c] = b.column(c).cast(t)
-            elif pa.types.is_integer(t) or pa.types.is_floating(t):
+            elif _is_numeric(t):
                 cols[c] = pa.array(np.zeros(n, t.to_pandas_dtype()), t)
             else:
                 cols[c] = pa.nulls(n, t)
@@ -246,8 +223,8 @@ def repartition_join(
 
     ``how``: "inner" | "left" | "semi" | "anti".  Inner/left emit
     [left_on] + left cols + right cols (unmatched left rows pad with
-    nulls — numeric columns therefore come back as float64, cast
-    downstream if needed); semi/anti emit [left_on] + left cols only
+    nulls — a left join's right numeric columns are therefore float64,
+    cast downstream if needed); semi/anti emit [left_on] + left cols only
     (the right side contributes existence, never columns), with left
     multiplicity preserved.  All variants shuffle both sides exactly
     once on hash(key) — the per-partition kernel is the only
@@ -267,8 +244,9 @@ def repartition_join(
     ``left_types`` / ``right_types``: {column: pyarrow type} for each
     side INCLUDING its key column (schemas are declared, not inferred, so
     the lazy plans are never executed early).  Non-key column names must
-    be disjoint.  Output columns: [left_on] + left non-keys + right
-    non-keys, as pandas blocks.
+    be disjoint.  Without ``post_fn`` the output blocks carry these
+    declared types (a left join's right numeric columns as float64), so
+    a partition with no match types its padding like any other.
     """
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported join type: {how!r}")
@@ -284,20 +262,24 @@ def repartition_join(
 
         return tag(ds.map_batches(keyed, batch_format="pyarrow"), kind, types)
 
-    out_cols = (
-        [left_on] + lcols if how in ("semi", "anti")
-        else [left_on] + lcols + rcols
+    out = pa.schema(
+        [(left_on, types["_jkey"])]
+        + [(c, types[c]) for c in lcols]
+        + [
+            (c, pa.float64() if how == "left" and _is_numeric(types[c])
+             else types[c])
+            for c in (rcols if how in ("inner", "left") else [])
+        ]
     )
 
-    def merge_partition(g: "pd.DataFrame") -> "pd.DataFrame":
+    def merge_partition(g: "pd.DataFrame"):
         import pandas as pd
 
         l = g[g[KIND] == 0]
         r = g[g[KIND] == 1]
         if l.empty or (how == "inner" and r.empty):
-            # ZERO-column empty frame: map_batches passes empties through
-            # untouched and pd.concat ignores column-less frames, so this
-            # never pollutes the joined schema downstream.
+            # ZERO-column empty frame: Ray's schema unification skips
+            # zero-row blocks, so this never pollutes the joined schema.
             return pd.DataFrame()
         if how in ("semi", "anti"):
             hit = l._jkey.isin(r._jkey)
@@ -308,9 +290,10 @@ def repartition_join(
             )
         if m.empty:
             return pd.DataFrame()
-        m = m.rename(columns={"_jkey": left_on})
-        m = m[out_cols]
-        return post_fn(m) if post_fn is not None else m
+        m = m.rename(columns={"_jkey": left_on})[out.names]
+        if post_fn is not None:
+            return post_fn(m)
+        return pa.Table.from_pandas(m, schema=out, preserve_index=False)
 
     return coarse_grouped_map(
         [side(left, left_on, lcols, 0), side(right, right_on, rcols, 1)],
@@ -323,8 +306,8 @@ def repartition_join(
 def schema_floor(ds: "ray.data.Dataset", schema: pa.Schema):
     """Guarantee a typed schema on a possibly-empty keyed result.
 
-    Ray's sort-based groupby finalizes key-less partitions as
-    ZERO-COLUMN empty blocks ("new schema: ." RefBundle warnings);
+    A keyed exchange (``coarse_grouped_map``) finalizes row-less reduce
+    blocks as ZERO-COLUMN empty blocks ("new schema: ." RefBundle warnings);
     they coexist harmlessly with nonempty blocks, but when EVERY
     partition is empty the dataset's unified schema collapses to zero
     columns — ``to_pandas()`` returns a (0, 0) frame and downstream

@@ -163,6 +163,42 @@ def test_node_tables_exchange_budget(pipeline_result):
         assert "MapBatches(add_pkey)" not in ops, (salt_buckets, ops)
 
 
+def test_co_group_is_one_sort_with_bounded_output(pipeline_result):
+    """A keyed co-group is one all-to-all: ``build_document_graphs`` on
+    the gold corpus split into 12 blocks runs a single ``SortReduce`` and
+    no ``Repartition``; and ``coarse_grouped_map`` over a 32-block input
+    yields at most ``min(P, max(8, CPUs))`` reduce blocks."""
+    from kgray.stages.graph import build_document_graphs
+    from kgray.utils import coarse_grouped_map
+    from perfbench.trace import Tracer
+
+    _, _, _, res = pipeline_result
+    tr = Tracer("co-group")
+    parts = [
+        ds.repartition(12).materialize()
+        for ds in (res.edges, res.unary_nodes, res.annotation_urls)
+    ]
+    for ds in parts:
+        tr.collect("inputs", ds)
+    with tr.watch_plans():
+        graphs = build_document_graphs(*parts).materialize()
+    tr.collect("graphs", graphs)
+    assert graphs.count() > 0
+    assert [o["operator"] for o in tr.exchanges("graphs")] == ["SortReduce"]
+    ops = [o["operator"] for o in tr.ops if o["layer"] == "graphs"]
+    assert not [o for o in ops if o.startswith("Repartition")], ops
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    ds = ray.data.range(640).repartition(32).materialize()
+    for P in (4, 64):
+        out = coarse_grouped_map(
+            ds, "id", lambda df: df.groupby("id", as_index=False).size(),
+            num_partitions=P,
+        ).materialize()
+        assert out.num_blocks() <= min(P, max(8, cpus)), (P, out.num_blocks())
+        assert sorted(out.to_pandas()["id"]) == list(range(640))
+
+
 def test_node_tables_blocks_have_hashable_schemas(pipeline_result):
     """Every block node_tables produces has a schema Ray can hash, so
     ``unify_schemas`` takes its one-schema fast path (a schema carrying

@@ -137,7 +137,9 @@ def test_repartition_join_types():
     """inner/left/semi/anti semantics incl. duplicate keys and misses,
     also when a side carries a dictionary-encoded column declared as
     ``pa.string()`` in one of its blocks (``edges.text`` and
-    ``edges.evidence`` are such columns)."""
+    ``edges.evidence`` are such columns).  A left join types its output
+    by declaration, also in partitions where no left row matches: right
+    numeric columns as float64, strings as strings."""
     import numpy as np
     import pyarrow as pa
     import ray.data
@@ -156,15 +158,19 @@ def test_repartition_join_types():
     right = ray.data.from_arrow(pa.table({
         "rk": pa.array([2, 2, 4], pa.int64()),
         "rv": pa.array([10, 20, 30], pa.int64()),
+        "rs": pa.array(["x", "y", "z"], pa.string()),
     }))
     lt = {"k": pa.int64(), "lv": pa.string()}
-    rt = {"rk": pa.int64(), "rv": pa.int64()}
+    rt = {"rk": pa.int64(), "rv": pa.int64(), "rs": pa.string()}
 
     for left in (plain, dictionary):
-        def run(how):
-            df = repartition_join(
+        def join(how):
+            return repartition_join(
                 left, right, "k", "rk", lt, rt, num_partitions=4, how=how
-            ).to_pandas()
+            )
+
+        def run(how):
+            df = join(how).to_pandas()
             return df.sort_values(list(df.columns)).reset_index(drop=True)
 
         inner = run("inner")
@@ -180,8 +186,15 @@ def test_repartition_join_types():
 
         lj = run("left")
         assert len(lj) == 6  # 1->null, 2x2 matched, 3->null
-        assert lj.rv.isna().sum() == 2
+        assert lj.rv.dtype == np.float64
+        assert lj.rv.isna().sum() == 2 and lj.rs.isna().sum() == 2
         assert int(lj.rv.fillna(0).sum()) == 60
+        assert sorted(lj.rs.dropna()) == ["x", "x", "y", "y"]
+        schema = join("left").schema()
+        assert dict(zip(schema.names, schema.types)) == {
+            "k": pa.int64(), "lv": pa.string(),
+            "rv": pa.float64(), "rs": pa.string(),
+        }
 
 
 def test_token_count_bpe_segmentation():
