@@ -223,35 +223,39 @@ def _q_chunk_spans(sf_dir: str):
     return chunks.select_columns(["doc_id", "span_seq", "text", "admitted"])
 
 
+def _min_seed(ds, col: str):
+    """A one-row (node) seed Dataset holding the smallest ``col`` value of
+    ``ds`` (a scalar reduce: one min row per block, tiny driver finish),
+    or an empty typed one when ``ds`` has no row."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    mins = ds.map_batches(
+        lambda df: pd.DataFrame({"m": [df[col].min()]})
+        if len(df) else pd.DataFrame({"m": pd.Series([], dtype="object")}),
+        batch_format="pandas",
+        batch_size=None,
+    ).to_pandas()
+    # to_pandas() of an all-empty dataset has no "m" column at all
+    seed = [] if mins.empty else [mins.m.min()]
+    return ray.data.from_arrow(pa.table({"node": pa.array(seed, pa.string())}))
+
+
 def _q_kg_subgraph(sf_dir: str, k: int = 2):
     """GraphRAG retrieval: k-hop neighborhood of a deterministic seed
     entity over the evidence-keyed edge table — the engine-side
     equivalent of the reference's NDEx
     ``get_neighborhood(network, query_string, search_depth=k)`` call
     (examples/bel_graph_rag.ipynb)."""
-    import pandas as pd
-    import ray.data
-
     from kgray.stages.subgraph import khop_subgraph
 
     edges = _kg_result(sf_dir).edges.select_columns(
         ["doc_id", "span_seq", "subj", "pred", "obj"]
     )
-    # deterministic seed: lexicographically smallest subject entity
-    # (scalar reduce — one min per block, tiny driver finish)
-    mins = edges.map_batches(
-        lambda df: pd.DataFrame({"m": [df.subj.min()]})
-        if len(df) else pd.DataFrame({"m": pd.Series([], dtype="object")}),
-        batch_format="pandas",
-        batch_size=None,
-    ).to_pandas()
-    if mins.empty:
-        # a NaN seed would fail later, obscurely, in the string-keyed BFS
-        raise ValueError(
-            "kg_subgraph needs a seed entity, but the edge table is empty"
-        )
-    seeds = ray.data.from_pandas(pd.DataFrame({"node": [mins.m.min()]}))
-    return khop_subgraph(edges, seeds, k=k)
+    # deterministic seed: the lexicographically smallest subject entity;
+    # no edge → no seed → zero typed rows
+    return khop_subgraph(edges, _min_seed(edges, "subj"), k=k)
 
 
 def _q_kg_subgraph_prompt(sf_dir: str):
@@ -929,27 +933,12 @@ def _q_kg_clustering(sf_dir: str):
 
 
 def _q_kg_bfs(sf_dir: str):
-    import pandas as pd
-    import ray.data
-
     from kgray.stages.graph_algos import bfs_distances
 
     edges = _kg_edge_graph(sf_dir).materialize()
-    # deterministic seed: the lexicographically smallest source node
-    # (scalar reduce: one min row per block, tiny driver finish)
-    mins = edges.map_batches(
-        lambda df: pd.DataFrame({"m": [df.src.min()]})
-        if len(df) else pd.DataFrame({"m": pd.Series([], dtype="object")}),
-        batch_format="pandas",
-        batch_size=None,
-    ).to_pandas()
-    if mins.empty:
-        # to_pandas() of an all-empty dataset has no "m" column at all
-        raise ValueError(
-            "kg_bfs needs a seed node, but the edge table is empty"
-        )
-    seeds = ray.data.from_pandas(pd.DataFrame({"node": [mins.m.min()]}))
-    return bfs_distances(edges, seeds, max_depth=3)
+    # deterministic seed: the lexicographically smallest source node;
+    # no edge → no seed → zero typed rows
+    return bfs_distances(edges, _min_seed(edges, "src"), max_depth=3)
 
 
 def _q_kg_neighbor_jaccard(sf_dir: str):
@@ -1378,9 +1367,10 @@ ev AS (
     ON sp.doc_id = s.raw_doc AND sp.span = s.span_seq
 )
 SELECT 'Knowledge graph statements (one per line, with supporting ' ||
-       'evidence):' || chr(10) ||
+       'evidence):' || coalesce(chr(10) ||
        string_agg(subj || ' ' || pred || ' ' || obj || ' : ' || evidence,
-                  chr(10) ORDER BY doc_id, span_seq, subj, obj) AS prompt
+                  chr(10) ORDER BY doc_id, span_seq, subj, obj), '')
+       AS prompt
 FROM ev
 """,
         "token_count": """
@@ -1981,7 +1971,7 @@ FROM deg d LEFT JOIN tri t USING (node)
         "kg_bfs": _KG_CTE + """
 , eg AS (SELECT DISTINCT 'w(X:' || ta || ')' AS src,
                          'w(X:' || tb || ')' AS dst FROM pairs),
-n0 AS (SELECT min(src) AS node FROM eg),
+n0 AS (SELECT min(src) AS node FROM eg HAVING count(*) > 0),
 r1 AS (SELECT DISTINCT e.dst AS node FROM eg e JOIN n0 n ON e.src = n.node),
 r2 AS (SELECT DISTINCT e.dst AS node FROM eg e JOIN r1 n ON e.src = n.node),
 r3 AS (SELECT DISTINCT e.dst AS node FROM eg e JOIN r2 n ON e.src = n.node),

@@ -66,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PMID used to name networks built from file inputs "
                         "(reference main.py:374-385 naming hook).")
     p.add_argument("--backend", type=str, default="stub",
-                   choices=["stub", "openai", "vllm"],
+                   choices=["stub", "openai"],
                    help="Extraction backend (stub = deterministic, "
                         "no network/GPU).")
     p.add_argument("--model", type=str, default=None,
-                   help="Model name for openai/vllm backends.")
+                   help="Model name for the openai backend.")
     p.add_argument("--output_dir", type=str, default="kgray_output")
     p.add_argument("--checkpoint_dir", type=str, default=None,
                    help="Enable per-stage checkpoint/resume: a re-run "
@@ -180,11 +180,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         else resolve_default_prompt(args.prompt_identifier)
     )
     backend_kwargs = {}
-    if args.backend in ("openai", "vllm"):
+    if args.backend == "openai":
         backend_kwargs["prompt_text"] = prompt_text
         if args.model:
             backend_kwargs["model"] = args.model
-        if args.backend == "openai" and args.api_key:
+        if args.api_key:
             backend_kwargs["api_key"] = args.api_key
     cfg = KGConfig(backend=args.backend, backend_kwargs=backend_kwargs)
 

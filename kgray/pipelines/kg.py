@@ -38,7 +38,6 @@ from ..stages.nodes import (
     assign_node_ids,
     first_seen_names,
     node_tables,
-    split_names,
 )
 from ..utils import repartition_join, schema_floor
 
@@ -115,36 +114,6 @@ class KGResult:
     # vocabulary at web scale)
     annotation_url_agg: "ray.data.Dataset"
 
-    # Hard bound on the export-only url_map collection: a grounded-entity
-    # vocabulary past this is no longer a "small dict" and the caller
-    # should consume annotation_url_agg as a Dataset instead.
-    URL_MAP_MAX_ROWS = 1_000_000
-
-    @property
-    def url_map(self) -> Dict[str, str]:
-        """Collected entry_name → URL dict, for EXPORT-path consumers only
-        (tests, notebook-style inspection).  Deliberately lazy: nothing in
-        the table-producing pipeline calls this.  GUARDED: raises
-        ValueError when the vocabulary exceeds ``URL_MAP_MAX_ROWS`` so the
-        one driver-side collection a production result object exposes can
-        never silently scale with the corpus — consume
-        ``annotation_url_agg`` (a Dataset) for anything bigger."""
-        cached = getattr(self, "_url_map_cache", None)
-        if cached is None:
-            agg = self.annotation_url_agg.materialize()
-            n = agg.count()
-            if n > self.URL_MAP_MAX_ROWS:
-                raise ValueError(
-                    f"url_map would collect {n} rows (> "
-                    f"{self.URL_MAP_MAX_ROWS}); use the "
-                    "annotation_url_agg Dataset instead"
-                )
-            cached = {
-                r["entry_name"]: r["url"] for r in agg.take_all()
-            }
-            object.__setattr__(self, "_url_map_cache", cached)
-        return cached
-
 
 def run_extractions(
     documents: "ray.data.Dataset", cfg: Optional[KGConfig] = None
@@ -190,22 +159,19 @@ def _graph_inputs(extractions: "ray.data.Dataset", materialize: bool):
     return edges, unary, ann_urls
 
 
-def run_graph_stages(
-    extractions: "ray.data.Dataset", materialize: bool = True
-) -> KGResult:
+def run_graph_stages(extractions: "ray.data.Dataset") -> KGResult:
     """EXTRACTIONS → edges / unary / annotation_urls / canonical nodes.
 
     ``extractions`` fans out to four consumers; Ray Data re-executes a lazy
     lineage per consumer, which would re-invoke the (expensive) extraction
-    tasks 4×.  We pin the LLM output once (``materialize``) — it is orders
-    of magnitude smaller than the input corpus, and in the checkpointed
-    production path (pipelines/checkpoint.py) this is a parquet round-trip
-    instead, so the LLM is never re-invoked either way.
+    tasks 4×.  We pin the LLM output once — it is orders of magnitude
+    smaller than the input corpus, and in the checkpointed production
+    path (pipelines/checkpoint.py) this is a parquet round-trip instead,
+    so the LLM is never re-invoked either way.
     """
-    if materialize:
-        # schema_floor: an empty corpus must still yield typed EXTRACTIONS
-        extractions = schema_floor(extractions, schemas.EXTRACTIONS)
-    edges, unary, ann_urls = _graph_inputs(extractions, materialize)
+    # schema_floor: an empty corpus must still yield typed EXTRACTIONS
+    extractions = schema_floor(extractions, schemas.EXTRACTIONS)
+    edges, unary, ann_urls = _graph_inputs(extractions, materialize=True)
     nodes, url_agg = node_tables(edges, unary, ann_urls)
     return KGResult(
         extractions=extractions,
@@ -248,7 +214,7 @@ def incremental_update(
     """
     extractions = run_extractions(new_docs, cfg).materialize()
     edges, unary, ann_urls = _graph_inputs(extractions, materialize=True)
-    names, url_agg = split_names(first_seen_names(edges, unary, ann_urls))
+    names, url_agg = first_seen_names(edges, unary, ann_urls)
 
     existing_nodes = existing_nodes.materialize()
     fresh = repartition_join(

@@ -19,9 +19,10 @@ Backends:
   (text, annotations) applying the planted relation grammar — required so
   two cluster sizes and reruns emit identical triples (gold known by
   construction).
-- ``OpenAIChatBackend``: any OpenAI-compatible HTTP endpoint (vLLM serve,
-  api.openai.com).  Import-gated; never used in tests.  Decoding is
-  JSON-schema-constrained to the same interactions shape.
+- ``OpenAIChatBackend``: any OpenAI-compatible HTTP endpoint (a
+  self-hosted model server such as vLLM serve, or api.openai.com).  It
+  requests ``json_object`` output and reads the ``interactions`` list;
+  the tests drive it against a localhost mock server.
 """
 from __future__ import annotations
 
@@ -35,25 +36,6 @@ from .. import schemas
 from ..vocab import RELATION_RE, UNARY_RE, ENTITY_BY_NAME, statement_for, unary_term
 
 _SENTENCE_SPLIT = re.compile(r"(?<=\.)\s+")
-
-BEL_INTERACTIONS_JSON_SCHEMA = {
-    # mirror of the reference's Pydantic BELInteractions (bel_model.py:22-33)
-    "type": "object",
-    "properties": {
-        "interactions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "bel_statement": {"type": "string"},
-                    "evidence": {"type": "string"},
-                },
-                "required": ["bel_statement", "evidence"],
-            },
-        }
-    },
-    "required": ["interactions"],
-}
 
 
 def clean_annotations(annotations: Sequence[dict]) -> List[dict]:
@@ -175,11 +157,12 @@ class _UrllibChatClient:
 
 
 class OpenAIChatBackend:
-    """OpenAI-compatible chat backend (vLLM serve / api.openai.com).
+    """OpenAI-compatible chat backend (a self-hosted model server or
+    api.openai.com).
 
-    Not exercised in the sandbox (no network); plumbing is real: one client
-    per worker process and run, the reference's exact message layout,
-    forced JSON output.
+    One client per worker process and run, the reference's exact message
+    layout, ``json_object`` response format.  Tested against a localhost
+    mock server through the stdlib client below.
     """
 
     def __init__(
@@ -236,59 +219,6 @@ class OpenAIChatBackend:
         return out
 
 
-class VLLMBackend:
-    """In-process vLLM engine backend (the north-star production path).
-
-    One engine per worker process and run (weights load once in
-    ``__init__``), continuous batching across the paragraph batch,
-    decoding constrained to the BELInteractions JSON schema via guided
-    decoding.  vLLM (and a GPU) are not present here, so construction
-    raises immediately — the stage wiring, prompt assembly and schema
-    contract are the tested parts (StubBackend exercises them end-to-end).
-    """
-
-    def __init__(
-        self,
-        prompt_text: Optional[str] = None,
-        model: str = "Qwen/Qwen2.5-7B-Instruct",
-        max_model_len: int = 8192,
-        temperature: float = 0.0,
-    ):
-        if prompt_text is None:
-            from ..functions.prompts import resolve_default_prompt
-
-            prompt_text = resolve_default_prompt()
-        try:
-            from vllm import LLM, SamplingParams  # type: ignore
-        except ImportError as e:
-            raise NotImplementedError(
-                "VLLMBackend requires the `vllm` package and a GPU; use "
-                "StubBackend or OpenAIChatBackend in this environment"
-            ) from e
-        self._llm = LLM(model=model, max_model_len=max_model_len)  # pragma: no cover
-        self._params = SamplingParams(  # pragma: no cover
-            temperature=temperature,
-            max_tokens=1024,
-            guided_decoding={"json": BEL_INTERACTIONS_JSON_SCHEMA},
-        )
-        self._prompt = prompt_text
-
-    def extract_batch(self, texts, annotations):  # pragma: no cover
-        prompts = [
-            f"{self._prompt}\n\n{t} | Annotations: {clean_annotations(a)}"
-            for t, a in zip(texts, annotations)
-        ]
-        outs = self._llm.generate(prompts, self._params)
-        results = []
-        for o in outs:
-            try:
-                data = json.loads(o.outputs[0].text)
-                results.append(list(data.get("interactions", [])))
-            except (json.JSONDecodeError, IndexError, AttributeError):
-                results.append([])
-        return results
-
-
 class BELExtractor:
     """Extraction stage: ANNOTATED_CHUNKS batch → EXTRACTIONS batch.
 
@@ -320,7 +250,6 @@ class BELExtractor:
             self._backend = {
                 "stub": StubBackend,
                 "openai": OpenAIChatBackend,
-                "vllm": VLLMBackend,
             }[backend](**backend_kwargs)
         else:
             self._backend = backend

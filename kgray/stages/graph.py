@@ -30,7 +30,7 @@ from ..utils import KIND, coarse_grouped_map, tag
 
 
 def _document_cx2(
-    edges: pd.DataFrame, unary: pd.DataFrame, url_map: Dict[str, str]
+    edges: pd.DataFrame, unary: pd.DataFrame, urls: Dict[str, str]
 ) -> dict:
     """Build one document's CX2-shaped dict with reference id semantics."""
     node_ids: Dict[str, int] = {}
@@ -74,7 +74,7 @@ def _document_cx2(
     for name, i in node_ids.items():
         label = term_label(name)
         v = {"name": name, "label": label, "type": term_type(name)}
-        url = url_map.get(name, url_map.get(label))
+        url = urls.get(name, urls.get(label))
         if url:
             v["id"] = url
         cx_nodes.append({"id": i, "v": v})

@@ -597,68 +597,22 @@ def bfs_distances(
 ) -> "ray.data.Dataset":
     """Minimum DIRECTED hop distance from a seed node set, bounded by
     ``max_depth`` → (node, dist) for every reached node (seeds at 0;
-    unreachable nodes absent).
-
-    Iterative frontier expansion, each round fully distributed: the
-    current frontier repartition-joins the edge table on src (the edge
-    table never broadcasts), newly reached nodes are those not already
-    labeled (one anti join), and the loop stops early when a frontier
-    empties.  Rounds = min(max_depth, eccentricity) — the standard
-    BSP/Pregel BFS shape expressed as Dataset joins.
+    unreachable nodes absent): ``multi_source_bfs``'s frontier loop with
+    every seed under one source.
     """
-    e = _distinct_edges(edges).materialize()
 
-    visited = seeds.map_batches(
-        lambda b: pa.table(
-            {"node": b.column("node"),
-             "dist": pa.array(np.zeros(b.num_rows, np.int64), pa.int64())}
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    frontier = visited.select_columns(["node"]).materialize()
+    def one_source(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "s": pa.array([""] * b.num_rows, pa.string()),
+            "node": b.column("node").cast(pa.string()),
+        })
 
-    for depth in range(1, max_depth + 1):
-        if frontier.count() == 0:
-            break
-        reached = repartition_join(
-            e,
-            frontier,
-            "src",
-            "node",
-            {"src": pa.string(), "dst": pa.string()},
-            {"node": pa.string()},
-            num_partitions=num_partitions,
-            how="semi",
-        )
-        nxt = coarse_grouped_map(
-            reached.map_batches(
-                lambda b: pa.table({"node": b.column("dst")}),
-                batch_format="pyarrow",
-            ),
-            "node",
-            lambda df: df.drop_duplicates("node"),
-            num_partitions=num_partitions,
-        )
-        fresh = repartition_join(
-            nxt,
-            visited.select_columns(["node"]),
-            "node",
-            "node",
-            {"node": pa.string()},
-            {"node": pa.string()},
-            num_partitions=num_partitions,
-            how="anti",
-        ).map_batches(
-            lambda b, _d=depth: b.append_column(
-                "dist", pa.array(np.full(b.num_rows, _d, np.int64))
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-        visited = visited.union(fresh).materialize()
-        frontier = fresh.select_columns(["node"]).materialize()
-
+    visited = _bfs(
+        edges, seeds.map_batches(one_source, batch_format="pyarrow"),
+        max_depth, num_partitions,
+    )
     return schema_floor(
-        visited,
+        visited.select_columns(["node", "dist"]),
         pa.schema([("node", pa.string()), ("dist", pa.int64())]),
     )
 
@@ -914,13 +868,39 @@ def multi_source_bfs(
     ``max_depth`` (seeds at 0; unreached pairs absent) — the landmark
     distance table behind closeness/harmonic centrality and graph
     sketches (Boldi & Vigna's HyperBall runs this exact shape).
+    """
 
-    All seeds advance through the SAME BSP rounds: the frontier is the
-    composite (seed, node) set, so k landmarks cost the identical
+    def own_source(b: pa.Table) -> pa.Table:
+        node = b.column("node").cast(pa.string())
+        return pa.table({"s": node, "node": node})
+
+    visited = _bfs(
+        edges, seeds.map_batches(own_source, batch_format="pyarrow"),
+        max_depth, num_partitions,
+    )
+    return schema_floor(
+        visited,
+        pa.schema([("s", pa.string()), ("node", pa.string()),
+                   ("dist", pa.int64())]),
+    )
+
+
+def _bfs(
+    edges: "ray.data.Dataset",
+    seeds: "ray.data.Dataset",
+    max_depth: int,
+    num_partitions: int,
+) -> "ray.data.Dataset":
+    """The frontier loop: (s, node) seed rows → materialized (s, node,
+    dist) rows, the minimum directed hop distance from each source ``s``.
+
+    All sources advance through the SAME BSP rounds: the frontier is the
+    composite (s, node) set, so k sources cost the identical
     3×(join + reduce + anti-join) pipeline as one — never k sequential
     BFS loops.  The edge table joins by src and is never broadcast; the
-    visited set is keyed on a fused seed\\x1fnode string so the anti
-    join stays a single-key repartition join.
+    visited set is keyed on a fused s\\x1fnode string so the anti join
+    stays a single-key repartition join.  The loop stops early when a
+    frontier empties: rounds = min(max_depth, eccentricity).
     """
     e = _distinct_edges(edges).materialize()
     SEP = "\x1f"
@@ -931,16 +911,12 @@ def multi_source_bfs(
             s.cast(pa.string()), n.cast(pa.string()), SEP
         )
 
-    def init_seeds(b: pa.Table) -> pa.Table:
-        node = b.column("node")
-        return pa.table({
-            "s": node.cast(pa.string()),
-            "node": node.cast(pa.string()),
-            "dist": pa.array(np.zeros(b.num_rows, np.int64), pa.int64()),
-        })
+    def at_zero(b: pa.Table) -> pa.Table:
+        return b.append_column(
+            "dist", pa.array(np.zeros(b.num_rows, np.int64), pa.int64())
+        )
 
-    visited = seeds.map_batches(init_seeds,
-                                batch_format="pyarrow").materialize()
+    visited = seeds.map_batches(at_zero, batch_format="pyarrow").materialize()
     frontier = visited.select_columns(["s", "node"]).materialize()
 
     def keyed(ds: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -997,11 +973,7 @@ def multi_source_bfs(
         visited = visited.union(fresh).materialize()
         frontier = fresh.select_columns(["s", "node"]).materialize()
 
-    return schema_floor(
-        visited,
-        pa.schema([("s", pa.string()), ("node", pa.string()),
-                   ("dist", pa.int64())]),
-    )
+    return visited
 
 
 def harmonic_closeness(

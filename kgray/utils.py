@@ -133,6 +133,8 @@ def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
     P = num_partitions
 
     def add_pkey(batch: pa.Table) -> pa.Table:
+        # no schema metadata either side of the sort (see run_partition)
+        batch = batch.replace_schema_metadata(None)
         if batch.num_rows == 0:
             return batch.append_column("_pkey", pa.array([], pa.int32()))
         acc = np.zeros(batch.num_rows, dtype=np.uint64)

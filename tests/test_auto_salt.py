@@ -10,10 +10,9 @@ import ray
 import ray.data
 
 from kgray.stages.nodes import (
-    canonicalize_nodes,
     edge_node_mentions,
     measure_top_key_share,
-    unary_node_mentions,
+    node_tables,
 )
 
 
@@ -54,8 +53,8 @@ def _empty_unary():
 
 
 def _empty_url_agg():
-    # canonicalize_nodes takes the URL aggregate as a DATASET now (the
-    # collected-dict API was removed with the r3 build_url_map fix)
+    # node_tables takes the URL aggregate as a DATASET, never a
+    # driver-side dict
     return ray.data.from_arrow(
         pa.table(
             {
@@ -96,23 +95,22 @@ def test_top_key_share_measures_planted_skew(ray_session):
     assert share2 < 0.01
 
 
-def test_salted_plan_engages_and_matches_unsalted(ray_session):
+def _nodes(edges):
+    nodes, _ = node_tables(edges, _empty_unary(), _empty_url_agg())
+    return nodes.to_pandas().sort_values("node_id").reset_index(drop=True)
+
+
+def test_salted_plan_engages_and_matches_unsalted(ray_session, salt_path):
     edges = ray.data.from_arrow(_planted_edges()).repartition(16)
-    url_ref = _empty_url_agg()
 
-    # auto mode with thresholds scaled to the test corpus: must salt
-    auto = canonicalize_nodes(
-        edges, _empty_unary(), url_ref,
-        salt_buckets=None, salt_min_rows=100, salt_share_threshold=0.02,
-    ).to_pandas().sort_values("node_id").reset_index(drop=True)
-
-    unsalted = canonicalize_nodes(
-        edges, _empty_unary(), url_ref, salt_buckets=1
-    ).to_pandas().sort_values("node_id").reset_index(drop=True)
-
-    forced = canonicalize_nodes(
-        edges, _empty_unary(), url_ref, salt_buckets=16
-    ).to_pandas().sort_values("node_id").reset_index(drop=True)
+    # the measured decision with thresholds scaled to the test corpus:
+    # must salt
+    salt_path(min_rows=100, share=0.02)
+    auto = _nodes(edges)
+    salt_path(1)
+    unsalted = _nodes(edges)
+    salt_path(16)
+    forced = _nodes(edges)
 
     pd.testing.assert_frame_equal(auto, unsalted)
     pd.testing.assert_frame_equal(forced, unsalted)
@@ -121,7 +119,7 @@ def test_salted_plan_engages_and_matches_unsalted(ray_session):
     assert list(unsalted.node_id) == list(range(len(unsalted)))
 
 
-def test_auto_salt_decision_boundary(ray_session, monkeypatch):
+def test_auto_salt_decision_boundary(ray_session, monkeypatch, salt_path):
     """The decision itself: planted skew → buckets > 1; uniform → 1.
     Captured by monkeypatching the salting branch's entry."""
     import kgray.stages.nodes as nodes_mod
@@ -135,9 +133,7 @@ def test_auto_salt_decision_boundary(ray_session, monkeypatch):
         return share, total
 
     monkeypatch.setattr(nodes_mod, "measure_top_key_share", spy)
+    salt_path(min_rows=100, share=0.02)
     edges = ray.data.from_arrow(_planted_edges()).repartition(16)
-    canonicalize_nodes(
-        edges, _empty_unary(), _empty_url_agg(),
-        salt_buckets=None, salt_min_rows=100, salt_share_threshold=0.02,
-    ).materialize()
+    node_tables(edges, _empty_unary(), _empty_url_agg())[0].materialize()
     assert chosen["share"] > 0.02

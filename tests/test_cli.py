@@ -74,6 +74,24 @@ def test_cli_rejects_ndex_and_missing_inputs(tmp_path, capsys):
         main(["--output_dir", str(tmp_path)])
 
 
+def test_backend_choices_are_the_extractor_registry(capsys):
+    """Every ``--backend`` choice names a backend ``BELExtractor`` builds
+    by name, and a name outside the choices is refused by both."""
+    from kgray.stages.extract import BELExtractor
+
+    p = build_parser()
+    action = next(a for a in p._actions if "--backend" in a.option_strings)
+    assert action.choices == ["stub", "openai"]
+    kwargs = {"openai": {"api_key": "unused",
+                         "base_url": "http://localhost:9/v1"}}
+    for name in action.choices:
+        BELExtractor(name, **kwargs.get(name, {}))
+    with pytest.raises(KeyError):
+        BELExtractor("nonesuch")
+    with pytest.raises(SystemExit):
+        p.parse_args(["--backend", "nonesuch", "--txt_paths", "x.txt"])
+
+
 def test_style_merge_reference_golden():
     if not os.path.exists(REF_STYLE):
         pytest.skip("reference style file not present")

@@ -70,7 +70,7 @@ def test_tfidf_and_unigram_no_vocab_broadcast():
 def test_node_canonicalization_no_driver_collection():
     """r3 verdict 'What's wrong #1': the node-URL attach must be an
     entry_name-keyed join over the (entry_name, url) aggregate DATASET —
-    never a collected driver dict (build_url_map's former take_all grew
+    never a collected driver dict (the former driver-side take_all grew
     with the entity vocabulary on web-scale corpora).  The whole
     node_tables path runs under the collection guard; URL values are
     asserted afterwards against the reference's name-then-label probe
@@ -82,7 +82,7 @@ def test_node_canonicalization_no_driver_collection():
     docs, _, _ = generate_documents(24, seed=21)
     ext = run_extractions(ray.data.from_arrow(docs)).materialize()
     with collection_guard():
-        res = run_graph_stages(ext, materialize=True)
+        res = run_graph_stages(ext)
         nodes = _collect(res.nodes.to_arrow_refs())
     # independent oracle: first-seen (doc_id, span_seq, ann_seq) URL per
     # entry_name, probed by node name then label

@@ -2,10 +2,10 @@
 
 A corpus in which no span is admitted (every text span is under 20
 characters, pub.py:51-58) yields no annotation and no edge.  Every KG
-driver query on it must either equal its DuckDB oracle, with the oracle's
-columns in its schema, or refuse with a clear ``ValueError`` when it needs
-a seed entity.  Below the driver, every graph algorithm given an empty
-edge table must return zero rows under a typed schema.
+driver query on it must equal its DuckDB oracle, with the oracle's columns
+in its schema; the queries that pick a seed entity run on an empty seed
+set.  Below the driver, every graph algorithm given an empty edge table
+must return zero rows under a typed schema.
 """
 import importlib.util
 from pathlib import Path
@@ -17,7 +17,7 @@ import ray.data
 
 from kgray.stages import graph_algos
 from kgray.stages.graph import consolidate_edges
-from kgray.stages.subgraph import khop_subgraph
+from kgray.stages.subgraph import PROMPT_HEADER, khop_subgraph
 
 _spec = importlib.util.spec_from_file_location(
     "check_oracle",
@@ -109,13 +109,6 @@ def test_graph_algorithm_on_empty_edge_table_is_typed(name):
 # first two name vocabulary terms that would co-occur if admitted
 NON_ADMITTED_TEXTS = ["spark join", "row hash sort", "", "a"]
 
-# queries that need a seed entity refuse an edge-less corpus
-NEEDS_SEED = {
-    "kg_subgraph": "edge table is empty",
-    "kg_subgraph_prompt": "edge table is empty",
-    "kg_bfs": "edge table is empty",
-}
-
 KG_QUERIES = [
     q for q in entry.queries()
     if (q.startswith("kg_") or q == "chunk_spans") and q in entry.oracle_sql()
@@ -143,18 +136,13 @@ def non_admitted_sf(tmp_path_factory):
 
 
 def test_kg_query_list_covers_the_seeded_queries():
-    assert set(NEEDS_SEED) <= set(KG_QUERIES)
+    assert {"kg_subgraph", "kg_subgraph_prompt", "kg_bfs"} <= set(KG_QUERIES)
     assert {"kg_edges", "kg_nodes", "chunk_spans"} <= set(KG_QUERIES)
 
 
 @pytest.mark.parametrize("name", KG_QUERIES)
 def test_kg_query_on_all_non_admitted_corpus(name, non_admitted_sf):
     sf_dir, con = non_admitted_sf
-    if name in NEEDS_SEED:
-        with pytest.raises(ValueError, match=NEEDS_SEED[name]):
-            entry.queries()[name](sf_dir)
-        return
-
     oracle = con.execute(entry.oracle_sql()[name]).fetchdf()
     out = entry.queries()[name](sf_dir)
     if isinstance(out, ray.data.Dataset):
@@ -175,5 +163,7 @@ def test_kg_query_on_all_non_admitted_corpus(name, non_admitted_sf):
     if name == "chunk_spans":
         assert len(mine) == len(NON_ADMITTED_TEXTS)
         assert not mine.admitted.any()
+    elif name == "kg_subgraph_prompt":  # the header, and no statement
+        assert list(mine.prompt) == [PROMPT_HEADER]
     else:
         assert len(mine) == 0, name

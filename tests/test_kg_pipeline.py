@@ -88,7 +88,9 @@ def test_node_canonicalization(pipeline_result):
     )
     assert set(nodes.name) == endpoints
     # url resolution: name-or-label probe (convert_to_cx2.py:159)
-    urls = res.url_map
+    urls = {
+        r["entry_name"]: r["url"] for r in res.annotation_url_agg.take_all()
+    }
     for _, row in nodes.iterrows():
         expect = urls.get(row["name"], urls.get(row["label"]))
         assert row["url"] == expect
@@ -116,14 +118,13 @@ def test_first_seen_node_order(pipeline_result):
     assert list(nodes.name) == expected_order
 
 
-def test_salted_canonicalization_identical(pipeline_result):
+def test_salted_canonicalization_identical(pipeline_result, salt_path):
     """The salted two-phase aggregate yields exactly the same node table."""
     from kgray.stages.nodes import node_tables
 
     _, _, _, res = pipeline_result
-    salted, _ = node_tables(
-        res.edges, res.unary_nodes, res.annotation_urls, salt_buckets=7
-    )
+    salt_path(7)
+    salted, _ = node_tables(res.edges, res.unary_nodes, res.annotation_urls)
     a = res.nodes.to_pandas().sort_values("name").reset_index(drop=True)
     b = salted.to_pandas().sort_values("name").reset_index(drop=True)
     import pandas as pd
@@ -131,7 +132,7 @@ def test_salted_canonicalization_identical(pipeline_result):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_node_tables_exchange_budget(pipeline_result):
+def test_node_tables_exchange_budget(pipeline_result, salt_path):
     """An unsalted build canonicalizes nodes in at most two all-to-all
     exchanges (name reduce, sort), a salted one in at most three (the
     salted pre-reduce first), counted from every plan node_tables
@@ -142,6 +143,8 @@ def test_node_tables_exchange_budget(pipeline_result):
 
     _, _, _, res = pipeline_result
     for salt_buckets, budget in ((None, 2), (7, 3)):
+        if salt_buckets:
+            salt_path(salt_buckets)
         tr = Tracer("exchange-budget")
         # credit the fixture's own exchanges (its input repartition)
         # elsewhere
@@ -149,8 +152,7 @@ def test_node_tables_exchange_budget(pipeline_result):
         tr.collect("inputs", res.edges)
         with tr.watch_plans():
             nodes, _ = node_tables(
-                res.edges, res.unary_nodes, res.annotation_urls,
-                salt_buckets=salt_buckets,
+                res.edges, res.unary_nodes, res.annotation_urls
             )
             nodes = nodes.materialize()
         tr.collect("nodes", nodes)
@@ -219,9 +221,9 @@ def test_node_tables_blocks_have_hashable_schemas(pipeline_result):
     nodes, url_agg = node_tables(
         res.edges, res.unary_nodes, res.annotation_urls
     )
-    names = first_seen_names(res.edges, res.unary_nodes, url_agg)
+    names, entries = first_seen_names(res.edges, res.unary_nodes, url_agg)
     n_blocks = 0
-    for ds in (nodes, url_agg, names):
+    for ds in (nodes, url_agg, names, entries):
         for schema in blocks(ds):
             hash(schema)
             n_blocks += 1
@@ -315,17 +317,3 @@ def test_zero_document_corpus_yields_empty_graph():
     assert res.edges.count() == 0
     assert res.nodes.count() == 0
 
-
-def test_url_map_guard(pipeline_result):
-    """The export-only url_map collection is bounded: past
-    URL_MAP_MAX_ROWS it refuses to collect (r4 verdict: no unbounded
-    take_all reachable from a production result object)."""
-    import dataclasses
-
-    import pytest
-
-    _, _, _, res = pipeline_result
-    guarded = dataclasses.replace(res)
-    object.__setattr__(guarded, "URL_MAP_MAX_ROWS", 0)
-    with pytest.raises(ValueError, match="url_map would collect"):
-        guarded.url_map

@@ -20,7 +20,7 @@ from pandas.util import hash_array
 from kgray import schemas
 from kgray.functions.bel import term_label, term_type
 from kgray.pipelines.kg import KGConfig, incremental_update, run_kg_pipeline
-from kgray.stages.nodes import canonicalize_nodes
+from kgray.stages.nodes import node_tables
 from kgray.vocab import Entity
 
 VOCAB = {
@@ -154,9 +154,7 @@ def test_node_tables_follow_the_reference_url_rules(n_blocks):
     assert ids == list(range(len(ids)))
     assert _url_agg(res.annotation_url_agg) == want_urls
     # the URL aggregate as input counts once per entry: the same nodes
-    again = canonicalize_nodes(
-        res.edges, res.unary_nodes, res.annotation_url_agg
-    )
+    again, _ = node_tables(res.edges, res.unary_nodes, res.annotation_url_agg)
     assert _nodes(again) == (got_nodes, ids)
 
     # every rule decides some URL
