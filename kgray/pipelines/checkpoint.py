@@ -352,9 +352,7 @@ def run_checkpointed_graph_prep(
     st = extractions_dir_state
     _run_stage(
         st, _GRAPH_PREP, _EXTRACTIONS,
-        lambda pids: _graph_inputs(
-            _read_stage(st, _EXTRACTIONS, pids)[0], materialize=False
-        ),
+        lambda pids: _graph_inputs(_read_stage(st, _EXTRACTIONS, pids)[0]),
     )
     return tuple(_read_stage(st, _GRAPH_PREP))
 

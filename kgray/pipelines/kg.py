@@ -3,10 +3,11 @@
 documents (doc_id, spans)                       # read_parquet / read_lance
   → map_batches(explode_spans)                  # all spans kept, admission flag
   → map_batches(_annotate_extract)              # + annotations, + results
-  → ├─ map_batches(extractions_to_edges)        # edges table
-  │  ├─ map_batches(extractions_to_unary_nodes) # node-only records
-  │  └─ map_batches(extractions_to_annotation_urls)
-  → node canonicalization (stages/nodes.py: name reduce, sort) → nodes
+  → one task per block, three tables:
+  │    extractions_to_edges                     # edges table
+  │    extractions_to_unary_nodes               # node-only records
+  │    extractions_to_annotation_urls
+  → node canonicalization (stages/nodes.py: name reduce, id sort) → nodes
 
 Mirrors reference lifecycle main.py:31-118 (§3.2 of SURVEY.md) as a
 streaming DAG; per-stage checkpointing lives in pipelines/checkpoint.py.
@@ -39,7 +40,7 @@ from ..stages.nodes import (
     first_seen_names,
     node_tables,
 )
-from ..utils import repartition_join, schema_floor
+from ..utils import dataset_of, map_blocks, repartition_join, schema_floor
 
 
 class AnnotateExtract:
@@ -129,34 +130,24 @@ def run_extractions(
     )
 
 
-def _graph_inputs(extractions: "ray.data.Dataset", materialize: bool):
-    """EXTRACTIONS → (edges, unary, annotation_urls)."""
-    edges = extractions.map_batches(
-        edge_stage.extractions_to_edges, batch_format="pyarrow"
+def _graph_inputs(extractions: "ray.data.Dataset"):
+    """EXTRACTIONS → (edges, unary, annotation_urls), each typed even
+    when empty.  One task per extraction block parses it into all three
+    tables, so the BEL parse runs once per block however many consumers
+    read them (canonicalization, the user's sinks), and their blocks stay
+    in the object store as refs for the node layer's tasks."""
+    tables = map_blocks(
+        extractions,
+        edge_stage.extractions_to_edges,
+        edge_stage.extractions_to_unary_nodes,
+        edge_stage.extractions_to_annotation_urls,
     )
-    if materialize:
-        # edges feeds ≥2 consumers (canonicalization + the user's sink);
-        # pinning it avoids re-running the BEL parse per consumer.  unary /
-        # ann_urls are each consumed exactly once downstream — they stream
-        # (an extra materialize barrier each was pure overhead).
-        # schema_floor: a zero-row edges block loses its schema, and an
-        # empty corpus must still yield the typed EDGES table.
-        edges = schema_floor(edges, schemas.EDGES)
-        # ``extractions`` is materialized here, so count() reads block
-        # metadata; zero rows must still give typed unary / URL tables.
-        if extractions.count() == 0:
-            return (
-                edges,
-                ray.data.from_arrow(schemas.UNARY_NODES.empty_table()),
-                ray.data.from_arrow(schemas.ANNOTATION_URLS.empty_table()),
-            )
-    unary = extractions.map_batches(
-        edge_stage.extractions_to_unary_nodes, batch_format="pyarrow"
+    return tuple(
+        dataset_of(blocks, schema) for blocks, schema in zip(
+            tables,
+            (schemas.EDGES, schemas.UNARY_NODES, schemas.ANNOTATION_URLS),
+        )
     )
-    ann_urls = extractions.map_batches(
-        edge_stage.extractions_to_annotation_urls, batch_format="pyarrow"
-    )
-    return edges, unary, ann_urls
 
 
 def run_graph_stages(extractions: "ray.data.Dataset") -> KGResult:
@@ -171,7 +162,7 @@ def run_graph_stages(extractions: "ray.data.Dataset") -> KGResult:
     """
     # schema_floor: an empty corpus must still yield typed EXTRACTIONS
     extractions = schema_floor(extractions, schemas.EXTRACTIONS)
-    edges, unary, ann_urls = _graph_inputs(extractions, materialize=True)
+    edges, unary, ann_urls = _graph_inputs(extractions)
     nodes, url_agg = node_tables(edges, unary, ann_urls)
     return KGResult(
         extractions=extractions,
@@ -213,7 +204,7 @@ def incremental_update(
     stores.
     """
     extractions = run_extractions(new_docs, cfg).materialize()
-    edges, unary, ann_urls = _graph_inputs(extractions, materialize=True)
+    edges, unary, ann_urls = _graph_inputs(extractions)
     names, url_agg = first_seen_names(edges, unary, ann_urls)
 
     existing_nodes = existing_nodes.materialize()

@@ -8,23 +8,27 @@ dict probed by node name then by extracted label (convert_to_cx2.py:159).
 "First-seen" is the MINIMUM of a total ordering key (doc_id, span_seq,
 stmt_seq, side), so parallel execution is deterministic (the reference's
 single-process arrival order is this key).  Every map task first collapses
-its batch to one row per distinct name or entry name (a combiner), so a hot
+its block to one row per distinct name or entry name (a combiner), so a hot
 entity ships one row per block, not one per mention.
 
-An unsalted build runs two all-to-all exchanges; the URL aggregate and the
-nodes stay Datasets end to end:
+An unsalted build runs two keyed exchanges, both plain Ray tasks
+(``kgray.utils``).  Block refs pass between their task layers: each
+Dataset in between only wraps refs and their metadata (``dataset_of``), so
+no Ray Data operator runs on the node path:
 
-1. ``first_seen_names``: one keyed reduce routed by ``term_label``, a pure
-   function of the name.  Partition ``hash(term_label(n))`` gets name
-   ``n``'s mentions; each URL entry ``e`` sends a name-probe copy to
-   ``hash(term_label(e))`` and a label-probe copy to ``hash(e)``.  It
-   yields each name's first-seen key, URL (name probe, else label probe),
-   label and type, and each entry name's first-seen URL (unmentioned
-   entries included), materialized once for its two readers: the names
-   and the URL aggregate.
-2. ``assign_node_ids``: a global sort by first-seen key, then
-   ``zip_with_index`` from an offset (past the existing maximum in
-   ``pipelines.kg.incremental_update``, which calls the same functions).
+1. the name reduce (``coarse_grouped_map``'s transport), routed by
+   ``term_label``, a pure function of the name.  Its map tasks run the
+   combiners and the routing on each edges, unary and URL block: partition
+   ``hash(term_label(n))`` gets name ``n``'s mentions; each URL entry
+   ``e`` sends a name-probe copy to ``hash(term_label(e))`` and a
+   label-probe copy to ``hash(e)``.  Each reduce task yields its names'
+   first-seen key, URL (name probe, else label probe), label and type, and
+   each entry name's first-seen URL (unmentioned entries included).
+2. ``assign_node_ids``: a sample sort of the names by first-seen key
+   (``utils.sort_ranges``); each range numbers its names from ``offset``
+   plus the count of names in the ranges before it
+   (``pipelines.kg.incremental_update`` starts past the existing maximum
+   and calls the same functions).
 
 When one name holds more than ``SALT_SHARE_THRESHOLD`` of the post-combiner
 mention rows, a salted pre-reduce on (name, salt) first splits that name's
@@ -32,17 +36,23 @@ reducer fan-in: one more exchange.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
 
 from .. import schemas
 from ..functions.bel import term_label, term_type
-from ..utils import coarse_grouped_map, nonempty_blocks, zip_with_index
+from ..utils import (
+    blocks_of,
+    coarse_grouped_map,
+    dataset_of,
+    map_blocks,
+    sort_ranges,
+)
 
 _SEP = "\x00"
 
@@ -118,13 +128,13 @@ def measure_top_key_share(
     per-name count table itself stays distributed.
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def partial_counts(batch: pa.Table) -> pa.Table:
         t = batch.select(["name"])
         g = t.group_by("name").aggregate([("name", "count")])
         return g.rename_columns(["name", "c"])
 
     counts = coarse_grouped_map(
-        mentions.map_batches(partial, batch_format="pyarrow"),
+        (mentions, partial_counts),
         "name",
         lambda df: df.groupby("name", as_index=False).agg(c=("c", "sum")),
         num_partitions=num_partitions,
@@ -156,6 +166,14 @@ def _route_mentions(batch: pa.Table) -> pa.Table:
     """Mention (name, first_key) rows → reduce rows routed by label."""
     names = batch["name"]
     return _rows(_MENTION, _labels(names), names, batch["first_key"])
+
+
+def _route_edge_mentions(batch: pa.Table) -> pa.Table:
+    return _route_mentions(edge_node_mentions(batch))
+
+
+def _route_unary_mentions(batch: pa.Table) -> pa.Table:
+    return _route_mentions(unary_node_mentions(batch))
 
 
 def _route_urls(batch: pa.Table) -> pa.Table:
@@ -226,6 +244,10 @@ def _entries(batch: pa.Table) -> pa.Table:
     )
 
 
+def _rows_of(blocks) -> int:
+    return sum(meta.num_rows for _, meta in blocks)
+
+
 def first_seen_names(
     edges: "ray.data.Dataset",
     unary: "ray.data.Dataset",
@@ -234,72 +256,66 @@ def first_seen_names(
     """edges + unary mentions + URL records → (``NAMES`` rows, URL
     aggregate): one row per canonical name and one (entry_name, url) row
     per entry name.  ``annotation_urls`` may also be an (entry_name, url)
-    aggregate.
+    aggregate.  The name reduce's parts are (blocks, combiner → router)
+    pairs, so the combiners and the routing run inside its map tasks.
 
     The salting decision reads ``SALT_MIN_ROWS``, ``SALT_SHARE_THRESHOLD``
     and ``AUTO_SALT_BUCKETS`` when it runs: when the table has at least
     ``SALT_MIN_ROWS`` mention rows and ``measure_top_key_share`` reports
     one name holding more than ``SALT_SHARE_THRESHOLD`` of them, a salted
-    pre-reduce with ``AUTO_SALT_BUCKETS`` runs first.
+    pre-reduce with ``AUTO_SALT_BUCKETS`` runs first.  Two mention rows
+    per edge and one per unary row bound the post-combiner count, so
+    the mention table is built only when that bound reaches
+    ``SALT_MIN_ROWS``.
     """
-    # pinned once: the skew probe and the reduce below both consume it,
-    # and count() is then metadata-only
-    mentions = edges.map_batches(
-        edge_node_mentions, batch_format="pyarrow"
-    ).union(
-        unary.map_batches(unary_node_mentions, batch_format="pyarrow")
-    ).materialize()
-    salt_buckets = 1
-    if mentions.count() >= SALT_MIN_ROWS:
-        share, _ = measure_top_key_share(mentions)
-        if share > SALT_SHARE_THRESHOLD:
-            salt_buckets = AUTO_SALT_BUCKETS
-    if salt_buckets > 1:
-        # the combiner bounds a name's reducer fan-in to one row per block;
-        # a (name, salt) pre-reduce splits a hot name's rows across
-        # ``salt_buckets`` reducers when block counts are huge
-        def add_salt(batch: pa.Table) -> pa.Table:
-            import zlib
+    edges, unary, urls = blocks_of(edges, unary, annotation_urls)
+    parts = [(edges, _route_edge_mentions), (unary, _route_unary_mentions)]
+    if 2 * _rows_of(edges) + _rows_of(unary) >= SALT_MIN_ROWS:
+        mentions = dataset_of(map_blocks(edges, edge_node_mentions)[0]
+                              + map_blocks(unary, unary_node_mentions)[0])
+        salt_buckets = 1
+        if mentions.count() >= SALT_MIN_ROWS:
+            share, _ = measure_top_key_share(mentions)
+            if share > SALT_SHARE_THRESHOLD:
+                salt_buckets = AUTO_SALT_BUCKETS
+        if salt_buckets > 1:
+            # the combiner bounds a name's reducer fan-in to one row per
+            # block; a (name, salt) pre-reduce splits a hot name's rows
+            # across ``salt_buckets`` reducers when block counts are huge
+            def add_salt(batch: pa.Table) -> pa.Table:
+                import zlib
 
-            salts = [
-                zlib.crc32(k.encode()) % salt_buckets
-                for k in batch.column("first_key").to_pylist()
-            ]
-            return batch.append_column(
-                "salt", pa.array(salts, pa.int32())
+                salts = [
+                    zlib.crc32(k.encode()) % salt_buckets
+                    for k in batch.column("first_key").to_pylist()
+                ]
+                return batch.append_column(
+                    "salt", pa.array(salts, pa.int32())
+                )
+
+            mentions = coarse_grouped_map(
+                (mentions, add_salt),
+                ["name", "salt"],
+                lambda df: df.groupby(["name", "salt"], as_index=False).agg(
+                    first_key=("first_key", "min")
+                ),
+                num_partitions=8,
             )
-
-        mentions = coarse_grouped_map(
-            mentions.map_batches(add_salt, batch_format="pyarrow"),
-            ["name", "salt"],
-            lambda df: df.groupby(["name", "salt"], as_index=False).agg(
-                first_key=("first_key", "min")
-            ),
-            num_partitions=8,
-        )
-    rows = [
-        mentions.map_batches(_route_mentions, batch_format="pyarrow"),
-        annotation_urls.map_batches(_route_urls, batch_format="pyarrow"),
-    ]
-    # materialized once: the names and the URL aggregate both read it.
-    # Zero-row blocks go (nonempty_blocks): a map over one would emit a
-    # block without columns.
-    tagged = nonempty_blocks(
-        coarse_grouped_map(rows, "route", _canonicalize, num_partitions=8)
+        parts = [(mentions, _route_mentions)]
+    tagged = coarse_grouped_map(
+        parts + [(urls, _route_urls)], "route", _canonicalize,
+        num_partitions=8,
     )
-    if tagged.count() == 0:  # typed even when empty
-        return (
-            ray.data.from_arrow(NAMES.empty_table()),
-            ray.data.from_arrow(schemas.URL_AGG.empty_table()),
-        )
-    return (
-        tagged.map_batches(_names, batch_format="pyarrow"),
-        tagged.map_batches(_entries, batch_format="pyarrow"),
-    )
+    names, entries = map_blocks(tagged, _names, _entries)
+    return dataset_of(names, NAMES), dataset_of(entries, schemas.URL_AGG)
 
 
-def _as_nodes(batch: pa.Table) -> pa.Table:
-    return batch.select(schemas.NODES.names)
+def _number(offset: int, batch: pa.Table, start: int) -> pa.Table:
+    """A sorted range of ``NAMES`` rows → NODES, ids from ``offset +
+    start``."""
+    first = offset + start
+    ids = pa.array(np.arange(first, first + batch.num_rows), pa.int64())
+    return batch.append_column("node_id", ids).select(schemas.NODES.names)
 
 
 def assign_node_ids(
@@ -307,10 +323,10 @@ def assign_node_ids(
 ) -> "ray.data.Dataset":
     """``NAMES`` rows → NODES with dense ids ``offset, offset+1, …`` in
     first-seen order."""
-    ranked = zip_with_index(names.sort("first_key"), "node_id", offset)
-    if ranked.count() == 0:  # typed even when empty
-        return ray.data.from_arrow(schemas.NODES.empty_table())
-    return ranked.map_batches(_as_nodes, batch_format="pyarrow")
+    return dataset_of(
+        sort_ranges(names, "first_key", partial(_number, offset)),
+        schemas.NODES,
+    )
 
 
 def node_tables(

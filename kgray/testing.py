@@ -70,3 +70,21 @@ class BuildMarkerBackend:
     def extract_batch(self, texts, annotations):
         self._mark("call")
         return self._inner.extract_batch(texts, annotations)
+
+
+class KillOnceReduce:
+    """Reduce-function wrapper that HARD-KILLS the hosting worker process
+    (os._exit, as in ``KillOnceBackend``) on its first call anywhere,
+    then calls ``fn``.  The flag file makes the retried reduce task — on
+    another worker process — succeed."""
+
+    def __init__(self, flag_path: str, fn):
+        self._flag = flag_path
+        self._fn = fn
+
+    def __call__(self, df):
+        if not os.path.exists(self._flag):
+            with open(self._flag, "w") as f:
+                f.write("killed")
+            os._exit(1)
+        return self._fn(df)

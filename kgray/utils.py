@@ -1,105 +1,203 @@
 """Small Ray helpers the Dataset API cannot express directly.
 
-``coarse_grouped_map`` is the one keyed exchange: a join or a co-group is
-a list of ``tag``-ged parts handed to it (``repartition_join``,
-``stages.graph.build_document_graphs``)."""
+Keyed exchanges run as plain Ray tasks on block refs, not as Ray Data
+all-to-all operators.  ``coarse_grouped_map`` is the one hash exchange: a
+join or a co-group is a list of ``tag``-ged parts handed to it
+(``repartition_join``, ``stages.graph.build_document_graphs``).
+``sort_ranges`` is the one range exchange, a sample sort (node ids).
+
+A *part* is a Dataset or a ``(Dataset or block list, per-block function or
+None)`` pair; the function runs inside the exchange's map tasks, so a
+combiner or a router costs no Ray Data operator of its own.
+*Blocks* are (ref, metadata) pairs: every exchange task returns its
+block's metadata beside the block, so the driver holds row counts without
+another task, and ``dataset_of`` wraps blocks in a Dataset once, where a
+caller needs one.  Fan-in is input blocks × width; a hash exchange's
+width is ``min(num_partitions, max(8, cluster CPUs))``.  Map outputs stay in
+the object store until their reduce tasks have run: the exchange has no
+streaming backpressure.  ``recorded_exchanges`` lists the exchanges a
+block of code launches.
+"""
 from __future__ import annotations
+
+import contextlib
+from bisect import bisect_left
 
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+from ray.data.block import BlockAccessor, BlockMetadataWithSchema
+
+# the active ``recorded_exchanges`` lists
+_RECORDERS: list = []
+
+
+@contextlib.contextmanager
+def recorded_exchanges():
+    """Collect one dict per keyed exchange launched in the ``with`` body:
+    ``kind`` ("hash" or "range"), ``parts``, ``blocks`` (input blocks with
+    rows, one map task each) and ``width`` (reduce tasks)."""
+    rec: list = []
+    _RECORDERS.append(rec)
+    try:
+        yield rec
+    finally:
+        _RECORDERS.remove(rec)
+
+
+def _record(kind: str, parts: int, blocks: int, width: int) -> None:
+    for rec in _RECORDERS:
+        rec.append(
+            {"kind": kind, "parts": parts, "blocks": blocks, "width": width}
+        )
+
+
+def _max_width() -> int:
+    """``max(8, cluster CPUs)``, read once per exchange (32 CPUs before
+    ``ray.init``)."""
+    res = ray.cluster_resources() if ray.is_initialized() else {"CPU": 32}
+    return max(8, int(res.get("CPU", 8)))
+
+
+def _bundles(ds):
+    """The RefBundles of ``ds``.  A Dataset over in-memory blocks
+    (``from_arrow``, ``materialize``, ``dataset_of``) hands them over
+    without starting an executor; a lazy one starts running here."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    dag = ds._logical_plan.dag
+    if isinstance(dag, SourceOperator) and dag.output_data() is not None:
+        return dag.output_data()
+    return ds.iter_internal_ref_bundles()
+
+
+def _iter_blocks(data):
+    """(ref, metadata) of every block of a Dataset or a block list; a
+    lazy Dataset starts running here and streams."""
+    if isinstance(data, list):
+        return iter(data)
+    return (block for b in _bundles(data) for block in b.blocks)
+
+
+def blocks_of(*datasets) -> list:
+    """Each Dataset's blocks as a list of (ref, metadata), the plans run
+    once and side by side."""
+    return [list(s) for s in [_iter_blocks(ds) for ds in datasets]]
+
+
+def _with_meta(t: pa.Table):
+    # no schema metadata: Ray's ``unify_schemas`` cannot hash a schema
+    # carrying pandas metadata, and skips its one-schema fast path
+    t = t.replace_schema_metadata(None)
+    return t, BlockMetadataWithSchema.from_block(t)
+
+
+def dataset_of(blocks, schema: pa.Schema = None) -> "ray.data.Dataset":
+    """Blocks as a Dataset, without a task: the blocks with rows, else one
+    empty block of ``schema`` (when given) or the first block."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    keep = [b for b in blocks if b[1].num_rows]
+    if not keep and schema is not None:
+        t, meta = _with_meta(schema.empty_table())
+        keep = [(ray.put(t), meta)]
+    keep = keep or blocks[:1]
+    refs = [r for r, _ in keep]
+    metas = [m for _, m in keep]
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas),
+                                                 plan._context))
+
+
+def _finish(pairs) -> list:
+    """Reduce tasks' (block ref, metadata ref) pairs → blocks."""
+    return list(zip([b for b, _ in pairs], ray.get([m for _, m in pairs])))
 
 
 @ray.remote
-def _append_index(block, col: str, offset: int) -> pa.Table:
-    from ray.data.block import BlockAccessor
-
+def _apply(fns, block):
     t = BlockAccessor.for_block(block).to_arrow()
-    return t.append_column(
-        col, pa.array(np.arange(offset, offset + t.num_rows), pa.int64())
-    )
+    return [x for fn in fns for x in _with_meta(fn(t))]
 
 
-def zip_with_index(
-    ds: "ray.data.Dataset", col: str, offset: int = 0
-) -> "ray.data.Dataset":
-    """Append a dense global row index in current block order.
-
-    Ray Data has no zipWithIndex.  The input runs ONCE (``materialize``:
-    ``to_arrow_refs`` on a lazy plan streams it and then re-executes it
-    for the schema); block row counts come from the block metadata, and
-    one remote task per block appends ``offset + arange``.  Blocks never
-    move to the driver — intended for SMALL sorted outputs (e.g. the
-    nodes table after canonicalization), not the main corpus.  Zero-row
-    blocks are dropped: Ray's sort emits them without columns, and the
-    index column alone would make an untyped block.
-    """
-    out = []
-    for ref, rows in _block_rows(ds):
-        if rows:
-            out.append(_append_index.remote(ref, col, offset))
-            offset += rows
-    return ray.data.from_arrow_refs(out)
+def map_blocks(blocks, *fns) -> list:
+    """One task per block with rows runs every ``fn(pa.Table) ->
+    pa.Table`` on it: one block list per ``fn``."""
+    k = len(fns)
+    apply = _apply.options(num_returns=2 * k)
+    runs = [apply.remote(fns, ref)
+            for ref, meta in _iter_blocks(blocks) if meta.num_rows]
+    return [_finish([(r[2 * i], r[2 * i + 1]) for r in runs])
+            for i in range(k)]
 
 
-def nonempty_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """``ds`` run once, without its zero-row blocks.
+def _hash_ranges(t: pa.Table, keys, P: int, bounds) -> np.ndarray:
+    """Each row's reduce range: its key hash's bucket in ``[0, P)``,
+    then the range of whole buckets holding that bucket."""
+    from pandas.util import hash_array
 
-    A map over a zero-row block never calls its function, and Ray emits
-    a block without columns in its place; a dataset read by several maps
-    (a materialized fan-out point) keeps every output block typed this
-    way.
-    """
-    return ray.data.from_arrow_refs(
-        [ref for ref, rows in _block_rows(ds) if rows]
-    )
-
-
-def _block_rows(ds: "ray.data.Dataset"):
-    """(block ref, row count) of every block of ``ds``, run once."""
-    for bundle in ds.materialize().iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            yield ref, meta.num_rows
+    acc = np.zeros(t.num_rows, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for c in keys:
+            v = t.column(c).to_numpy(zero_copy_only=False)
+            acc = acc * np.uint64(0x9E3779B97F4A7C15) + hash_array(
+                np.asarray(v)
+            )
+    return np.searchsorted(bounds, (acc % np.uint64(P)).astype(np.int64),
+                           side="right")
 
 
-def _session_token():
-    """Identity of the CURRENT Ray session: (gcs_address, job_id).  The
-    address alone is not enough — after ray.shutdown()/re-init in one
-    process the OS can hand the new GCS the same port, and a dataset
-    cached under that address would point at object-store blocks that
-    died with the old session."""
-    try:
-        ctx = ray.get_runtime_context()
-        return (ctx.gcs_address, ctx.get_job_id())
-    except Exception:
-        return None
+@ray.remote
+def _split(block, pre, keys, P, bounds):
+    """Map side: ``pre`` on one block, then its rows as one slice per
+    reduce range."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    if pre is not None:
+        t = pre(t)
+    t = t.replace_schema_metadata(None)
+    width = len(bounds) + 1
+    r = _hash_ranges(t, keys, P, bounds)
+    order = np.argsort(r, kind="stable")
+    t = t.take(order)
+    ends = np.searchsorted(r[order], np.arange(width), side="right")
+    slices = [t.slice(a, b - a) for a, b in zip(np.r_[0, ends[:-1]], ends)]
+    return slices if width > 1 else slices[0]
 
 
-def session_memo(cache: dict, key, builder, probe=None):
-    """Per-Ray-session memoization with stale-session eviction.
+@ray.remote
+def _reduce(fn, *slices):
+    """Reduce side: ``fn`` on the range's rows as one pandas frame, or a
+    block without columns when the range got none."""
+    from ray.data._internal.arrow_ops.transform_pyarrow import concat
 
-    ``cache`` is a module-level dict owned by the caller.  When the Ray
-    session changes (``_session_token``), every entry is dropped — dead
-    sessions must not leak entries forever.  A hit is additionally
-    PROBED (default: ``hit.take(1)``) so a dataset whose blocks are gone
-    invalidates and rebuilds instead of erroring downstream; pass
-    ``probe`` for non-Dataset cached values.
-    """
-    token = _session_token()
-    if cache.get("_session") != token:
-        cache.clear()
-        cache["_session"] = token
-    hit = cache.get(key)
-    if hit is not None:
-        try:
-            (probe or (lambda v: v.take(1)))(hit)
-            return hit
-        except Exception:
-            cache.pop(key, None)
-    val = builder()
-    cache[key] = val
-    return val
+    slices = [s for s in slices if s.num_rows]
+    if not slices:
+        return _with_meta(pa.table({}))
+    df = BlockAccessor.for_block(concat(slices, promote_types=True)).to_pandas()
+    out = fn(df)
+    if not isinstance(out, pa.Table):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    return _with_meta(out)
+
+
+def _parts(ds) -> list:
+    """Parts as (block stream, per-block function or None), every lazy
+    Dataset among them started, so their plans run concurrently."""
+    parts = ds if isinstance(ds, list) else [ds]
+    return [
+        (_iter_blocks(p[0]), p[1]) if isinstance(p, tuple)
+        else (_iter_blocks(p), None)
+        for p in parts
+    ]
 
 
 def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
@@ -110,62 +208,114 @@ def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
     15+ seconds for a 20k-group aggregate (measured) and grows with key
     cardinality, i.e. with data scale.  This helper instead hashes the
     group keys into ``num_partitions`` coarse buckets and hands each
-    reduce block — thousands of whole groups — to ``fn`` as one pandas
-    DataFrame, so the reduce is one C-speed ``df.groupby`` per block.
+    reduce range — thousands of whole groups — to ``fn`` as one pandas
+    DataFrame, so the reduce is one C-speed ``df.groupby`` per range.
     Every row of a group lands in the same bucket by construction.
 
-    ``ds`` may be one Dataset or a list of Datasets with one schema (a
-    co-group, e.g. parts made by ``tag``).  Each part is hashed in its
-    own map, which Ray fuses into that part's upstream maps, and the parts
-    are unioned after: no map runs between the union and the shuffle.
+    ``ds`` is a part or a list of parts with one schema (a co-group, e.g.
+    parts made by ``tag``); a part's per-block function runs in the map
+    task, before the hash.  The exchange is plain Ray tasks: one map task
+    per input block with rows splits it into ``min(num_partitions, max(8,
+    cluster CPUs))`` ranges of whole buckets, and one reduce task per range
+    calls ``fn`` once.  Its fan-in is input blocks × ranges.  Raise
+    ``num_partitions`` at scale so a range fits in a worker's heap.
 
     ``fn(df) -> df`` (or ``pa.Table``) must itself group by ``key_cols``:
     it sees all rows of each of its groups, nothing else is guaranteed
-    about a block's contents.  The exchange is ONE all-to-all, a sort on
-    the bucket with fixed boundaries (Ray samples none), into
-    ``min(num_partitions, max(8, cluster CPUs))`` reduce blocks of whole
-    buckets; its fan-in is input blocks × reduce blocks.  Raise
-    ``num_partitions`` at scale so a reduce block fits in a worker's heap.
+    about a range's contents.  A range without rows yields a block without
+    columns; the returned Dataset keeps only blocks with rows (one block
+    when none has any).  The exchange runs when this is called.
     """
-    from pandas.util import hash_array
-
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     P = num_partitions
-
-    def add_pkey(batch: pa.Table) -> pa.Table:
-        # no schema metadata either side of the sort (see run_partition)
-        batch = batch.replace_schema_metadata(None)
-        if batch.num_rows == 0:
-            return batch.append_column("_pkey", pa.array([], pa.int32()))
-        acc = np.zeros(batch.num_rows, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for c in keys:
-                v = batch.column(c).to_numpy(zero_copy_only=False)
-                acc = acc * np.uint64(0x9E3779B97F4A7C15) + hash_array(
-                    np.asarray(v)
-                )
-        return batch.append_column(
-            "_pkey", pa.array((acc % np.uint64(P)).astype(np.int32))
-        )
-
-    def run_partition(df: "pd.DataFrame") -> pa.Table:
-        # no pandas metadata: Ray's ``unify_schemas`` cannot hash a schema
-        # carrying it, and skips its one-schema fast path
-        out = fn(df.drop(columns=["_pkey"]))
-        if not isinstance(out, pa.Table):
-            out = pa.Table.from_pandas(out, preserve_index=False)
-        return out.replace_schema_metadata(None)
-
-    parts = [
-        part.map_batches(add_pkey, batch_format="pyarrow")
-        for part in (ds if isinstance(ds, list) else [ds])
+    width = min(P, _max_width())
+    bounds = np.array([P * i // width for i in range(1, width)], np.int64)
+    parts = _parts(ds)
+    split = _split.options(num_returns=width)
+    maps = [
+        split.remote(ref, pre, keys, P, bounds)
+        for blocks, pre in parts for ref, meta in blocks if meta.num_rows
     ]
-    tagged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-    res = ray.cluster_resources() if ray.is_initialized() else {"CPU": 32}
-    width = min(P, max(8, int(res.get("CPU", 8))))
-    return tagged.sort(
-        "_pkey", boundaries=[P * i // width for i in range(1, width)]
-    ).map_batches(run_partition, batch_format="pandas", batch_size=None)
+    if width == 1:
+        maps = [[m] for m in maps]
+    _record("hash", len(parts), len(maps), width)
+    reduce = _reduce.options(num_returns=2)
+    return dataset_of(_finish(
+        [reduce.remote(fn, *[m[i] for m in maps]) for i in range(width)]
+    ))
+
+
+@ray.remote
+def _sort_sample(block, pre, key: str, k: int):
+    """Sample-sort map side: ``pre`` on one block, its rows sorted by
+    ``key``, and ``k`` evenly spaced keys of them."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    if pre is not None:
+        t = pre(t)
+    t = t.replace_schema_metadata(None).sort_by(key)
+    n = t.num_rows
+    pos = (2 * np.arange(k) + 1) * n // (2 * k)
+    return t, t.column(key).take(pa.array(pos)).to_pylist() if n else []
+
+
+def _rank(keys: pa.Array, v) -> int:
+    """Number of ``keys`` (sorted) below ``v``; 0 for ``v`` None."""
+    if v is None:
+        return 0
+    return bisect_left(keys, v, key=lambda s: s.as_py())
+
+
+@ray.remote
+def _merge_range(fn, key: str, lo, hi, *blocks):
+    """Sample-sort reduce side: the rows of every sorted block with
+    ``lo <= key < hi`` (``None``: unbounded), merged, and ``fn(table,
+    start)`` on them, ``start`` being the global rank of the first."""
+    from ray.data._internal.arrow_ops.transform_pyarrow import concat
+
+    start, slices = 0, []
+    for t in blocks:
+        keys = t.column(key).combine_chunks()
+        a = _rank(keys, lo)
+        b = t.num_rows if hi is None else _rank(keys, hi)
+        start += a
+        if b > a:
+            slices.append(t.slice(a, b - a))
+    if not slices:
+        return _with_meta(pa.table({}))
+    t = concat(slices, promote_types=True).sort_by(key)
+    return _with_meta(fn(t, start))
+
+
+def sort_ranges(ds, key: str, fn) -> list:
+    """Sample sort of parts (see the module docstring) on the string
+    column ``key``: blocks in ``key`` order, each ``fn(table, start)`` of a
+    sorted range whose first row has global rank ``start``.
+
+    One task per input block with rows sorts it and returns a few
+    evenly spaced keys; the driver picks the range boundaries from those
+    O(width²) keys; one task per range cuts its rows from every sorted
+    block by binary search and merges them.  The width is the number of
+    input blocks with rows, at most ``max(8, CPUs)``, so a small input
+    stays a few blocks.  The exchange runs when this is called.
+    """
+    cap = _max_width()
+    parts = _parts(ds)
+    sample = _sort_sample.options(num_returns=2)
+    runs = [
+        sample.remote(ref, pre, key, cap)
+        for blocks, pre in parts for ref, meta in blocks if meta.num_rows
+    ]
+    width = max(1, min(cap, len(runs)))
+    pool = sorted(k for s in ray.get([s for _, s in runs]) for k in s)
+    bounds = [None] + [pool[len(pool) * j // width] for j in range(1, width)]
+    bounds += [None]
+    _record("range", len(parts), len(runs), width)
+    merge = _merge_range.options(num_returns=2)
+    sorted_ = [t for t, _ in runs]
+    return _finish([
+        merge.remote(fn, key, bounds[i], bounds[i + 1], *sorted_)
+        for i in range(width)
+    ])
 
 
 # the kind column ``tag`` adds: which part of a union a row came from
@@ -238,9 +388,9 @@ def repartition_join(
     small CPU budgets) and (b) finalize EMPTY partitions as zero-column
     Arrow tables, which the underlying acero join rejects ("No match for
     key field") whenever a partition receives no rows — i.e. whenever the
-    build side is sparse.  This helper uses only the sort-based shuffle
-    (task-based, empty-block tolerant) and scales the same way: both
-    sides move through one all-to-all partitioned on ``hash(key) %
+    build side is sparse.  This helper uses only ``coarse_grouped_map``'s
+    task exchange (empty-range tolerant) and scales the same way: both
+    sides move through one exchange partitioned on ``hash(key) %
     num_partitions``, and each partition joins with one in-memory merge.
 
     ``left_types`` / ``right_types``: {column: pyarrow type} for each
@@ -308,10 +458,9 @@ def repartition_join(
 def schema_floor(ds: "ray.data.Dataset", schema: pa.Schema):
     """Guarantee a typed schema on a possibly-empty keyed result.
 
-    A keyed exchange (``coarse_grouped_map``) finalizes row-less reduce
-    blocks as ZERO-COLUMN empty blocks ("new schema: ." RefBundle warnings);
-    they coexist harmlessly with nonempty blocks, but when EVERY
-    partition is empty the dataset's unified schema collapses to zero
+    A keyed exchange (``coarse_grouped_map``) finalizes a row-less range
+    as a ZERO-COLUMN empty block and keeps it when EVERY range is empty:
+    the dataset's unified schema then collapses to zero
     columns — ``to_pandas()`` returns a (0, 0) frame and downstream
     column references crash.  ``union`` with a typed empty block does
     NOT fix it (the zero-column block still poisons unification), so
@@ -334,3 +483,42 @@ def schema_floor(ds: "ray.data.Dataset", schema: pa.Schema):
     if m.count() == 0:
         return ray.data.from_arrow(schema.empty_table())
     return m
+
+
+def _session_token():
+    """Identity of the CURRENT Ray session: (gcs_address, job_id).  The
+    address alone is not enough — after ray.shutdown()/re-init in one
+    process the OS can hand the new GCS the same port, and a dataset
+    cached under that address would point at object-store blocks that
+    died with the old session."""
+    try:
+        ctx = ray.get_runtime_context()
+        return (ctx.gcs_address, ctx.get_job_id())
+    except Exception:
+        return None
+
+
+def session_memo(cache: dict, key, builder, probe=None):
+    """Per-Ray-session memoization with stale-session eviction.
+
+    ``cache`` is a module-level dict owned by the caller.  When the Ray
+    session changes (``_session_token``), every entry is dropped — dead
+    sessions must not leak entries forever.  A hit is additionally
+    PROBED (default: ``hit.take(1)``) so a dataset whose blocks are gone
+    invalidates and rebuilds instead of erroring downstream; pass
+    ``probe`` for non-Dataset cached values.
+    """
+    token = _session_token()
+    if cache.get("_session") != token:
+        cache.clear()
+        cache["_session"] = token
+    hit = cache.get(key)
+    if hit is not None:
+        try:
+            (probe or (lambda v: v.take(1)))(hit)
+            return hit
+        except Exception:
+            cache.pop(key, None)
+    val = builder()
+    cache[key] = val
+    return val

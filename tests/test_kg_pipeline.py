@@ -133,45 +133,38 @@ def test_salted_canonicalization_identical(pipeline_result, salt_path):
 
 
 def test_node_tables_exchange_budget(pipeline_result, salt_path):
-    """An unsalted build canonicalizes nodes in at most two all-to-all
-    exchanges (name reduce, sort), a salted one in at most three (the
-    salted pre-reduce first), counted from every plan node_tables
-    executes, barriers included; no operator of them is a lone hash
-    map."""
+    """An unsalted build canonicalizes nodes in at most two keyed
+    exchanges (name reduce, id sort), a salted one in at most three (the
+    salted pre-reduce first), counted from the record ``kgray.utils``
+    keeps of every exchange it launches, the nodes materialized.  The
+    name reduce co-groups its three parts with no mention union between
+    them."""
     from kgray.stages.nodes import node_tables
-    from perfbench.trace import Tracer
+    from kgray.utils import recorded_exchanges
 
     _, _, _, res = pipeline_result
     for salt_buckets, budget in ((None, 2), (7, 3)):
         if salt_buckets:
             salt_path(salt_buckets)
-        tr = Tracer("exchange-budget")
-        # credit the fixture's own exchanges (its input repartition)
-        # elsewhere
-        tr.collect("inputs", res.extractions)
-        tr.collect("inputs", res.edges)
-        with tr.watch_plans():
+        with recorded_exchanges() as ex:
             nodes, _ = node_tables(
                 res.edges, res.unary_nodes, res.annotation_urls
             )
-            nodes = nodes.materialize()
-        tr.collect("nodes", nodes)
-        assert len(tr.exchanges("nodes")) <= budget, (salt_buckets, [
-            o["operator"] for o in tr.exchanges("nodes")
-        ])
-        # each part is hashed in its own upstream map, never by a lone
-        # map between a union and its shuffle
-        ops = [o["operator"] for o in tr.ops if o["layer"] == "nodes"]
-        assert "MapBatches(add_pkey)" not in ops, (salt_buckets, ops)
+            nodes.materialize()
+        assert 0 < len(ex) <= budget, (salt_buckets, ex)
+        assert [e["kind"] for e in ex][-2:] == ["hash", "range"], ex
+        if salt_buckets is None:
+            assert ex[0]["parts"] == 3, ex
 
 
 def test_co_group_is_one_sort_with_bounded_output(pipeline_result):
-    """A keyed co-group is one all-to-all: ``build_document_graphs`` on
-    the gold corpus split into 12 blocks runs a single ``SortReduce`` and
-    no ``Repartition``; and ``coarse_grouped_map`` over a 32-block input
+    """A keyed co-group is one exchange: ``build_document_graphs`` on
+    the gold corpus split into 12 blocks launches a single hash exchange
+    of its three parts (one map task per input block) and no
+    ``Repartition``; and ``coarse_grouped_map`` over a 32-block input
     yields at most ``min(P, max(8, CPUs))`` reduce blocks."""
     from kgray.stages.graph import build_document_graphs
-    from kgray.utils import coarse_grouped_map
+    from kgray.utils import coarse_grouped_map, recorded_exchanges
     from perfbench.trace import Tracer
 
     _, _, _, res = pipeline_result
@@ -182,15 +175,22 @@ def test_co_group_is_one_sort_with_bounded_output(pipeline_result):
     ]
     for ds in parts:
         tr.collect("inputs", ds)
-    with tr.watch_plans():
+    with tr.watch_plans(), recorded_exchanges() as ex:
         graphs = build_document_graphs(*parts).materialize()
     tr.collect("graphs", graphs)
     assert graphs.count() > 0
-    assert [o["operator"] for o in tr.exchanges("graphs")] == ["SortReduce"]
+    cpus = int(ray.cluster_resources()["CPU"])
+    blocks = sum(
+        1 for ds in parts for b in ds.iter_internal_ref_bundles()
+        for _, meta in b.blocks if meta.num_rows
+    )
+    assert [(e["kind"], e["parts"], e["blocks"]) for e in ex] == [
+        ("hash", 3, blocks)
+    ], ex
+    assert ex[0]["width"] <= max(8, cpus), ex
     ops = [o["operator"] for o in tr.ops if o["layer"] == "graphs"]
     assert not [o for o in ops if o.startswith("Repartition")], ops
 
-    cpus = int(ray.cluster_resources()["CPU"])
     ds = ray.data.range(640).repartition(32).materialize()
     for P in (4, 64):
         out = coarse_grouped_map(

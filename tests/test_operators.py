@@ -247,37 +247,6 @@ def test_coarse_grouped_map_edge_cases():
     assert list(out2.s) == [3.0, 3.0]
 
 
-def test_zip_with_index_runs_input_once():
-    """The indexed input's plan executes once: an upstream grouped
-    function runs once per group, and the index is dense from offset."""
-    from kgray.utils import zip_with_index
-
-    @ray.remote(num_cpus=0)
-    class Counter:
-        def __init__(self):
-            self.n = 0
-
-        def add(self):
-            self.n += 1
-
-        def get(self):
-            return self.n
-
-    calls = Counter.remote()
-
-    def per_group(df):
-        ray.get(calls.add.remote())
-        return df.head(1)
-
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"k": [0, 1, 2, 3, 4] * 4, "v": range(20)})
-    )
-    grouped = ds.groupby("k").map_groups(per_group, batch_format="pandas")
-    out = zip_with_index(grouped, "idx", offset=10).to_pandas()
-    assert ray.get(calls.get.remote()) == 5
-    assert sorted(out.idx) == list(range(10, 15))
-
-
 def test_coarse_grouped_map_equals_pandas_groupby():
     """Randomized equivalence: coarse keyed reduce == plain pandas."""
     import numpy as np
