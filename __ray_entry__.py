@@ -144,26 +144,15 @@ def _kg_result(sf_dir: str):
     )
 
 
-def _project(ds, schema, cols: list):
-    """``ds`` with exactly ``cols``, typed as in ``schema``: Ray's
-    ``select_columns`` over an all-empty dataset keeps every input
-    column."""
+def _q_kg_edges(sf_dir: str):
     import pyarrow as pa
 
-    from kgray.utils import schema_floor
-
-    return schema_floor(
-        ds.select_columns(cols), pa.schema([schema.field(c) for c in cols])
-    )
-
-
-def _q_kg_edges(sf_dir: str):
     from kgray.schemas import EDGES
+    from kgray.utils import dataset_of, map_blocks
 
-    return _project(
-        _kg_result(sf_dir).edges, EDGES,
-        ["doc_id", "span_seq", "subj", "pred", "obj"],
-    )
+    cols = ["doc_id", "span_seq", "subj", "pred", "obj"]
+    (edges,) = map_blocks(_kg_result(sf_dir).edges, lambda t: t.select(cols))
+    return dataset_of(edges, pa.schema([EDGES.field(c) for c in cols]))
 
 
 def _q_kg_edge_evidence(sf_dir: str):
@@ -178,38 +167,28 @@ def _q_kg_edge_evidence(sf_dir: str):
 
 def _q_kg_nodes(sf_dir: str):
     from kgray.schemas import NODES
+    from kgray.utils import dataset_of, map_blocks
 
-    return _project(
-        _kg_result(sf_dir).nodes, NODES, ["name", "label", "type", "url"]
+    (nodes,) = map_blocks(
+        _kg_result(sf_dir).nodes, lambda t: t.drop_columns(["node_id"])
     )
+    return dataset_of(nodes, NODES.remove(NODES.get_field_index("node_id")))
 
 
 def _q_kg_annotation_urls(sf_dir: str):
-    import pyarrow as pa
+    from kgray.utils import coarse_grouped_map
 
-    from kgray.utils import coarse_grouped_map, schema_floor
-
-    # distinct (entry_name, url): per-batch drop_duplicates combiner, one
+    # distinct (entry_name, url): per-block distinct combiner, one
     # entry_name-keyed coarse reduce — not a per-group map over
     # vocabulary-many groups (r2 verdict minor #5)
-    urls = _kg_result(sf_dir).annotation_urls.select_columns(
-        ["entry_name", "url"]
-    )
+    def _distinct(t):
+        return t.group_by(["entry_name", "url"]).aggregate([])
 
-    def _distinct_partial(df):
-        return df.drop_duplicates()
-
-    # schema_floor: a corpus with no annotation still yields a typed result
-    return schema_floor(
-        coarse_grouped_map(
-            urls.map_batches(
-                _distinct_partial, batch_format="pandas", batch_size=None
-            ),
-            "entry_name",
-            _distinct_partial,
-            num_partitions=4,
-        ),
-        pa.schema([("entry_name", pa.string()), ("url", pa.string())]),
+    return coarse_grouped_map(
+        (_kg_result(sf_dir).annotation_urls, _distinct),
+        "entry_name",
+        _distinct,
+        num_partitions=4,
     )
 
 
@@ -988,6 +967,7 @@ def _q_kg_incremental(sf_dir: str):
         generic_documents_dataset,
         generic_kg_config,
     )
+    from kgray.utils import dataset_of, map_blocks
 
     docs = generic_documents_dataset(sf_dir)
 
@@ -1013,7 +993,10 @@ def _q_kg_incremental(sf_dir: str):
     merged = incremental_update(
         base.nodes, delta_docs, generic_kg_config()
     )
-    return _project(merged.nodes, NODES, ["name", "label", "type", "url"])
+    (nodes,) = map_blocks(
+        merged.nodes, lambda t: t.drop_columns(["node_id"])
+    )
+    return dataset_of(nodes, NODES.remove(NODES.get_field_index("node_id")))
 
 
 def _q_ttr_hapax(sf_dir: str):

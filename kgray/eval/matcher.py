@@ -284,25 +284,28 @@ def match_edge_datasets(edges_left, edges_right, threshold: float = 0.5):
     right_only, precision ((exact+core)/n_left — the reference's corpus
     metric, analyze_comparison_results.py).
     """
-    import pandas as pd
     import pyarrow as pa
 
     from ..utils import KIND, coarse_grouped_map, tag
 
     types = {"doc_id": pa.string(), "bel_expression": pa.string()}
     parts = [tag(edges_left, 0, types), tag(edges_right, 1, types)]
+    counts = ("n_left", "n_right", "exact", "core", "left_only",
+              "right_only")
+    schema = pa.schema([("doc_id", pa.string())]
+                       + [(c, pa.int64()) for c in counts]
+                       + [("precision", pa.float64())])
 
-    def per_partition(g: pd.DataFrame) -> pd.DataFrame:
+    def per_partition(t: pa.Table) -> pa.Table:
         # coarse partition holds many whole documents; the per-doc matcher
         # runs in a plain loop inside ONE Ray task (per-doc map_groups
         # would pay Ray's per-group reduce machinery per document)
-        out = {k: [] for k in (
-            "doc_id", "n_left", "n_right", "exact", "core",
-            "left_only", "right_only", "precision",
-        )}
-        for doc, gd in g.groupby("doc_id", sort=False):
-            left = gd[gd[KIND] == 0].bel_expression.tolist()
-            right = gd[gd[KIND] == 1].bel_expression.tolist()
+        docs = {}
+        for doc, kind, bel in zip(*(t[c].to_pylist() for c in
+                                    ("doc_id", KIND, "bel_expression"))):
+            docs.setdefault(doc, ([], []))[kind].append(bel)
+        out = {c: [] for c in schema.names}
+        for doc, (left, right) in docs.items():
             rows = match_statement_sets(left, right, threshold)
             exact = sum(1 for r in rows if r["match_type"] == "exact_match")
             core = sum(1 for r in rows if r["match_type"] == "core_match")
@@ -317,6 +320,6 @@ def match_edge_datasets(edges_left, edges_right, threshold: float = 0.5):
             out["left_only"].append(lo)
             out["right_only"].append(ro)
             out["precision"].append((exact + core) / n_l if n_l else 1.0)
-        return pd.DataFrame(out)
+        return pa.table(out, schema=schema)
 
     return coarse_grouped_map(parts, "doc_id", per_partition)

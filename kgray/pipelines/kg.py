@@ -40,7 +40,7 @@ from ..stages.nodes import (
     first_seen_names,
     node_tables,
 )
-from ..utils import dataset_of, map_blocks, repartition_join, schema_floor
+from ..utils import blocks_of, dataset_of, map_blocks, repartition_join
 
 
 class AnnotateExtract:
@@ -158,10 +158,10 @@ def run_graph_stages(extractions: "ray.data.Dataset") -> KGResult:
     tasks 4×.  We pin the LLM output once — it is orders of magnitude
     smaller than the input corpus, and in the checkpointed production
     path (pipelines/checkpoint.py) this is a parquet round-trip instead,
-    so the LLM is never re-invoked either way.
+    so the LLM is never re-invoked either way.  An empty corpus yields
+    one typed empty EXTRACTIONS block.
     """
-    # schema_floor: an empty corpus must still yield typed EXTRACTIONS
-    extractions = schema_floor(extractions, schemas.EXTRACTIONS)
+    extractions = dataset_of(blocks_of(extractions)[0], schemas.EXTRACTIONS)
     edges, unary, ann_urls = _graph_inputs(extractions)
     nodes, url_agg = node_tables(edges, unary, ann_urls)
     return KGResult(
@@ -199,7 +199,8 @@ def incremental_update(
     (``utils.repartition_join``: both sides shuffle once on the name, and
     nothing is collected on the driver), and the survivors go through
     the full build's ``assign_node_ids`` from ``max(existing)+1``.
-    The returned ``nodes`` is existing ∪ new.  Edges/extractions in the
+    The returned ``nodes`` is existing ∪ new: the blocks with rows of
+    both, or one typed empty NODES block.  Edges/extractions in the
     result are the NEW shard's only — the caller appends them to its
     stores.
     """
@@ -218,9 +219,10 @@ def incremental_update(
         how="anti",
     )
     next_id = existing_nodes.max("node_id") if existing_nodes.count() else -1
-    merged = existing_nodes.union(
-        assign_node_ids(fresh, offset=int(next_id) + 1)
+    old, new = blocks_of(
+        existing_nodes, assign_node_ids(fresh, offset=int(next_id) + 1)
     )
+    merged = dataset_of(old + new, schemas.NODES)
 
     return KGResult(
         extractions=extractions,

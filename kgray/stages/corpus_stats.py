@@ -23,13 +23,20 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..utils import coarse_grouped_map, repartition_join
+from ..utils import coarse_grouped_map, pandas_reducer, repartition_join
 from .filters import SAMPLE_MULT
 
 
 def _read_docs(sf_dir: str, columns) -> "ray.data.Dataset":
+    # read with the file's fields but not its pandas schema metadata,
+    # which Ray cannot hash when it unifies block schemas
+    import pyarrow.parquet as pq
+
+    path = os.path.join(sf_dir, "documents.parquet")
+    fields = pq.read_schema(path)
     return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns
+        path, columns=columns,
+        schema=pa.schema([fields.field(c) for c in columns]),
     )
 
 
@@ -119,7 +126,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
     dfs = coarse_grouped_map(
         tf.map_batches(df_partial, batch_format="pyarrow"),
         "token",
-        add_logterm,
+        pandas_reducer(add_logterm),
     )
 
     joined = repartition_join(
@@ -147,7 +154,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
         d["doc_id"] = d.doc_id.astype(np.int64)
         return d[["doc_id", "token", "tf", "df", "tfidf", "rnk"]]
 
-    return coarse_grouped_map(joined, "doc_id", rank_doc_terms)
+    return coarse_grouped_map(joined, "doc_id", pandas_reducer(rank_doc_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +216,17 @@ def bigram_pmi(
     uni = coarse_grouped_map(
         docs.map_batches(uni_partial, batch_format="pyarrow"),
         "token",
-        lambda d: d.groupby("token", as_index=False).agg(c=("c", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("token", as_index=False).agg(c=("c", "sum"))
+        ),
     ).materialize()
     big = coarse_grouped_map(
         docs.map_batches(big_partial, batch_format="pyarrow"),
         ["token_a", "token_b"],
-        lambda d: d.groupby(["token_a", "token_b"], as_index=False).agg(
-            n_ab=("n_ab", "sum")
+        pandas_reducer(
+            lambda d: d.groupby(["token_a", "token_b"], as_index=False).agg(
+                n_ab=("n_ab", "sum")
+            )
         ),
     ).materialize()
 
@@ -314,9 +325,9 @@ def stratified_sample(
     counts = coarse_grouped_map(
         docs.map_batches(count_partial, batch_format="pyarrow"),
         stratum_col,
-        lambda d: d.groupby(stratum_col, as_index=False).agg(
+        pandas_reducer(lambda d: d.groupby(stratum_col, as_index=False).agg(
             cnt=("cnt", "sum")
-        ),
+        )),
     ).to_pandas()  # strata-bounded (|languages|), not data-sized
 
     X = per_stratum << 64
@@ -385,9 +396,9 @@ def temperature_mix(
     counts = coarse_grouped_map(
         docs.map_batches(count_partial, batch_format="pyarrow"),
         stratum_col,
-        lambda d: d.groupby(stratum_col, as_index=False).agg(
+        pandas_reducer(lambda d: d.groupby(stratum_col, as_index=False).agg(
             cnt=("cnt", "sum")
-        ),
+        )),
     ).to_pandas()  # strata-bounded (|languages|), not data-sized
 
     two64 = float(2.0 ** 64)
@@ -581,7 +592,9 @@ def top_tokens_mg(
     sketch = coarse_grouped_map(
         docs.map_batches(mg_partial, batch_format="pyarrow"),
         "token",
-        lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum"))
+        ),
     )
     candidates = set(
         sketch.select_columns(["token"]).to_pandas().token
@@ -604,7 +617,9 @@ def top_tokens_mg(
     counts = coarse_grouped_map(
         docs.map_batches(recount_partial, batch_format="pyarrow"),
         "token",
-        lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum"))
+        ),
     )
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -661,7 +676,9 @@ def unigram_nll(sf_dir: str) -> "ray.data.Dataset":
     model = coarse_grouped_map(
         tf.map_batches(count_partial, batch_format="pyarrow"),
         "token",
-        lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum"))
+        ),
     ).materialize()  # feeds the scalar total AND the join
     total = float(model.sum("n"))
 
@@ -701,7 +718,7 @@ def unigram_nll(sf_dir: str) -> "ray.data.Dataset":
         {"token": pa.string(), "doc_id": pa.int64(), "tf": pa.int64()},
         {"token": pa.string(), "logp": pa.float64()},
         num_partitions=32,
-        post_fn=partial_score,
+        post_fn=pandas_reducer(partial_score),
     )
 
     def score(d: pd.DataFrame) -> pd.DataFrame:
@@ -718,7 +735,7 @@ def unigram_nll(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return coarse_grouped_map(joined, "doc_id", score)
+    return coarse_grouped_map(joined, "doc_id", pandas_reducer(score))
 
 
 def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
@@ -774,7 +791,9 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
             batch_format="pyarrow",
         ),
         "key",
-        lambda d: d.groupby("key", as_index=False).agg(c=("c", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("key", as_index=False).agg(c=("c", "sum"))
+        ),
     ).materialize()  # feeds context counts AND the logp join
 
     def split_prev(d: pd.DataFrame) -> pd.DataFrame:
@@ -788,7 +807,9 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
             batch_format="pandas",
         ),
         "prev",
-        lambda d: d.groupby("prev", as_index=False).agg(n=("n", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("prev", as_index=False).agg(n=("n", "sum"))
+        ),
     )
 
     # V: distinct tokens in the corpus (unigram-model row count; the
@@ -803,7 +824,7 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
             batch_format="pyarrow",
         ),
         "token",
-        lambda d: d.drop_duplicates("token"),
+        pandas_reducer(lambda d: d.drop_duplicates("token")),
     ).count()
     V = float(vocab)
 
@@ -826,7 +847,7 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
         {"prev": pa.string(), "key": pa.string(), "c": pa.int64()},
         {"prev": pa.string(), "n": pa.int64()},
         num_partitions=32,
-        post_fn=add_logp,
+        post_fn=pandas_reducer(add_logp),
     )
 
     def partial_score(d: pd.DataFrame) -> pd.DataFrame:
@@ -845,7 +866,7 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
         {"key": pa.string(), "doc_id": pa.int64(), "bf": pa.int64()},
         {"key": pa.string(), "logp": pa.float64()},
         num_partitions=32,
-        post_fn=partial_score,
+        post_fn=pandas_reducer(partial_score),
     )
 
     def score(d: pd.DataFrame) -> pd.DataFrame:
@@ -863,7 +884,7 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
             }
         )
 
-    return coarse_grouped_map(joined, "doc_id", score)
+    return coarse_grouped_map(joined, "doc_id", pandas_reducer(score))
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +918,9 @@ def length_deciles(sf_dir: str, buckets: int = 10) -> "ray.data.Dataset":
     counts = coarse_grouped_map(
         docs.map_batches(partial_counts, batch_format="pyarrow"),
         "n_chars",
-        lambda d: d.groupby("n_chars", as_index=False).agg(c=("c", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("n_chars", as_index=False).agg(c=("c", "sum"))
+        ),
         num_partitions=8,
     ).to_pandas().sort_values("n_chars")
     n_total = int(counts.c.sum())
@@ -926,7 +949,7 @@ def length_deciles(sf_dir: str, buckets: int = 10) -> "ray.data.Dataset":
         out["decile"] = decile.astype(np.int64)
         return out
 
-    return coarse_grouped_map(docs, "n_chars", rank_partition,
+    return coarse_grouped_map(docs, "n_chars", pandas_reducer(rank_partition),
                               num_partitions=8)
 
 
@@ -962,7 +985,7 @@ def source_percent_rank(sf_dir: str) -> "ray.data.Dataset":
             )
         return pd.concat(out, ignore_index=True)
 
-    return coarse_grouped_map(docs, "source", rank_partition,
+    return coarse_grouped_map(docs, "source", pandas_reducer(rank_partition),
                               num_partitions=8)
 
 
@@ -1012,10 +1035,10 @@ def ccnet_buckets(
     stats = coarse_grouped_map(
         joined.select_columns(["lang_pred", "avg_nll"]),
         "lang_pred",
-        lambda d: d.groupby("lang_pred", as_index=False).agg(
+        pandas_reducer(lambda d: d.groupby("lang_pred", as_index=False).agg(
             lo=("avg_nll", "min"), hi=("avg_nll", "max"),
             n=("avg_nll", "size"),
-        ),
+        )),
         num_partitions=4,
     ).to_pandas()  # language-bounded
     lo_map = dict(zip(stats.lang_pred, stats.lo.astype(np.float64)))
@@ -1043,9 +1066,9 @@ def ccnet_buckets(
         coarse_grouped_map(
             binned.select_columns(["lang_pred", "bin"]),
             ["lang_pred", "bin"],
-            lambda d: d.groupby(
+            pandas_reducer(lambda d: d.groupby(
                 ["lang_pred", "bin"], as_index=False
-            ).agg(c=("bin", "size")),
+            ).agg(c=("bin", "size"))),
             num_partitions=8,
         )
         .to_pandas()  # langs × bins rows — bounded, independent of n
@@ -1111,7 +1134,8 @@ def ccnet_buckets(
         return pd.concat(out, ignore_index=True)
 
     return coarse_grouped_map(
-        binned, ["lang_pred", "bin"], rank_bin, num_partitions=16
+        binned, ["lang_pred", "bin"], pandas_reducer(rank_bin),
+        num_partitions=16,
     )
 
 
@@ -1150,7 +1174,9 @@ def zipf_slope(sf_dir: str) -> "ray.data.Dataset":
     counts = coarse_grouped_map(
         docs.map_batches(tok_partial, batch_format="pyarrow"),
         "token",
-        lambda d: d.groupby("token", as_index=False).agg(cnt=("c", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("token", as_index=False).agg(cnt=("c", "sum"))
+        ),
     )
 
     def hist_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1233,7 +1259,7 @@ def trigram_topk(sf_dir: str, k: int = 20) -> "ray.data.Dataset":
     cand = coarse_grouped_map(
         docs.map_batches(gram_partial, batch_format="pyarrow"),
         "gram",
-        gram_reduce,
+        pandas_reducer(gram_reduce),
     ).to_pandas()
     t = cand.sort_values(["n", "gram"], ascending=[False, True]).head(
         k
@@ -1347,7 +1373,7 @@ def source_token_entropy(sf_dir: str) -> "ray.data.Dataset":
     partials = coarse_grouped_map(
         docs.map_batches(tok_partial, batch_format="pyarrow"),
         ["source", "token"],
-        count_reduce,
+        pandas_reducer(count_reduce),
     )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -1363,7 +1389,9 @@ def source_token_entropy(sf_dir: str) -> "ray.data.Dataset":
         g["vocab_size"] = g.vocab_size.astype(np.int64)
         return g[["source", "n_tokens", "vocab_size", "entropy"]]
 
-    return coarse_grouped_map(partials, "source", final, num_partitions=4)
+    return coarse_grouped_map(
+        partials, "source", pandas_reducer(final), num_partitions=4
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1463,9 +1491,9 @@ def window_cooccurrence(
     counts = coarse_grouped_map(
         docs.map_batches(pair_counts, batch_format="pyarrow"),
         ["ta", "tb"],
-        lambda df: df.groupby(["ta", "tb"], as_index=False).agg(
+        pandas_reducer(lambda df: df.groupby(["ta", "tb"], as_index=False).agg(
             n=("n", "sum")
-        ),
+        )),
     )
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -1547,8 +1575,10 @@ def char_trigrams_by_lang(
     counts = coarse_grouped_map(
         docs.map_batches(gram_counts, batch_format="pyarrow"),
         ["lang", "gram"],
-        lambda df: df.groupby(["lang", "gram"], as_index=False).agg(
-            n=("n", "sum")
+        pandas_reducer(
+            lambda df: df.groupby(["lang", "gram"], as_index=False).agg(
+                n=("n", "sum")
+            )
         ),
     )
 
@@ -1560,7 +1590,9 @@ def char_trigrams_by_lang(
         df["rnk"] = df.groupby("lang").cumcount() + 1
         return df[["lang", "rnk", "gram", "n"]]
 
-    return coarse_grouped_map(counts, "lang", lang_topk, num_partitions=8)
+    return coarse_grouped_map(
+        counts, "lang", pandas_reducer(lang_topk), num_partitions=8
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1636,8 +1668,10 @@ def top_tokens_by_lang(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     counts = coarse_grouped_map(
         docs.map_batches(partial_counts, batch_format="pyarrow"),
         ["lang", "token"],
-        lambda df: df.groupby(["lang", "token"], as_index=False).agg(
-            n=("n", "sum")
+        pandas_reducer(
+            lambda df: df.groupby(["lang", "token"], as_index=False).agg(
+                n=("n", "sum")
+            )
         ),
     )
 
@@ -1650,7 +1684,9 @@ def top_tokens_by_lang(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
         df["rnk"] = df.rnk.astype(np.int64)
         return df[["lang", "rnk", "token", "n"]]
 
-    return coarse_grouped_map(counts, "lang", lang_topk, num_partitions=8)
+    return coarse_grouped_map(
+        counts, "lang", pandas_reducer(lang_topk), num_partitions=8
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1700,9 +1736,9 @@ def tfidf_similar_docs(
     df_counts = coarse_grouped_map(
         tf.select_columns(["token"]),
         "token",
-        lambda d: d.groupby("token", as_index=False).agg(
+        pandas_reducer(lambda d: d.groupby("token", as_index=False).agg(
             df=("token", "size")
-        ),
+        )),
     )
 
     max_df = max_df_frac * n_docs
@@ -1765,7 +1801,7 @@ def tfidf_similar_docs(
         "token",
         {"token": pa.string(), "doc_id": pa.int64(), "tf": pa.int64()},
         {"token": pa.string(), "df": pa.int64()},
-        post_fn=fused,
+        post_fn=pandas_reducer(fused),
     ).materialize()  # two consumers (pair reduce, norm reduce)
 
     def take_kind(k: int, cols):
@@ -1783,9 +1819,9 @@ def tfidf_similar_docs(
             take_kind(1, ["doc_id", "norm2"]), batch_format="pyarrow"
         ),
         "doc_id",
-        lambda d: d.groupby("doc_id", as_index=False).agg(
+        pandas_reducer(lambda d: d.groupby("doc_id", as_index=False).agg(
             norm2=("norm2", "sum")
-        ),
+        )),
     )
 
     dots = coarse_grouped_map(
@@ -1794,8 +1830,10 @@ def tfidf_similar_docs(
             batch_format="pyarrow",
         ),
         ["doc_a", "doc_b"],
-        lambda d: d.groupby(["doc_a", "doc_b"], as_index=False).agg(
-            dotp=("dotp", "sum")
+        pandas_reducer(
+            lambda d: d.groupby(["doc_a", "doc_b"], as_index=False).agg(
+                dotp=("dotp", "sum")
+            )
         ),
     )
 
@@ -1913,7 +1951,9 @@ def bm25_topk(
             batch_format="pyarrow",
         ),
         "doc_id",
-        lambda d: d.groupby("doc_id", as_index=False).agg(dl=("dl", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("doc_id", as_index=False).agg(dl=("dl", "sum"))
+        ),
         num_partitions=8,
     )
 
@@ -1992,7 +2032,7 @@ def bm25_topk(
          "tf": pa.int64()},
         {"doc_id": pa.int64(), "dl": pa.int64()},
         num_partitions=8,
-        post_fn=lambda d: batch_topk(term_score(d)),
+        post_fn=pandas_reducer(lambda d: batch_topk(term_score(d))),
     )
 
     def final_topk(d: pd.DataFrame) -> pd.DataFrame:
@@ -2006,6 +2046,6 @@ def bm25_topk(
     return coarse_grouped_map(
         scores,
         "q_id",
-        final_topk,
+        pandas_reducer(final_topk),
         num_partitions=4,
     )

@@ -116,9 +116,6 @@ def extractions_to_edges(batch: pa.Table) -> pa.Table:
     )
 
     mask = binary_u[inverse] if len(inverse) else np.array([], dtype=bool)
-    # text/evidence repeat the span text across every edge of the span —
-    # dictionary-encode the fat repeated columns so blocks stay small in
-    # the object store (reference-identical values, Arrow-level encoding)
     out = pa.table(
         {
             "doc_id": pa.array(doc_rep[mask], pa.string()),
@@ -129,10 +126,8 @@ def extractions_to_edges(batch: pa.Table) -> pa.Table:
             "subj": pa.array(subj_u[inverse][mask], pa.string()),
             "pred": pa.array(pred_u[inverse][mask], pa.string()),
             "obj": pa.array(obj_u[inverse][mask], pa.string()),
-            "text": pa.array(text_rep[mask], pa.string()).dictionary_encode(),
-            "evidence": pa.array(
-                evidence[mask], pa.string()
-            ).dictionary_encode(),
+            "text": pa.array(text_rep[mask], pa.string()),
+            "evidence": pa.array(evidence[mask], pa.string()),
             "subj_label": pa.array(subj_lbl_u[inverse][mask], pa.string()),
             "obj_label": pa.array(obj_lbl_u[inverse][mask], pa.string()),
             "bel_expression": pa.array(expr_u[inverse][mask], pa.string()),

@@ -37,7 +37,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..utils import coarse_grouped_map
+from ..utils import coarse_grouped_map, pandas_reducer
 
 #: odd 64-bit golden-ratio multiplier of every hash sample (quality_filter,
 #: stratified_sample, temperature_mix, shuffle_order)
@@ -124,7 +124,7 @@ def duplicate_ngram_stats(sf_dir: str, n: int = 5) -> "ray.data.Dataset":
             .reset_index()
         )
 
-    flagged = coarse_grouped_map(grams, "gkey", flag_dups)
+    flagged = coarse_grouped_map(grams, "gkey", pandas_reducer(flag_dups))
 
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby("doc_id", sort=False).agg(
@@ -137,7 +137,7 @@ def duplicate_ngram_stats(sf_dir: str, n: int = 5) -> "ray.data.Dataset":
         )
         return out
 
-    return coarse_grouped_map(flagged, "doc_id", per_doc)
+    return coarse_grouped_map(flagged, "doc_id", pandas_reducer(per_doc))
 
 
 # ---------------------------------------------------------------------------

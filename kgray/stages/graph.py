@@ -20,7 +20,8 @@ import json
 from typing import Dict, Optional
 
 import pandas as pd
-
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -29,10 +30,9 @@ from ..functions.bel import term_label, term_type
 from ..utils import KIND, coarse_grouped_map, tag
 
 
-def _document_cx2(
-    edges: pd.DataFrame, unary: pd.DataFrame, urls: Dict[str, str]
-) -> dict:
-    """Build one document's CX2-shaped dict with reference id semantics."""
+def _document_cx2(edges: list, unary: list, urls: Dict[str, str]) -> dict:
+    """Build one document's CX2-shaped dict with reference id semantics
+    from its edge and unary rows (``pa.Table.to_pylist`` dicts)."""
     node_ids: Dict[str, int] = {}
 
     def nid(name: str) -> int:
@@ -42,30 +42,30 @@ def _document_cx2(
 
     # interleave edge endpoints and unary terms in (span_seq, stmt_seq) order
     items = []
-    for r in edges.itertuples():
-        items.append((r.span_seq, r.stmt_seq, 0, "edge", r))
-    for r in unary.itertuples():
-        items.append((r.span_seq, r.stmt_seq, 0, "unary", r))
+    for r in edges:
+        items.append((r["span_seq"], r["stmt_seq"], 0, "edge", r))
+    for r in unary:
+        items.append((r["span_seq"], r["stmt_seq"], 0, "unary", r))
     items.sort(key=lambda x: (x[0], x[1], x[3] != "edge"))
 
     cx_edges = []
     for _, _, _, kind, r in items:
         if kind == "unary":
-            nid(r.name)
+            nid(r["name"])
             continue
-        s, t = nid(r.subj), nid(r.obj)
+        s, t = nid(r["subj"]), nid(r["obj"])
         cx_edges.append(
             {
                 "id": len(cx_edges),
                 "s": s,
                 "t": t,
                 "v": {
-                    "interaction": r.pred,
-                    "source_label": r.subj_label,
-                    "target_label": r.obj_label,
-                    "bel_expression": r.bel_expression,
-                    "text": r.text,
-                    "evidence": r.evidence,
+                    "interaction": r["pred"],
+                    "source_label": r["subj_label"],
+                    "target_label": r["obj_label"],
+                    "bel_expression": r["bel_expression"],
+                    "text": r["text"],
+                    "evidence": r["evidence"],
                 },
             }
         )
@@ -91,12 +91,8 @@ def _document_cx2(
     ]
 
 
-# the co-group's union schema: every column of the three record kinds
-_GRAPH_TYPES = {
-    f.name: f.type
-    for s in (schemas.EDGES, schemas.UNARY_NODES, schemas.ANNOTATION_URLS)
-    for f in s
-}
+# the co-group's record kinds, in ``_kind`` order
+_KINDS = (schemas.EDGES, schemas.UNARY_NODES, schemas.ANNOTATION_URLS)
 
 
 def build_document_graphs(
@@ -125,41 +121,35 @@ def build_document_graphs(
     to every document's CX2 (reference --style_path / cx_style.json)."""
     style_ref = ray.put(style)
 
-    def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        # one Ray task per coarse partition; the per-document loop is a
-        # C-indexed pandas groupby INSIDE the task (one Ray reduce call per
-        # DOC would pay ~0.5 ms of per-group machinery each — see
+    def per_partition(t: pa.Table) -> pa.Table:
+        # one Ray task per coarse partition; the per-document loop runs
+        # over the partition's rows INSIDE the task (one Ray reduce call
+        # per DOC would pay ~0.5 ms of per-group machinery each — see
         # utils.coarse_grouped_map)
         style_ = ray.get(style_ref)
+        docs: Dict[str, tuple] = {}
+        for kind, schema in enumerate(_KINDS):
+            rows = t.filter(pc.equal(t[KIND], kind)).select(schema.names)
+            for r in rows.to_pylist():
+                # a document's graph exists when it has an edge
+                if kind == 0 or r["doc_id"] in docs:
+                    docs.setdefault(r["doc_id"], ([], [], []))[kind].append(r)
         out = {"doc_id": [], "cx2": [], "n_nodes": [], "n_edges": []}
-        for doc, gd in g.groupby("doc_id", sort=False):
-            ge = gd[gd[KIND] == 0]
-            if ge.empty:
-                continue
-            ga = gd[gd[KIND] == 2]
+        for doc, (ge, gu, ga) in docs.items():
             urls: Dict[str, str] = {}
-            if not ga.empty:
-                for r in ga.sort_values(["span_seq", "ann_seq"]).itertuples():
-                    if r.entry_name not in urls:
-                        urls[r.entry_name] = r.url
-            cx = apply_style(
-                _document_cx2(ge, gd[gd[KIND] == 1], urls), style_
-            )
+            for r in sorted(ga, key=lambda r: (r["span_seq"], r["ann_seq"])):
+                urls.setdefault(r["entry_name"], r["url"])
+            cx = apply_style(_document_cx2(ge, gu, urls), style_)
             out["doc_id"].append(doc)
             out["cx2"].append(json.dumps(cx))
             out["n_nodes"].append(len(cx[2]["nodes"]))
             out["n_edges"].append(len(cx[3]["edges"]))
-        if not out["doc_id"]:
-            return pd.DataFrame(
-                {"doc_id": pd.Series([], dtype=object),
-                 "cx2": pd.Series([], dtype=object),
-                 "n_nodes": pd.Series([], dtype="int64"),
-                 "n_edges": pd.Series([], dtype="int64")}
-            )
-        return pd.DataFrame(out)
+        return pa.table(out, schema=schemas.GRAPHS)
 
+    # the union schema: every column of the three kinds
+    types = {f.name: f.type for s in _KINDS for f in s}
     parts = [
-        tag(ds, kind, _GRAPH_TYPES)
+        tag(ds, kind, types)
         for kind, ds in enumerate((edges, unary, annotation_urls))
     ]
     return coarse_grouped_map(parts, "doc_id", per_partition)
@@ -264,42 +254,23 @@ def consolidate_edges(
     doc hash and re-reduce (the utils.coarse_grouped_map two-phase
     pattern canonicalization uses).
     """
-    import numpy as np
-    import pyarrow as pa
-
-    from ..utils import schema_floor
-
     KEY = ["subj", "pred", "obj"]
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(KEY + ["doc_id"]).to_pandas()
-        g = df.groupby(KEY + ["doc_id"], as_index=False).size()
-        g.columns = KEY + ["doc_id", "c"]
-        g["c"] = g.c.astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def reduce_triples(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(KEY + ["doc_id"], as_index=False).agg(
-            c=("c", "sum")
+        counts = batch.group_by(KEY + ["doc_id"]).aggregate(
+            [([], "count_all")]
         )
-        out = g.groupby(KEY, as_index=False).agg(
-            n_evidence=("c", "sum"),
-            n_docs=("doc_id", "nunique"),
-            first_doc=("doc_id", "min"),
-        )
-        out["n_evidence"] = out.n_evidence.astype(np.int64)
-        out["n_docs"] = out.n_docs.astype(np.int64)
-        return out
+        return counts.rename_columns(KEY + ["doc_id", "c"])
 
-    # schema_floor: an empty edge table still yields a typed result
-    return schema_floor(
-        coarse_grouped_map(
-            edges.map_batches(partial, batch_format="pyarrow"),
-            KEY,
-            reduce_triples,
-            num_partitions=num_partitions,
-        ),
-        pa.schema([(k, pa.string()) for k in KEY]
-                  + [("n_evidence", pa.int64()), ("n_docs", pa.int64()),
-                     ("first_doc", pa.string())]),
+    def reduce_triples(t: pa.Table) -> pa.Table:
+        g = t.group_by(KEY + ["doc_id"]).aggregate([("c", "sum")])
+        out = g.group_by(KEY).aggregate(
+            [("c_sum", "sum"), ("doc_id", "count"), ("doc_id", "min")]
+        )
+        return out.rename_columns(
+            KEY + ["n_evidence", "n_docs", "first_doc"]
+        )
+
+    return coarse_grouped_map(
+        (edges, partial), KEY, reduce_triples, num_partitions=num_partitions
     )

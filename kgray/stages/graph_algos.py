@@ -28,7 +28,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..utils import coarse_grouped_map, repartition_join, schema_floor
+from ..utils import (
+    coarse_grouped_map,
+    pandas_reducer,
+    repartition_join,
+    schema_floor,
+)
 
 
 def _distinct_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -42,7 +47,7 @@ def _distinct_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     return coarse_grouped_map(
         edges.map_batches(partial, batch_format="pyarrow"),
         ["src", "dst"],
-        lambda df: df.drop_duplicates(["src", "dst"]),
+        pandas_reducer(lambda df: df.drop_duplicates(["src", "dst"])),
         num_partitions=8,
     )
 
@@ -126,9 +131,9 @@ def pagerank(
             batch_format="pyarrow",
         ),
         "src",
-        lambda df: df.groupby("src", as_index=False).agg(
+        pandas_reducer(lambda df: df.groupby("src", as_index=False).agg(
             outdeg=("outdeg", "sum")
-        ),
+        )),
         num_partitions=num_partitions,
     )
 
@@ -141,7 +146,7 @@ def pagerank(
     nodes = coarse_grouped_map(
         e.map_batches(node_halves, batch_format="pyarrow"),
         "node",
-        lambda df: df.drop_duplicates("node"),
+        pandas_reducer(lambda df: df.drop_duplicates("node")),
         num_partitions=num_partitions,
     ).materialize()
     n = float(nodes.count())
@@ -191,9 +196,9 @@ def pagerank(
                 partial_sum, batch_format="pandas", batch_size=None
             ),
             "dst",
-            lambda df: df.groupby("dst", as_index=False).agg(
+            pandas_reducer(lambda df: df.groupby("dst", as_index=False).agg(
                 c=("c", "sum")
-            ),
+            )),
             num_partitions=num_partitions,
         )
 
@@ -261,7 +266,9 @@ def _hits_half(
         contrib.map_batches(partial, batch_format="pandas",
                             batch_size=None),
         to_col,
-        lambda df: df.groupby(to_col, as_index=False).agg(s=("s", "sum")),
+        pandas_reducer(
+            lambda df: df.groupby(to_col, as_index=False).agg(s=("s", "sum"))
+        ),
         num_partitions=num_partitions,
     ).materialize()  # feeds the scalar max AND the join
 
@@ -354,7 +361,7 @@ def hits(
     nodes = coarse_grouped_map(
         e.map_batches(node_halves, batch_format="pyarrow"),
         "node",
-        lambda df: df.drop_duplicates("node"),
+        pandas_reducer(lambda df: df.drop_duplicates("node")),
         num_partitions=num_partitions,
     ).materialize()
 
@@ -433,9 +440,9 @@ def degree_stats(
         coarse_grouped_map(
             e.map_batches(halves, batch_format="pyarrow"),
             "node",
-            lambda df: df.groupby("node", as_index=False).agg(
+            pandas_reducer(lambda df: df.groupby("node", as_index=False).agg(
                 out_deg=("out_deg", "sum"), in_deg=("in_deg", "sum")
-            ),
+            )),
             num_partitions=num_partitions,
         ),
         pa.schema([("node", pa.string()), ("out_deg", pa.int64()),
@@ -459,7 +466,7 @@ def _undirected_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     return coarse_grouped_map(
         edges.map_batches(partial, batch_format="pyarrow"),
         ["u", "v"],
-        lambda df: df.drop_duplicates(["u", "v"]),
+        pandas_reducer(lambda df: df.drop_duplicates(["u", "v"])),
         num_partitions=8,
     )
 
@@ -497,9 +504,9 @@ def local_clustering(
     deg = coarse_grouped_map(
         adjacency,
         "node",
-        lambda df: df.groupby("node", as_index=False).agg(
+        pandas_reducer(lambda df: df.groupby("node", as_index=False).agg(
             degree=("nbr", "size")
-        ),
+        )),
         num_partitions=num_partitions,
     )
 
@@ -518,7 +525,8 @@ def local_clustering(
         )
 
     wedges = coarse_grouped_map(
-        adjacency, "node", wedge_partition, num_partitions=num_partitions
+        adjacency, "node", pandas_reducer(wedge_partition),
+        num_partitions=num_partitions,
     )
 
     def edge_key(batch: pa.Table) -> pa.Table:
@@ -551,7 +559,9 @@ def local_clustering(
             batch_format="pandas",
         ),
         "node",
-        lambda df: df.groupby("node", as_index=False).agg(t=("t", "sum")),
+        pandas_reducer(
+            lambda df: df.groupby("node", as_index=False).agg(t=("t", "sum"))
+        ),
         num_partitions=num_partitions,
     )
 
@@ -639,7 +649,9 @@ def neighbor_jaccard(
     deg = coarse_grouped_map(
         e,
         "src",
-        lambda df: df.groupby("src", as_index=False).agg(d=("dst", "size")),
+        pandas_reducer(
+            lambda df: df.groupby("src", as_index=False).agg(d=("dst", "size"))
+        ),
         num_partitions=num_partitions,
     )
 
@@ -659,14 +671,16 @@ def neighbor_jaccard(
         return g
 
     pairs = coarse_grouped_map(
-        e, "dst", pair_partition, num_partitions=num_partitions
+        e, "dst", pandas_reducer(pair_partition), num_partitions=num_partitions
     )
 
     summed = coarse_grouped_map(
         pairs,
         ["node_a", "node_b"],
-        lambda df: df.groupby(["node_a", "node_b"], as_index=False).agg(
-            c=("c", "sum")
+        pandas_reducer(
+            lambda df: df.groupby(["node_a", "node_b"], as_index=False).agg(
+                c=("c", "sum")
+            )
         ),
         num_partitions=num_partitions,
     )
@@ -763,7 +777,7 @@ def two_hop_counts(
     pairs = coarse_grouped_map(
         wedges.map_batches(pair_partial, batch_format="pandas"),
         ["src", "far"],
-        lambda df: df.drop_duplicates(["src", "far"]),
+        pandas_reducer(lambda df: df.drop_duplicates(["src", "far"])),
         num_partitions=num_partitions,
     )
 
@@ -780,7 +794,7 @@ def two_hop_counts(
         coarse_grouped_map(
             pairs.map_batches(count_partial, batch_format="pandas"),
             "src",
-            count_final,
+            pandas_reducer(count_final),
             num_partitions=num_partitions,
         ),
         pa.schema([("node", pa.string()), ("n_two_hop", pa.int64())]),
@@ -820,7 +834,7 @@ def comention_graph(
     mentions = coarse_grouped_map(
         edges_with_doc.map_batches(mention_partial, batch_format="pyarrow"),
         ["doc_id", "entity"],
-        lambda df: df.drop_duplicates(["doc_id", "entity"]),
+        pandas_reducer(lambda df: df.drop_duplicates(["doc_id", "entity"])),
         num_partitions=num_partitions,
     )
 
@@ -840,16 +854,17 @@ def comention_graph(
         return g.astype({"n_docs": "int64"})
 
     pairs = coarse_grouped_map(
-        mentions, "doc_id", pair_partition, num_partitions=num_partitions
+        mentions, "doc_id", pandas_reducer(pair_partition),
+        num_partitions=num_partitions,
     )
 
     return schema_floor(
         coarse_grouped_map(
             pairs,
             ["entity_a", "entity_b"],
-            lambda df: df.groupby(
+            pandas_reducer(lambda df: df.groupby(
                 ["entity_a", "entity_b"], as_index=False
-            ).agg(n_docs=("n_docs", "sum")),
+            ).agg(n_docs=("n_docs", "sum"))),
             num_partitions=num_partitions,
         ),
         pa.schema([("entity_a", pa.string()), ("entity_b", pa.string()),
@@ -950,7 +965,7 @@ def _bfs(
                 batch_format="pyarrow",
             ),
             ["s", "node"],
-            lambda df: df.drop_duplicates(["s", "node"]),
+            pandas_reducer(lambda df: df.drop_duplicates(["s", "node"])),
             num_partitions=num_partitions,
         )
         fresh = repartition_join(
@@ -1084,6 +1099,6 @@ def harmonic_closeness(
     return coarse_grouped_map(
         dists.map_batches(weight, batch_format="pyarrow"),
         "node",
-        reduce_node,
+        pandas_reducer(reduce_node),
         num_partitions=num_partitions,
     )

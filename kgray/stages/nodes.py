@@ -40,7 +40,6 @@ from functools import partial
 from typing import Tuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -136,7 +135,8 @@ def measure_top_key_share(
     counts = coarse_grouped_map(
         (mentions, partial_counts),
         "name",
-        lambda df: df.groupby("name", as_index=False).agg(c=("c", "sum")),
+        lambda t: t.group_by("name").aggregate([("c", "sum")])
+        .rename_columns(["name", "c"]),
         num_partitions=num_partitions,
     )
     total = mentions.count()
@@ -198,37 +198,38 @@ def _route_urls(batch: pa.Table) -> pa.Table:
                              _rows(_LABEL_PROBE, names, names, ku)])
 
 
-def _canonicalize(df: pd.DataFrame) -> pa.Table:
+def _canonicalize(t: pa.Table) -> pa.Table:
     """Per partition: each mentioned name's first-seen key, URL (its name
     probe, else its label probe), label and type, and each entry name's
     first-seen URL.  Every row of a name's label lands here, so both
     probes are local lookups."""
-    best = df.groupby(["kind", "route", "name"], as_index=False).key.min()
-    kind = best.pop("kind")
-    seen = best[kind == _MENTION]
-    by_name = best[kind == _NAME_PROBE].set_index("name").key
-    by_label = best[kind == _LABEL_PROBE].set_index("route").key
-    name_ku = seen.name.map(by_name)
-    names = pd.DataFrame(
+    best = t.group_by(["kind", "route", "name"]).aggregate([("key", "min")])
+    seen, by_name, by_label = (
+        best.filter(pc.equal(best["kind"], k))
+        for k in (_MENTION, _NAME_PROBE, _LABEL_PROBE)
+    )
+
+    def probe(keys, found: pa.Table, on: str):
+        at = pc.index_in(keys, value_set=found[on].combine_chunks())
+        return found["key_min"].take(at)
+
+    names = pa.table(
         {
-            "name": seen.name,
-            "first_key": seen.key,
-            "url": np.where(
-                name_ku.isna(), seen.route.map(by_label), name_ku
+            "name": seen["name"],
+            "first_key": seen["key_min"],
+            "url": pc.coalesce(probe(seen["name"], by_name, "name"),
+                               probe(seen["route"], by_label, "route")),
+            "label": seen["route"],
+            "type": pa.array(
+                [term_type(n) for n in seen["name"].to_pylist()], pa.string()
             ),
-            "label": seen.route,
-            "type": seen.name.map(term_type),
-            "entry": False,
-        }
-    )
-    entries = pd.DataFrame(
-        {"name": by_name.index, "url": by_name.values, "entry": True}
-    )
-    out = pa.Table.from_pandas(
-        pd.concat([names, entries]).astype({"url": object}),
+            "entry": pa.repeat(False, seen.num_rows),
+        },
         schema=_TAGGED,
-        preserve_index=False,
     )
+    entries = pa.table({"name": by_name["name"], "url": by_name["key_min"],
+                        "entry": pa.repeat(True, by_name.num_rows)})
+    out = pa.concat_tables([names, entries], promote_options="default")
     # drop the "order_key<SEP>" prefix
     url = pc.list_element(pc.split_pattern(out["url"], _SEP, max_splits=1), 1)
     return out.set_column(NAMES.get_field_index("url"), "url", url)
@@ -296,9 +297,9 @@ def first_seen_names(
             mentions = coarse_grouped_map(
                 (mentions, add_salt),
                 ["name", "salt"],
-                lambda df: df.groupby(["name", "salt"], as_index=False).agg(
-                    first_key=("first_key", "min")
-                ),
+                lambda t: t.group_by(["name", "salt"]).aggregate(
+                    [("first_key", "min")]
+                ).rename_columns(["name", "salt", "first_key"]),
                 num_partitions=8,
             )
         parts = [(mentions, _route_mentions)]

@@ -22,7 +22,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..utils import coarse_grouped_map
+from ..utils import coarse_grouped_map, pandas_reducer
 from .filters import SAMPLE_MULT
 
 
@@ -83,9 +83,9 @@ def pack_sequences(
         coarse_grouped_map(
             toks.select_columns(["r", "n_tokens"]),
             "r",
-            lambda d: d.groupby("r", as_index=False).agg(
+            pandas_reducer(lambda d: d.groupby("r", as_index=False).agg(
                 t=("n_tokens", "sum")
-            ),
+            )),
         )
         .to_pandas()  # n_ranges rows — bounded by the range count
         .sort_values("r")
@@ -114,9 +114,9 @@ def pack_sequences(
             )
         return pd.concat(out, ignore_index=True)
 
-    return coarse_grouped_map(toks, "r", pack_range).select_columns(
-        ["doc_id", "n_tokens", "token_offset", "seq_id"]
-    )
+    return coarse_grouped_map(
+        toks, "r", pandas_reducer(pack_range)
+    ).select_columns(["doc_id", "n_tokens", "token_offset", "seq_id"])
 
 
 def shuffle_order(sf_dir: str, bucket_bits: int = 6) -> "ray.data.Dataset":
@@ -157,9 +157,9 @@ def shuffle_order(sf_dir: str, bucket_bits: int = 6) -> "ray.data.Dataset":
         coarse_grouped_map(
             hashed.select_columns(["bucket"]),
             "bucket",
-            lambda d: d.groupby("bucket", as_index=False).agg(
+            pandas_reducer(lambda d: d.groupby("bucket", as_index=False).agg(
                 n=("bucket", "size")
-            ),
+            )),
         )
         .to_pandas()
         .sort_values("bucket")
@@ -188,9 +188,9 @@ def shuffle_order(sf_dir: str, bucket_bits: int = 6) -> "ray.data.Dataset":
             )
         return pd.concat(out, ignore_index=True)
 
-    return coarse_grouped_map(hashed, "bucket", rank_bucket).select_columns(
-        ["doc_id", "position"]
-    )
+    return coarse_grouped_map(
+        hashed, "bucket", pandas_reducer(rank_bucket)
+    ).select_columns(["doc_id", "position"])
 
 
 def build_vocab(sf_dir: str, vocab_size: int = 30) -> pd.DataFrame:
@@ -219,7 +219,9 @@ def build_vocab(sf_dir: str, vocab_size: int = 30) -> pd.DataFrame:
     counts = coarse_grouped_map(
         docs.map_batches(partial, batch_format="pyarrow"),
         "token",
-        lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum")),
+        pandas_reducer(
+            lambda d: d.groupby("token", as_index=False).agg(n=("n", "sum"))
+        ),
     ).to_pandas()
     counts = counts.sort_values(
         ["n", "token"], ascending=[False, True]

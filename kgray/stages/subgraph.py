@@ -22,13 +22,12 @@ therefore returns the edges incident to the seed nodes.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..utils import repartition_join, schema_floor
+from ..utils import repartition_join
 
 
 def khop_subgraph(
@@ -81,8 +80,8 @@ def khop_subgraph(
         "obj": pa.string(),
     }
 
-    def _attach(side_ds, key: str, out_name: str, types: dict):
-        joined = repartition_join(
+    def _attach(side_ds, key: str, types: dict, post_fn):
+        return repartition_join(
             side_ds,
             dist,
             key,
@@ -91,49 +90,25 @@ def khop_subgraph(
             {"node": pa.string(), "dist": pa.int64()},
             num_partitions=num_partitions,
             how="left",
+            post_fn=post_fn,
         )
 
-        def rn(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return pd.DataFrame()
-            return df.rename(columns={"dist": out_name})
-
-        return joined.map_batches(rn, batch_format="pandas")
-
-    with_s = _attach(edges, "subj", "d_subj", etypes)
-    stypes = dict(etypes)
-    stypes["d_subj"] = pa.float64()  # left-join null-pad upcasts
-    with_both = _attach(with_s, "obj", "d_obj", stypes)
-
-    kk = k
-
-    def keep(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame()
-        d = np.fmin(
-            df.d_subj.to_numpy(dtype=np.float64, na_value=np.inf),
-            df.d_obj.to_numpy(dtype=np.float64, na_value=np.inf),
+    def rn(t: pa.Table) -> pa.Table:
+        return t.rename_columns(
+            ["d_subj" if c == "dist" else c for c in t.column_names]
         )
-        m = d <= kk - 1
-        out = df.loc[
-            m, ["doc_id", "span_seq", "subj", "pred", "obj"]
-        ].copy()
-        out["hop"] = (d[m] + 1).astype(np.int64)
-        return out
 
-    return schema_floor(
-        with_both.map_batches(keep, batch_format="pandas"),
-        pa.schema(
-            [
-                ("doc_id", pa.string()),
-                ("span_seq", pa.int32()),
-                ("subj", pa.string()),
-                ("pred", pa.string()),
-                ("obj", pa.string()),
-                ("hop", pa.int64()),
-            ]
-        ),
-    )
+    def keep(t: pa.Table) -> pa.Table:
+        # an unreached endpoint (null distance) bounds nothing
+        d = pc.min_element_wise(t["d_subj"], t["dist"])
+        hop = pc.cast(pc.add(d, 1), pa.int64())
+        return t.select(list(etypes)).append_column("hop", hop).filter(
+            pc.less_equal(d, k - 1)
+        )
+
+    # the left join pads the distance columns as float64
+    with_s = _attach(edges, "subj", etypes, rn)
+    return _attach(with_s, "obj", {**etypes, "d_subj": pa.float64()}, keep)
 
 
 def subgraph_evidence(
@@ -150,8 +125,6 @@ def subgraph_evidence(
     corpus-sized — is never broadcast or collected."""
 
     def sub_key(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         key = pc.binary_join_element_wise(
             b.column("doc_id"),
             pc.cast(b.column("span_seq"), pa.string()),
@@ -160,8 +133,6 @@ def subgraph_evidence(
         return b.append_column("ekey", key)
 
     def chunk_key(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         key = pc.binary_join_element_wise(
             b.column("doc_id"),
             pc.cast(b.column("span_seq"), pa.string()),
@@ -187,14 +158,7 @@ def subgraph_evidence(
         },
         {"ekey": pa.string(), "evidence": pa.string()},
         num_partitions=num_partitions,
-    ).map_batches(
-        lambda df: df[
-            ["doc_id", "span_seq", "subj", "pred", "obj", "hop",
-             "evidence"]
-        ]
-        if len(df)
-        else pd.DataFrame(),
-        batch_format="pandas",
+        post_fn=lambda t: t.drop_columns(["ekey"]),
     )
 
 

@@ -82,9 +82,9 @@ class KillOnceReduce:
         self._flag = flag_path
         self._fn = fn
 
-    def __call__(self, df):
+    def __call__(self, table):
         if not os.path.exists(self._flag):
             with open(self._flag, "w") as f:
                 f.write("killed")
             os._exit(1)
-        return self._fn(df)
+        return self._fn(table)

@@ -8,7 +8,11 @@ join or a co-group is a list of ``tag``-ged parts handed to it
 
 A *part* is a Dataset or a ``(Dataset or block list, per-block function or
 None)`` pair; the function runs inside the exchange's map tasks, so a
-combiner or a router costs no Ray Data operator of its own.
+combiner or a router costs no Ray Data operator of its own.  Every
+function an exchange calls takes one ``pa.Table`` and returns one: the
+block format is Arrow from map task to reduce task, and an exchange
+without rows returns its reducer's own typed empty table.  The non-KG
+modules' pandas reducers go through ``pandas_reducer``.
 *Blocks* are (ref, metadata) pairs: every exchange task returns its
 block's metadata beside the block, so the driver holds row counts without
 another task, and ``dataset_of`` wraps blocks in a Dataset once, where a
@@ -73,11 +77,14 @@ def _bundles(ds):
 
 
 def _iter_blocks(data):
-    """(ref, metadata) of every block of a Dataset or a block list; a
-    lazy Dataset starts running here and streams."""
+    """(ref, metadata with schema) of every block of a Dataset or a block
+    list; a lazy Dataset starts running here and streams."""
     if isinstance(data, list):
         return iter(data)
-    return (block for b in _bundles(data) for block in b.blocks)
+    return (
+        (ref, BlockMetadataWithSchema(meta, b.schema))
+        for b in _bundles(data) for ref, meta in b.blocks
+    )
 
 
 def blocks_of(*datasets) -> list:
@@ -175,18 +182,28 @@ def _split(block, pre, keys, P, bounds):
 
 @ray.remote
 def _reduce(fn, *slices):
-    """Reduce side: ``fn`` on the range's rows as one pandas frame, or a
-    block without columns when the range got none."""
+    """Reduce side: ``fn`` on the range's rows (maybe none) as one
+    table."""
     from ray.data._internal.arrow_ops.transform_pyarrow import concat
 
-    slices = [s for s in slices if s.num_rows]
-    if not slices:
-        return _with_meta(pa.table({}))
-    df = BlockAccessor.for_block(concat(slices, promote_types=True)).to_pandas()
-    out = fn(df)
-    if not isinstance(out, pa.Table):
-        out = pa.Table.from_pandas(out, preserve_index=False)
-    return _with_meta(out)
+    return _with_meta(fn(concat(slices, promote_types=True)))
+
+
+def pandas_reducer(fn):
+    """``fn(pd.DataFrame) -> pd.DataFrame or pa.Table`` as an exchange
+    function for the non-KG modules: Ray's pandas view of the table in,
+    ``from_pandas`` out unless ``fn`` returned a Table.  A table without
+    rows gives a table without columns, as before (see
+    ``schema_floor``)."""
+    def run(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return pa.table({})
+        out = fn(BlockAccessor.for_block(t).to_pandas())
+        if not isinstance(out, pa.Table):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        return out
+
+    return run
 
 
 def _parts(ds) -> list:
@@ -208,9 +225,10 @@ def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
     15+ seconds for a 20k-group aggregate (measured) and grows with key
     cardinality, i.e. with data scale.  This helper instead hashes the
     group keys into ``num_partitions`` coarse buckets and hands each
-    reduce range — thousands of whole groups — to ``fn`` as one pandas
-    DataFrame, so the reduce is one C-speed ``df.groupby`` per range.
-    Every row of a group lands in the same bucket by construction.
+    reduce range — thousands of whole groups — to ``fn`` as one
+    ``pa.Table``, so the reduce is one C-speed ``pa.Table.group_by`` (or
+    a loop over whole groups) per range.  Every row of a group lands in
+    the same bucket by construction.
 
     ``ds`` is a part or a list of parts with one schema (a co-group, e.g.
     parts made by ``tag``); a part's per-block function runs in the map
@@ -220,11 +238,15 @@ def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
     calls ``fn`` once.  Its fan-in is input blocks × ranges.  Raise
     ``num_partitions`` at scale so a range fits in a worker's heap.
 
-    ``fn(df) -> df`` (or ``pa.Table``) must itself group by ``key_cols``:
-    it sees all rows of each of its groups, nothing else is guaranteed
-    about a range's contents.  A range without rows yields a block without
-    columns; the returned Dataset keeps only blocks with rows (one block
-    when none has any).  The exchange runs when this is called.
+    ``fn(pa.Table) -> pa.Table`` must itself group by ``key_cols``: it
+    sees all rows of each of its groups, nothing else is guaranteed about
+    a range's contents, and it must take a table without rows too.  The
+    returned Dataset keeps only blocks with rows, or one of ``fn``'s typed
+    empty tables when none has any.  When no input block has rows, one
+    task runs a part's per-block function and ``fn`` on a zero-row input
+    block that carries columns instead of the exchange (without such a
+    block, the result is a block without columns).  The exchange runs
+    when this is called.
     """
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     P = num_partitions
@@ -232,13 +254,24 @@ def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
     bounds = np.array([P * i // width for i in range(1, width)], np.int64)
     parts = _parts(ds)
     split = _split.options(num_returns=width)
-    maps = [
-        split.remote(ref, pre, keys, P, bounds)
-        for blocks, pre in parts for ref, meta in blocks if meta.num_rows
-    ]
+    maps, empty = [], None
+    for blocks, pre in parts:
+        for ref, meta in blocks:
+            if meta.num_rows:
+                maps.append(split.remote(ref, pre, keys, P, bounds))
+            elif empty is None and getattr(meta.schema, "names", None):
+                empty = (pre, ref)
+    _record("hash", len(parts), len(maps), width)
+    if not maps:  # one task: ``pre`` and ``fn`` on a zero-row block
+        if empty is None:  # no column to type the result with
+            return dataset_of([], pa.schema([]))
+        pre, ref = empty
+        run = fn if pre is None else (lambda t: fn(pre(t)))
+        return dataset_of(_finish(
+            [_apply.options(num_returns=2).remote([run], ref)]
+        ))
     if width == 1:
         maps = [[m] for m in maps]
-    _record("hash", len(parts), len(maps), width)
     reduce = _reduce.options(num_returns=2)
     return dataset_of(_finish(
         [reduce.remote(fn, *[m[i] for m in maps]) for i in range(width)]
@@ -326,30 +359,30 @@ def _is_numeric(t: pa.DataType) -> bool:
     return pa.types.is_integer(t) or pa.types.is_floating(t)
 
 
-def tag(ds: "ray.data.Dataset", kind: int, types: dict) -> "ray.data.Dataset":
-    """``ds`` on a union schema: an int8 ``_kind`` column holding ``kind``,
-    then the ``types`` ({column: pyarrow type}) columns in order.
+def tag(part, kind: int, types: dict):
+    """A part (a Dataset or a (Dataset, per-block function) pair) on a
+    union schema: an int8 ``_kind`` column holding ``kind``, then the
+    ``types`` ({column: pyarrow type}) columns in order.  The projection
+    runs in the exchange's map tasks, so a zero-row block is typed too.
 
     Every declared column is cast to its declared type, so dictionary
     columns are decoded and the parts of a union share one schema.  A
-    column ``ds`` lacks is filled: numeric ones with zeros (pandas would
-    turn a null-padded int into float64), the rest with nulls.  The
-    fillers are never read: a consumer takes each kind's own columns from
-    its own rows.
+    column the block lacks is null-filled; the fillers are never read: a
+    consumer takes each kind's own columns from its own rows.
     """
+    ds, pre = part if isinstance(part, tuple) else (part, None)
+
     def project(b: pa.Table) -> pa.Table:
+        if pre is not None:
+            b = pre(b)
         n = b.num_rows
         cols = {KIND: pa.array(np.full(n, kind, np.int8))}
         for c, t in types.items():
-            if c in b.column_names:
-                cols[c] = b.column(c).cast(t)
-            elif _is_numeric(t):
-                cols[c] = pa.array(np.zeros(n, t.to_pandas_dtype()), t)
-            else:
-                cols[c] = pa.nulls(n, t)
+            cols[c] = (b.column(c).cast(t) if c in b.column_names
+                       else pa.nulls(n, t))
         return pa.table(cols)
 
-    return ds.map_batches(project, batch_format="pyarrow")
+    return ds, project
 
 
 def repartition_join(
@@ -365,22 +398,28 @@ def repartition_join(
 ):
     """Distributed hash-join: both sides ``tag``-ged onto one schema and
     co-grouped on the key by ``coarse_grouped_map``, one vectorized
-    pandas merge per partition.
+    Arrow join per partition.
 
-    ``post_fn(df) -> df``, if given, runs on each partition's joined
-    frame BEFORE it is emitted — join + grouped-reduce FUSION.  Every
-    row of a join key lands in one partition (like coarse_grouped_map),
-    so a reduce grouped by the join key is exact here and the fused
-    plan skips one full all-to-all of the joined rows.
+    ``post_fn(pa.Table) -> pa.Table``, if given, runs on each partition's
+    joined table BEFORE it is emitted — join + grouped-reduce FUSION.
+    Every row of a join key lands in one partition (like
+    coarse_grouped_map), so a reduce grouped by the join key is exact
+    here and the fused plan skips one full all-to-all of the joined rows.
+    On a join without rows it runs on a zero-row table, so it types the
+    empty result.
 
     ``how``: "inner" | "left" | "semi" | "anti".  Inner/left emit
-    [left_on] + left cols + right cols (unmatched left rows pad with
-    nulls — a left join's right numeric columns are therefore float64,
-    cast downstream if needed); semi/anti emit [left_on] + left cols only
-    (the right side contributes existence, never columns), with left
-    multiplicity preserved.  All variants shuffle both sides exactly
-    once on hash(key) — the per-partition kernel is the only
-    difference, since every row of a key lands in one partition.
+    [left_on] + left cols + right cols in pandas merge's (left row, right
+    row) order (unmatched left rows pad with nulls — a left join's right
+    numeric columns are therefore float64, cast downstream if needed);
+    semi/anti emit [left_on] + left cols only (the right side contributes
+    existence, never columns), with left multiplicity preserved.  A null
+    key matches a null key, as in pandas.  All variants shuffle both
+    sides exactly once on hash(key) — the per-partition kernel is the
+    only difference, since every row of a key lands in one partition.
+    The kernel joins key codes and row indices only, then ``take``s the
+    payloads: Acero rejects list-typed payload columns ("Data type
+    list<…> is not supported in join non-key field", pyarrow 16.1).
 
     Why not ``Dataset.join``: Ray 2.49's hash-join aggregators (a) reserve
     half the cluster's CPUs per join operator regardless of
@@ -391,14 +430,15 @@ def repartition_join(
     build side is sparse.  This helper uses only ``coarse_grouped_map``'s
     task exchange (empty-range tolerant) and scales the same way: both
     sides move through one exchange partitioned on ``hash(key) %
-    num_partitions``, and each partition joins with one in-memory merge.
+    num_partitions``, and each partition joins in memory.
 
     ``left_types`` / ``right_types``: {column: pyarrow type} for each
     side INCLUDING its key column (schemas are declared, not inferred, so
     the lazy plans are never executed early).  Non-key column names must
-    be disjoint.  Without ``post_fn`` the output blocks carry these
-    declared types (a left join's right numeric columns as float64), so
-    a partition with no match types its padding like any other.
+    be disjoint.  The joined table (``post_fn``'s input, or the output)
+    carries these declared types (a left join's right numeric columns as
+    float64), so a partition with no match types its padding like any
+    other.
     """
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported join type: {how!r}")
@@ -408,11 +448,13 @@ def repartition_join(
     types.update((c, left_types[c]) for c in lcols)
     types.update((c, right_types[c]) for c in rcols)
 
-    def side(ds, on, cols, kind):
+    def side(ds, on, kind):
         def keyed(b: pa.Table) -> pa.Table:
-            return b.select([on] + cols).rename_columns(["_jkey"] + cols)
+            return b.rename_columns(
+                ["_jkey" if c == on else c for c in b.column_names]
+            )
 
-        return tag(ds.map_batches(keyed, batch_format="pyarrow"), kind, types)
+        return tag((ds, keyed), kind, types)
 
     out = pa.schema(
         [(left_on, types["_jkey"])]
@@ -424,31 +466,39 @@ def repartition_join(
         ]
     )
 
-    def merge_partition(g: "pd.DataFrame"):
-        import pandas as pd
+    def merge_partition(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
 
-        l = g[g[KIND] == 0]
-        r = g[g[KIND] == 1]
-        if l.empty or (how == "inner" and r.empty):
-            # ZERO-column empty frame: Ray's schema unification skips
-            # zero-row blocks, so this never pollutes the joined schema.
-            return pd.DataFrame()
+        is_left = pc.equal(t[KIND].combine_chunks(), 0)
+        l, r = t.filter(is_left), t.filter(pc.invert(is_left))
         if how in ("semi", "anti"):
-            hit = l._jkey.isin(r._jkey)
-            m = l[hit if how == "semi" else ~hit][["_jkey"] + lcols]
-        else:
-            m = l[["_jkey"] + lcols].merge(
-                r[["_jkey"] + rcols], on="_jkey", how=how
+            hit = pc.is_in(l["_jkey"], value_set=r["_jkey"].combine_chunks())
+            m = l.filter(hit if how == "semi" else pc.invert(hit)).select(
+                ["_jkey"] + lcols
             )
-        if m.empty:
-            return pd.DataFrame()
-        m = m.rename(columns={"_jkey": left_on})[out.names]
-        if post_fn is not None:
-            return post_fn(m)
-        return pa.Table.from_pandas(m, schema=out, preserve_index=False)
+        else:
+            # join the key codes and row indices only, then take payloads
+            code = pc.dictionary_encode(
+                t["_jkey"].combine_chunks(), null_encoding="encode"
+            ).indices
+            j = pa.table(
+                {"c": code.filter(is_left), "_l": np.arange(l.num_rows)}
+            ).join(
+                pa.table({"c": code.filter(pc.invert(is_left)),
+                          "_r": np.arange(r.num_rows)}),
+                "c",
+                join_type="inner" if how == "inner" else "left outer",
+            ).sort_by([("_l", "ascending"), ("_r", "ascending")])
+            m = pa.Table.from_arrays(
+                l.select(["_jkey"] + lcols).take(j["_l"]).columns
+                + r.select(rcols).take(j["_r"]).columns,
+                names=["_jkey"] + lcols + rcols,
+            )
+        m = m.rename_columns(out.names).cast(out)
+        return m if post_fn is None else post_fn(m)
 
     return coarse_grouped_map(
-        [side(left, left_on, lcols, 0), side(right, right_on, rcols, 1)],
+        [side(left, left_on, 0), side(right, right_on, 1)],
         "_jkey",
         merge_partition,
         num_partitions,
@@ -456,16 +506,17 @@ def repartition_join(
 
 
 def schema_floor(ds: "ray.data.Dataset", schema: pa.Schema):
-    """Guarantee a typed schema on a possibly-empty keyed result.
+    """Guarantee a typed schema on a possibly-empty keyed result of the
+    non-KG modules (``corpus_stats``, ``graph_algos``, ``pack``,
+    ``filters``); the KG path's Arrow reducers type their own.
 
-    A keyed exchange (``coarse_grouped_map``) finalizes a row-less range
-    as a ZERO-COLUMN empty block and keeps it when EVERY range is empty:
-    the dataset's unified schema then collapses to zero
-    columns — ``to_pandas()`` returns a (0, 0) frame and downstream
-    column references crash.  ``union`` with a typed empty block does
-    NOT fix it (the zero-column block still poisons unification), so
-    this helper materializes the result once and substitutes a typed
-    empty table iff there are no rows.
+    ``pandas_reducer`` turns a table without rows into a ZERO-COLUMN
+    block, which an exchange without rows returns: the dataset's unified
+    schema then collapses to zero columns — ``to_pandas()`` returns a
+    (0, 0) frame and downstream column references crash.  ``union`` with
+    a typed empty block does NOT fix it (the zero-column block still
+    poisons unification), so this helper materializes the result once
+    and substitutes a typed empty table iff there are no rows.
 
     Use on operators whose output may be legitimately empty (set
     differences, threshold joins).  The materialize is the result the

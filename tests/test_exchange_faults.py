@@ -10,7 +10,7 @@ import ray.data
 from kgray.corpus import generate_documents
 from kgray.pipelines.kg import run_kg_pipeline
 from kgray.testing import KillOnceReduce
-from kgray.utils import coarse_grouped_map
+from kgray.utils import coarse_grouped_map, pandas_reducer
 
 
 def _sorted(ds, keys):
@@ -32,9 +32,10 @@ def test_coarse_grouped_map_survives_reduce_kill(tmp_path):
     ds = ray.data.from_arrow(t).repartition(6).materialize()
     flag = str(tmp_path / "killed.flag")
 
-    want = _sorted(coarse_grouped_map(ds, "k", _summarize, 8), ["k"])
+    reduce = pandas_reducer(_summarize)
+    want = _sorted(coarse_grouped_map(ds, "k", reduce, 8), ["k"])
     got = _sorted(
-        coarse_grouped_map(ds, "k", KillOnceReduce(flag, _summarize), 8),
+        coarse_grouped_map(ds, "k", KillOnceReduce(flag, reduce), 8),
         ["k"],
     )
     assert os.path.exists(flag)  # the kill fired

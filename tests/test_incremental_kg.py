@@ -84,3 +84,32 @@ def test_incremental_update_from_empty_graph():
     known = incremental_update(merged.nodes, ds)
     assert known.nodes.schema().names == schemas.NODES.names
     pd.testing.assert_frame_equal(frame(known.nodes), got)
+
+
+def test_incremental_projection_blocks_are_exact_when_no_name_is_new():
+    """A delta whose names all exist adds a zero-row NODES block; the
+    merged nodes keep only blocks with rows, so a projection of them
+    (Ray's ``select_columns`` leaves a zero-row block as it is) carries
+    exactly the projected columns in every block."""
+    from ray.data.block import BlockAccessor
+
+    from kgray.corpus import generate_documents
+    from kgray.pipelines.kg import incremental_update, run_kg_pipeline
+
+    docs, _, _ = generate_documents(12, seed=7)
+    base = run_kg_pipeline(ray.data.from_arrow(docs))
+    # the delta repeats base documents: no name is new
+    merged = incremental_update(
+        base.nodes, ray.data.from_arrow(docs.slice(0, 3))
+    )
+    assert merged.nodes.count() == base.nodes.count()
+    cols = ["name", "label", "type", "url"]
+    projected = merged.nodes.select_columns(cols).materialize()
+    schemas_ = [
+        BlockAccessor.for_block(ray.get(ref)).schema()
+        for bundle in projected.iter_internal_ref_bundles()
+        for ref, _ in bundle.blocks
+    ]
+    assert schemas_
+    for schema in schemas_:
+        assert schema.names == cols, schema

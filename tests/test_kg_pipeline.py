@@ -194,7 +194,8 @@ def test_co_group_is_one_sort_with_bounded_output(pipeline_result):
     ds = ray.data.range(640).repartition(32).materialize()
     for P in (4, 64):
         out = coarse_grouped_map(
-            ds, "id", lambda df: df.groupby("id", as_index=False).size(),
+            ds, "id",
+            lambda t: t.group_by("id").aggregate([([], "count_all")]),
             num_partitions=P,
         ).materialize()
         assert out.num_blocks() <= min(P, max(8, cpus)), (P, out.num_blocks())
@@ -258,6 +259,23 @@ def test_node_tables_blocks_have_hashable_schemas(pipeline_result):
         assert got, table
         for schema in got:
             assert schema.names == table.names, (table, schema)
+    # every KGResult table: each block carries exactly its declared schema
+    declared = {
+        "extractions": schemas.EXTRACTIONS,
+        "edges": schemas.EDGES,
+        "unary_nodes": schemas.UNARY_NODES,
+        "annotation_urls": schemas.ANNOTATION_URLS,
+        "nodes": schemas.NODES,
+        "annotation_url_agg": schemas.URL_AGG,
+    }
+    assert set(declared) == set(vars(small))
+    for name, table in declared.items():
+        got = list(blocks(getattr(small, name)))
+        assert got, name
+        for schema in got:
+            hash(schema)
+            assert schema.names == table.names, (name, schema)
+            assert schema.types == table.types, (name, schema)
 
 
 def test_span_invariant_through_pipeline(pipeline_result):

@@ -223,10 +223,10 @@ def test_coarse_grouped_map_edge_cases():
     })
     ds = ray.data.from_arrow(t).repartition(8)
 
-    def summarize(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("k", as_index=False).agg(
-            n=("v", "size"), s=("v", "sum")
-        )
+    def summarize(t: pa.Table) -> pa.Table:
+        return t.group_by("k").aggregate(
+            [([], "count_all"), ("v", "sum")]
+        ).rename_columns(["k", "n", "s"])
 
     out = coarse_grouped_map(ds, "k", summarize, num_partitions=4).to_pandas()
     assert len(out) == 20  # one row per distinct key: no group was split
@@ -240,11 +240,34 @@ def test_coarse_grouped_map_edge_cases():
     })
     out2 = coarse_grouped_map(
         ray.data.from_arrow(t2), ["a", "b"],
-        lambda df: df.groupby(["a", "b"], as_index=False).agg(
-            s=("v", "sum")),
+        lambda t: t.group_by(["a", "b"]).aggregate([("v", "sum")])
+        .rename_columns(["a", "b", "s"]),
         num_partitions=3,
     ).to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
     assert list(out2.s) == [3.0, 3.0]
+
+
+def test_coarse_grouped_map_without_rows_returns_fn_typed_empty_table():
+    """An exchange whose input has no row still calls ``fn`` once, on a
+    zero-row table of the input's columns, so the result is ``fn``'s own
+    typed empty table rather than a block without columns."""
+    import pyarrow as pa
+    import ray.data
+    from kgray.utils import coarse_grouped_map
+
+    empty = pa.schema([("k", pa.string()), ("v", pa.int64())]).empty_table()
+    for ds in (ray.data.from_arrow(empty),
+               ray.data.from_arrow([empty, empty]).materialize()):
+        out = coarse_grouped_map(
+            ds, "k",
+            lambda t: t.group_by("k").aggregate([("v", "sum")]),
+            num_partitions=4,
+        ).materialize()
+        assert out.count() == 0
+        schema = out.schema()
+        assert schema is not None
+        assert schema.names == ["k", "v_sum"]
+        assert schema.types == [pa.string(), pa.int64()]
 
 
 def test_coarse_grouped_map_equals_pandas_groupby():
@@ -253,7 +276,7 @@ def test_coarse_grouped_map_equals_pandas_groupby():
     import pandas as pd
     import pyarrow as pa
     import ray.data
-    from kgray.utils import coarse_grouped_map
+    from kgray.utils import coarse_grouped_map, pandas_reducer
 
     for seed in (0, 1, 2):
         rng = np.random.RandomState(seed)
@@ -265,8 +288,8 @@ def test_coarse_grouped_map_equals_pandas_groupby():
         ds = ray.data.from_arrow(pa.Table.from_pandas(df)).repartition(7)
         got = coarse_grouped_map(
             ds, ["k", "s"],
-            lambda g: g.groupby(["k", "s"], as_index=False).agg(
-                n=("v", "size"), lo=("v", "min")),
+            pandas_reducer(lambda g: g.groupby(["k", "s"], as_index=False).agg(
+                n=("v", "size"), lo=("v", "min"))),
             num_partitions=5,
         ).to_pandas().sort_values(["k", "s"]).reset_index(drop=True)
         want = df.groupby(["k", "s"], as_index=False).agg(
@@ -338,7 +361,11 @@ def test_post_fn_fusion_equals_join_then_reduce():
     """repartition_join(post_fn=...) must equal the unfused
     join -> coarse keyed reduce plan (every row of a key is in one
     partition when the reduce runs)."""
-    from kgray.utils import coarse_grouped_map, repartition_join
+    from kgray.utils import (
+        coarse_grouped_map,
+        pandas_reducer,
+        repartition_join,
+    )
 
     left, right = _skewed_sides()
 
@@ -355,9 +382,11 @@ def test_post_fn_fusion_equals_join_then_reduce():
             {"k": pa.int64(), "lv": pa.int64()},
             {"rk": pa.int64(), "rv": pa.int64()},
             num_partitions=8,
-            post_fn=reduce_fn if post else None,
+            post_fn=pandas_reducer(reduce_fn) if post else None,
         )
-        out = j if post else coarse_grouped_map(j, "k", reduce_fn)
+        out = j if post else coarse_grouped_map(
+            j, "k", pandas_reducer(reduce_fn)
+        )
         out = out.to_pandas()
         return out.sort_values("k").reset_index(drop=True)
 
