@@ -188,7 +188,6 @@ def _q_kg_annotation_urls(sf_dir: str):
         (_kg_result(sf_dir).annotation_urls, _distinct),
         "entry_name",
         _distinct,
-        num_partitions=4,
     )
 
 
@@ -259,52 +258,52 @@ def _q_kg_subgraph_prompt(sf_dir: str):
     return pd.DataFrame({"prompt": [prompt]})
 
 
-def _q_token_count(sf_dir: str):
+def _read_documents(sf_dir: str, columns=("doc_id", "text"), below=None):
+    """``columns`` of ``sf_dir``'s ``documents.parquet``, only the rows
+    with ``doc_id < below`` when given.  The predicate runs in the read,
+    which emits no zero-row block: a row filter would, and the maps after
+    it would pass such blocks on without columns."""
     import os
 
+    import pyarrow.compute as pc
     import ray.data
 
+    return ray.data.read_parquet(
+        os.path.join(sf_dir, "documents.parquet"), columns=list(columns),
+        filter=None if below is None else pc.field("doc_id") < below,
+    )
+
+
+def _q_token_count(sf_dir: str):
     from kgray.stages.text_analysis import token_count
 
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).map_batches(token_count, batch_format="pyarrow")
+    return _read_documents(sf_dir).map_batches(
+        token_count, batch_format="pyarrow"
+    )
 
 
 def _q_text_quality(sf_dir: str):
-    import os
-
-    import ray.data
-
     from kgray.stages.text_analysis import text_quality
 
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).map_batches(text_quality, batch_format="pyarrow")
+    return _read_documents(sf_dir).map_batches(
+        text_quality, batch_format="pyarrow"
+    )
 
 
 def _q_token_count_bpe(sf_dir: str):
-    import os
-
-    import ray.data
-
     from kgray.stages.text_analysis import token_count_bpe
 
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).map_batches(token_count_bpe, batch_format="pyarrow")
+    return _read_documents(sf_dir).map_batches(
+        token_count_bpe, batch_format="pyarrow"
+    )
 
 
 def _q_lang_id(sf_dir: str):
-    import os
-
-    import ray.data
-
     from kgray.stages.text_analysis import LangId, lang_pool
 
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).map_batches(LangId, batch_format="pyarrow", concurrency=lang_pool())
+    return _read_documents(sf_dir).map_batches(
+        LangId, batch_format="pyarrow", concurrency=lang_pool()
+    )
 
 
 def _q_fingerprints_rolling(sf_dir: str):
@@ -315,17 +314,10 @@ def _q_fingerprints_rolling(sf_dir: str):
     of the fingerprint lane to a hash-exact oracle.  fp_crc is left
     out: DuckDB has no crc32.  ASCII corpus assumption (bytes ==
     codepoints), same as the kwic oracle."""
-    import os
-
-    import ray.data
-
     from kgray.stages.text_analysis import fingerprint
 
     return (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "text"],
-        )
+        _read_documents(sf_dir)
         .map_batches(fingerprint, batch_format="pyarrow")
         .select_columns(["doc_id", "fp_rolling"])
     )
@@ -566,19 +558,14 @@ def _q_bioc_ingest(sf_dir: str):
     document's text in a BioC passage (XML-escaped), parse with BiocReader,
     explode to chunks.  Oracle: admission is len(text) >= 20 over the same
     rows — the XML round-trip must be lossless."""
-    import os
-
     from xml.sax.saxutils import escape
 
     import pyarrow as pa
-    import ray.data
 
     from kgray.sources.bioc import read_bioc_documents
     from kgray.stages.chunk import explode_spans
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).filter(lambda r: r["doc_id"] < 200)
+    docs = _read_documents(sf_dir, below=200)
 
     def to_xml(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -609,16 +596,11 @@ def _q_eutils_metadata(sf_dir: str):
     """E-utilities metadata XML parse (reference pub.py:69-211): synthesize
     a PubMed-dialect efetch record per document, parse both fields back.
     Oracle reconstructs the same strings in SQL."""
-    import os
-
     import pyarrow as pa
-    import ray.data
 
     from kgray.sources.metadata import EutilsMetadataParser
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-    ).filter(lambda r: r["doc_id"] < 200)
+    docs = _read_documents(sf_dir, ("doc_id",), below=200)
 
     def to_xml(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -753,17 +735,10 @@ def _q_pii_scrub(sf_dir: str):
     injected contact lines (the corpus itself is digit-free, so the
     injection — pure integer arithmetic on doc_id, replicated verbatim
     in the oracle — is what makes the regexes actually fire)."""
-    import os
-
-    import ray.data
-
     from kgray.stages.scrub import inject_synthetic_pii, pii_scrub
 
     return (
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "text"],
-        )
+        _read_documents(sf_dir)
         .map_batches(inject_synthetic_pii, batch_format="pyarrow")
         .map_batches(pii_scrub, batch_format="pyarrow")
     )
@@ -850,16 +825,9 @@ def _q_kg_hits(sf_dir: str):
 
 
 def _q_sliding_chunks(sf_dir: str):
-    import os
-
-    import ray.data
-
     from kgray.stages.chunk import sliding_chunks
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
+    docs = _read_documents(sf_dir)
     return sliding_chunks(docs, window=20, stride=10)
 
 

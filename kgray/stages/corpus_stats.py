@@ -136,7 +136,6 @@ def tfidf_top_terms(sf_dir: str, k: int = 5) -> "ray.data.Dataset":
         "token",
         {"token": pa.string(), "doc_id": pa.int64(), "tf": pa.int64()},
         {"token": pa.string(), "df": pa.int64(), "logterm": pa.float64()},
-        num_partitions=32,
     )
 
     def rank_doc_terms(d: pd.DataFrame) -> pd.DataFrame:
@@ -717,7 +716,6 @@ def unigram_nll(sf_dir: str) -> "ray.data.Dataset":
         "token",
         {"token": pa.string(), "doc_id": pa.int64(), "tf": pa.int64()},
         {"token": pa.string(), "logp": pa.float64()},
-        num_partitions=32,
         post_fn=pandas_reducer(partial_score),
     )
 
@@ -846,7 +844,6 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
         "prev",
         {"prev": pa.string(), "key": pa.string(), "c": pa.int64()},
         {"prev": pa.string(), "n": pa.int64()},
-        num_partitions=32,
         post_fn=pandas_reducer(add_logp),
     )
 
@@ -865,7 +862,6 @@ def bigram_nll(sf_dir: str, k: float = 0.5) -> "ray.data.Dataset":
         "key",
         {"key": pa.string(), "doc_id": pa.int64(), "bf": pa.int64()},
         {"key": pa.string(), "logp": pa.float64()},
-        num_partitions=32,
         post_fn=pandas_reducer(partial_score),
     )
 
@@ -921,7 +917,6 @@ def length_deciles(sf_dir: str, buckets: int = 10) -> "ray.data.Dataset":
         pandas_reducer(
             lambda d: d.groupby("n_chars", as_index=False).agg(c=("c", "sum"))
         ),
-        num_partitions=8,
     ).to_pandas().sort_values("n_chars")
     n_total = int(counts.c.sum())
     offsets = pd.Series(
@@ -949,8 +944,7 @@ def length_deciles(sf_dir: str, buckets: int = 10) -> "ray.data.Dataset":
         out["decile"] = decile.astype(np.int64)
         return out
 
-    return coarse_grouped_map(docs, "n_chars", pandas_reducer(rank_partition),
-                              num_partitions=8)
+    return coarse_grouped_map(docs, "n_chars", pandas_reducer(rank_partition))
 
 
 def source_percent_rank(sf_dir: str) -> "ray.data.Dataset":
@@ -985,8 +979,7 @@ def source_percent_rank(sf_dir: str) -> "ray.data.Dataset":
             )
         return pd.concat(out, ignore_index=True)
 
-    return coarse_grouped_map(docs, "source", pandas_reducer(rank_partition),
-                              num_partitions=8)
+    return coarse_grouped_map(docs, "source", pandas_reducer(rank_partition))
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1022,6 @@ def ccnet_buckets(
         "doc_id",
         {"doc_id": pa.int64(), "avg_nll": pa.float64()},
         {"doc_id": pa.int64(), "lang_pred": pa.string()},
-        num_partitions=16,
     ).materialize()  # feeds lang stats, bin counts, AND the rank pass
 
     stats = coarse_grouped_map(
@@ -1039,7 +1031,6 @@ def ccnet_buckets(
             lo=("avg_nll", "min"), hi=("avg_nll", "max"),
             n=("avg_nll", "size"),
         )),
-        num_partitions=4,
     ).to_pandas()  # language-bounded
     lo_map = dict(zip(stats.lang_pred, stats.lo.astype(np.float64)))
     hi_map = dict(zip(stats.lang_pred, stats.hi.astype(np.float64)))
@@ -1069,7 +1060,6 @@ def ccnet_buckets(
             pandas_reducer(lambda d: d.groupby(
                 ["lang_pred", "bin"], as_index=False
             ).agg(c=("bin", "size"))),
-            num_partitions=8,
         )
         .to_pandas()  # langs × bins rows — bounded, independent of n
         .sort_values(["lang_pred", "bin"])
@@ -1134,8 +1124,7 @@ def ccnet_buckets(
         return pd.concat(out, ignore_index=True)
 
     return coarse_grouped_map(
-        binned, ["lang_pred", "bin"], pandas_reducer(rank_bin),
-        num_partitions=16,
+        binned, ["lang_pred", "bin"], pandas_reducer(rank_bin)
     )
 
 
@@ -1389,9 +1378,7 @@ def source_token_entropy(sf_dir: str) -> "ray.data.Dataset":
         g["vocab_size"] = g.vocab_size.astype(np.int64)
         return g[["source", "n_tokens", "vocab_size", "entropy"]]
 
-    return coarse_grouped_map(
-        partials, "source", pandas_reducer(final), num_partitions=4
-    )
+    return coarse_grouped_map(partials, "source", pandas_reducer(final))
 
 
 # ---------------------------------------------------------------------------
@@ -1590,9 +1577,7 @@ def char_trigrams_by_lang(
         df["rnk"] = df.groupby("lang").cumcount() + 1
         return df[["lang", "rnk", "gram", "n"]]
 
-    return coarse_grouped_map(
-        counts, "lang", pandas_reducer(lang_topk), num_partitions=8
-    )
+    return coarse_grouped_map(counts, "lang", pandas_reducer(lang_topk))
 
 
 # ---------------------------------------------------------------------------
@@ -1684,9 +1669,7 @@ def top_tokens_by_lang(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
         df["rnk"] = df.rnk.astype(np.int64)
         return df[["lang", "rnk", "token", "n"]]
 
-    return coarse_grouped_map(
-        counts, "lang", pandas_reducer(lang_topk), num_partitions=8
-    )
+    return coarse_grouped_map(counts, "lang", pandas_reducer(lang_topk))
 
 
 # ---------------------------------------------------------------------------
@@ -1954,7 +1937,6 @@ def bm25_topk(
         pandas_reducer(
             lambda d: d.groupby("doc_id", as_index=False).agg(dl=("dl", "sum"))
         ),
-        num_partitions=8,
     )
 
     toks = sorted(tok_to_qids)
@@ -2031,7 +2013,6 @@ def bm25_topk(
         {"q_id": pa.int64(), "doc_id": pa.int64(), "token": pa.string(),
          "tf": pa.int64()},
         {"doc_id": pa.int64(), "dl": pa.int64()},
-        num_partitions=8,
         post_fn=pandas_reducer(lambda d: batch_topk(term_score(d))),
     )
 
@@ -2047,5 +2028,4 @@ def bm25_topk(
         scores,
         "q_id",
         pandas_reducer(final_topk),
-        num_partitions=4,
     )

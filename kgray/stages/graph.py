@@ -233,9 +233,7 @@ def merge_graphs(
     return out_nodes, out_edges
 
 
-def consolidate_edges(
-    edges: "ray.data.Dataset", num_partitions: int = 8
-) -> "ray.data.Dataset":
+def consolidate_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """Corpus-level edge consolidation: the same (subj, pred, obj)
     triple extracted from many paragraphs/documents collapses into ONE
     edge carrying its evidence statistics — n_evidence (extraction
@@ -245,9 +243,10 @@ def consolidate_edges(
     rank relations by support, not by how often a crawl duplicated the
     sentence.
 
-    One all-to-all: per-batch partials pre-count (triple, doc) pairs
-    (the combiner — a triple extracted 50× from one doc crosses the
-    wire once), then a single coarse reduce keyed on the TRIPLE
+    One all-to-all (``utils.coarse_grouped_map``, ``max(8, CPUs)``
+    ranges): per-batch partials pre-count (triple, doc) pairs (the
+    combiner — a triple extracted 50× from one doc crosses the wire
+    once), then a single coarse reduce keyed on the TRIPLE
     finishes Σcount / distinct-doc / min-doc with every row of a triple
     co-located.  Partitioning assumption: one triple's distinct-doc
     rows fit in a worker — for a planet-scale hot triple, pre-salt by
@@ -271,6 +270,4 @@ def consolidate_edges(
             KEY + ["n_evidence", "n_docs", "first_doc"]
         )
 
-    return coarse_grouped_map(
-        (edges, partial), KEY, reduce_triples, num_partitions=num_partitions
-    )
+    return coarse_grouped_map((edges, partial), KEY, reduce_triples)

@@ -29,7 +29,9 @@ import ray
 import ray.data
 
 from ..utils import (
+    blocks_of,
     coarse_grouped_map,
+    dataset_of,
     pandas_reducer,
     repartition_join,
     schema_floor,
@@ -48,7 +50,6 @@ def _distinct_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
         edges.map_batches(partial, batch_format="pyarrow"),
         ["src", "dst"],
         pandas_reducer(lambda df: df.drop_duplicates(["src", "dst"])),
-        num_partitions=8,
     )
 
 
@@ -76,7 +77,6 @@ def pagerank(
     edges: "ray.data.Dataset",
     damping: float = 0.85,
     iters: int = 4,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """PageRank over a directed edge Dataset (src, dst) → (node, rank).
 
@@ -87,8 +87,8 @@ def pagerank(
     half-up to 6 decimals ONLY on the final iteration, matching the SQL
     oracle's unrolled iterations expression-for-expression.
 
-    ``num_partitions`` sizes every per-iteration shuffle — one partition
-    per cluster core at small scale, ≈ edge_bytes/256 MB at web scale.
+    Every per-iteration shuffle has the exchanges' one width
+    (``utils.coarse_grouped_map``).
 
     AUTO-dispatched on the exact distinct-edge count
     (RANK_LOCAL_MAX_EDGES): small graphs run the identical recurrence as
@@ -134,7 +134,6 @@ def pagerank(
         pandas_reducer(lambda df: df.groupby("src", as_index=False).agg(
             outdeg=("outdeg", "sum")
         )),
-        num_partitions=num_partitions,
     )
 
     def node_halves(batch: pa.Table) -> pa.Table:
@@ -147,7 +146,6 @@ def pagerank(
         e.map_batches(node_halves, batch_format="pyarrow"),
         "node",
         pandas_reducer(lambda df: df.drop_duplicates("node")),
-        num_partitions=num_partitions,
     ).materialize()
     n = float(nodes.count())
 
@@ -159,7 +157,6 @@ def pagerank(
         "src",
         {"node": pa.string()},
         {"src": pa.string(), "outdeg": pa.int64()},
-        num_partitions=num_partitions,
         how="left",
     ).map_batches(
         lambda df: df.assign(r=1.0 / n), batch_format="pandas"
@@ -184,7 +181,6 @@ def pagerank(
             {"src": pa.string(), "dst": pa.string()},
             {"node": pa.string(), "r": pa.float64(),
              "outdeg": pa.float64()},
-            num_partitions=num_partitions,
         )
 
         def partial_sum(df: pd.DataFrame) -> pd.DataFrame:
@@ -199,7 +195,6 @@ def pagerank(
             pandas_reducer(lambda df: df.groupby("dst", as_index=False).agg(
                 c=("c", "sum")
             )),
-            num_partitions=num_partitions,
         )
 
         joined = repartition_join(
@@ -209,7 +204,6 @@ def pagerank(
             "dst",
             {"node": pa.string(), "outdeg": pa.float64()},
             {"dst": pa.string(), "c": pa.float64()},
-            num_partitions=num_partitions,
             how="left",
         )
 
@@ -242,7 +236,6 @@ def _hits_half(
     to_col: str,
     val: str,
     out_val: str,
-    num_partitions: int,
 ) -> "ray.data.Dataset":
     """One HITS half-step: sum ``state[val]`` along edges from
     ``from_col`` into ``to_col``, max-normalize, left-join back onto the
@@ -256,7 +249,6 @@ def _hits_half(
         "node",
         {"src": pa.string(), "dst": pa.string()},
         {"node": pa.string(), val: pa.float64()},
-        num_partitions=num_partitions,
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -269,7 +261,6 @@ def _hits_half(
         pandas_reducer(
             lambda df: df.groupby(to_col, as_index=False).agg(s=("s", "sum"))
         ),
-        num_partitions=num_partitions,
     ).materialize()  # feeds the scalar max AND the join
 
     mx = summed.max("s") if summed.count() else None
@@ -282,7 +273,6 @@ def _hits_half(
         to_col,
         {"node": pa.string()},
         {to_col: pa.string(), "s": pa.float64()},
-        num_partitions=num_partitions,
         how="left",
     )
 
@@ -294,11 +284,7 @@ def _hits_half(
     return joined.map_batches(norm, batch_format="pandas").materialize()
 
 
-def hits(
-    edges: "ray.data.Dataset",
-    iters: int = 4,
-    num_partitions: int = 8,
-) -> "ray.data.Dataset":
+def hits(edges: "ray.data.Dataset", iters: int = 4) -> "ray.data.Dataset":
     """HITS hubs & authorities (Kleinberg 1999, JACM 46(5)) over a
     directed edge Dataset (src, dst) → (node, authority, hub).
 
@@ -362,7 +348,6 @@ def hits(
         e.map_batches(node_halves, batch_format="pyarrow"),
         "node",
         pandas_reducer(lambda df: df.drop_duplicates("node")),
-        num_partitions=num_partitions,
     ).materialize()
 
     h = nodes.map_batches(
@@ -370,10 +355,8 @@ def hits(
     ).materialize()
     a = None
     for _ in range(iters):
-        a = _hits_half(e, h, nodes, "src", "dst", "h", "a",
-                       num_partitions)
-        h = _hits_half(e, a, nodes, "dst", "src", "a", "h",
-                       num_partitions)
+        a = _hits_half(e, h, nodes, "src", "dst", "h", "a")
+        h = _hits_half(e, a, nodes, "dst", "src", "a", "h")
 
     out = repartition_join(
         a,
@@ -382,7 +365,6 @@ def hits(
         "node",
         {"node": pa.string(), "a": pa.float64()},
         {"node": pa.string(), "h": pa.float64()},
-        num_partitions=num_partitions,
     )
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -399,9 +381,7 @@ def hits(
     return out.map_batches(finalize, batch_format="pandas")
 
 
-def degree_stats(
-    edges: "ray.data.Dataset", num_partitions: int = 8
-) -> "ray.data.Dataset":
+def degree_stats(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """Per node: out-degree and in-degree over the DISTINCT directed
     edge set → (node, out_deg, in_deg).
 
@@ -443,7 +423,6 @@ def degree_stats(
             pandas_reducer(lambda df: df.groupby("node", as_index=False).agg(
                 out_deg=("out_deg", "sum"), in_deg=("in_deg", "sum")
             )),
-            num_partitions=num_partitions,
         ),
         pa.schema([("node", pa.string()), ("out_deg", pa.int64()),
                    ("in_deg", pa.int64())]),
@@ -467,13 +446,10 @@ def _undirected_edges(edges: "ray.data.Dataset") -> "ray.data.Dataset":
         edges.map_batches(partial, batch_format="pyarrow"),
         ["u", "v"],
         pandas_reducer(lambda df: df.drop_duplicates(["u", "v"])),
-        num_partitions=8,
     )
 
 
-def local_clustering(
-    edges: "ray.data.Dataset", num_partitions: int = 8
-) -> "ray.data.Dataset":
+def local_clustering(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """Local clustering coefficient per node over the UNDIRECTED simple
     graph underlying a directed edge Dataset → (node, degree,
     n_triangles, clustering), coefficient rounded half-up to 6 decimals.
@@ -507,7 +483,6 @@ def local_clustering(
         pandas_reducer(lambda df: df.groupby("node", as_index=False).agg(
             degree=("nbr", "size")
         )),
-        num_partitions=num_partitions,
     )
 
     SEP = "\x1f"
@@ -525,8 +500,7 @@ def local_clustering(
         )
 
     wedges = coarse_grouped_map(
-        adjacency, "node", pandas_reducer(wedge_partition),
-        num_partitions=num_partitions,
+        adjacency, "node", pandas_reducer(wedge_partition)
     )
 
     def edge_key(batch: pa.Table) -> pa.Table:
@@ -547,7 +521,6 @@ def local_clustering(
         "k",
         {"k": pa.string(), "node": pa.string()},
         {"k": pa.string()},
-        num_partitions=num_partitions,
         how="semi",
     )
 
@@ -562,7 +535,6 @@ def local_clustering(
         pandas_reducer(
             lambda df: df.groupby("node", as_index=False).agg(t=("t", "sum"))
         ),
-        num_partitions=num_partitions,
     )
 
     joined = repartition_join(
@@ -572,7 +544,6 @@ def local_clustering(
         "node",
         {"node": pa.string(), "degree": pa.int64()},
         {"node": pa.string(), "t": pa.int64()},
-        num_partitions=num_partitions,
         how="left",
     )
 
@@ -603,7 +574,6 @@ def bfs_distances(
     edges: "ray.data.Dataset",
     seeds: "ray.data.Dataset",
     max_depth: int = 3,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Minimum DIRECTED hop distance from a seed node set, bounded by
     ``max_depth`` → (node, dist) for every reached node (seeds at 0;
@@ -618,8 +588,7 @@ def bfs_distances(
         })
 
     visited = _bfs(
-        edges, seeds.map_batches(one_source, batch_format="pyarrow"),
-        max_depth, num_partitions,
+        edges, seeds.map_batches(one_source, batch_format="pyarrow"), max_depth
     )
     return schema_floor(
         visited.select_columns(["node", "dist"]),
@@ -627,10 +596,7 @@ def bfs_distances(
     )
 
 
-def neighbor_jaccard(
-    edges: "ray.data.Dataset",
-    num_partitions: int = 8,
-) -> "ray.data.Dataset":
+def neighbor_jaccard(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """Out-neighbor Jaccard similarity for every node pair sharing at
     least one out-neighbor → (node_a < node_b, jaccard rounded half-up
     to 6 decimals).
@@ -652,7 +618,6 @@ def neighbor_jaccard(
         pandas_reducer(
             lambda df: df.groupby("src", as_index=False).agg(d=("dst", "size"))
         ),
-        num_partitions=num_partitions,
     )
 
     def pair_partition(df: pd.DataFrame) -> pd.DataFrame:
@@ -670,9 +635,7 @@ def neighbor_jaccard(
         g.columns = ["node_a", "node_b", "c"]
         return g
 
-    pairs = coarse_grouped_map(
-        e, "dst", pandas_reducer(pair_partition), num_partitions=num_partitions
-    )
+    pairs = coarse_grouped_map(e, "dst", pandas_reducer(pair_partition))
 
     summed = coarse_grouped_map(
         pairs,
@@ -682,7 +645,6 @@ def neighbor_jaccard(
                 c=("c", "sum")
             )
         ),
-        num_partitions=num_partitions,
     )
 
     with_da = repartition_join(
@@ -695,7 +657,6 @@ def neighbor_jaccard(
         "na",
         {"node_a": pa.string(), "node_b": pa.string(), "c": pa.int64()},
         {"na": pa.string(), "da": pa.int64()},
-        num_partitions=num_partitions,
     )
     with_db = repartition_join(
         with_da,
@@ -708,7 +669,6 @@ def neighbor_jaccard(
         {"node_b": pa.string(), "node_a": pa.string(), "c": pa.int64(),
          "da": pa.int64()},
         {"nb": pa.string(), "db": pa.int64()},
-        num_partitions=num_partitions,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -732,9 +692,7 @@ def neighbor_jaccard(
     )
 
 
-def two_hop_counts(
-    edges: "ray.data.Dataset", num_partitions: int = 8
-) -> "ray.data.Dataset":
+def two_hop_counts(edges: "ray.data.Dataset") -> "ray.data.Dataset":
     """Per node: how many DISTINCT nodes are reachable in exactly two
     directed hops (excluding the node itself) — the canonical multi-hop
     traversal, as a distributed self-join over the edge table.
@@ -767,7 +725,6 @@ def two_hop_counts(
         "mid",
         {"src": pa.string(), "dst": pa.string()},
         {"mid": pa.string(), "far": pa.string()},
-        num_partitions=num_partitions,
     )
 
     def pair_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -778,7 +735,6 @@ def two_hop_counts(
         wedges.map_batches(pair_partial, batch_format="pandas"),
         ["src", "far"],
         pandas_reducer(lambda df: df.drop_duplicates(["src", "far"])),
-        num_partitions=num_partitions,
     )
 
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -795,15 +751,12 @@ def two_hop_counts(
             pairs.map_batches(count_partial, batch_format="pandas"),
             "src",
             pandas_reducer(count_final),
-            num_partitions=num_partitions,
         ),
         pa.schema([("node", pa.string()), ("n_two_hop", pa.int64())]),
     )
 
 
-def comention_graph(
-    edges_with_doc: "ray.data.Dataset", num_partitions: int = 8
-) -> "ray.data.Dataset":
+def comention_graph(edges_with_doc: "ray.data.Dataset") -> "ray.data.Dataset":
     """Document co-mention graph: (entity_a < entity_b, n_docs) counting
     in how many documents both entities appear (as subject OR object of
     any edge) — the co-occurrence graph entity-embedding and
@@ -835,7 +788,6 @@ def comention_graph(
         edges_with_doc.map_batches(mention_partial, batch_format="pyarrow"),
         ["doc_id", "entity"],
         pandas_reducer(lambda df: df.drop_duplicates(["doc_id", "entity"])),
-        num_partitions=num_partitions,
     )
 
     def pair_partition(df: pd.DataFrame) -> pd.DataFrame:
@@ -854,8 +806,7 @@ def comention_graph(
         return g.astype({"n_docs": "int64"})
 
     pairs = coarse_grouped_map(
-        mentions, "doc_id", pandas_reducer(pair_partition),
-        num_partitions=num_partitions,
+        mentions, "doc_id", pandas_reducer(pair_partition)
     )
 
     return schema_floor(
@@ -865,7 +816,6 @@ def comention_graph(
             pandas_reducer(lambda df: df.groupby(
                 ["entity_a", "entity_b"], as_index=False
             ).agg(n_docs=("n_docs", "sum"))),
-            num_partitions=num_partitions,
         ),
         pa.schema([("entity_a", pa.string()), ("entity_b", pa.string()),
                    ("n_docs", pa.int64())]),
@@ -876,7 +826,6 @@ def multi_source_bfs(
     edges: "ray.data.Dataset",
     seeds: "ray.data.Dataset",
     max_depth: int = 3,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Minimum directed hop distance from EACH seed independently →
     (seed, node, dist) for every (seed, reached-node) pair within
@@ -890,8 +839,7 @@ def multi_source_bfs(
         return pa.table({"s": node, "node": node})
 
     visited = _bfs(
-        edges, seeds.map_batches(own_source, batch_format="pyarrow"),
-        max_depth, num_partitions,
+        edges, seeds.map_batches(own_source, batch_format="pyarrow"), max_depth
     )
     return schema_floor(
         visited,
@@ -904,7 +852,6 @@ def _bfs(
     edges: "ray.data.Dataset",
     seeds: "ray.data.Dataset",
     max_depth: int,
-    num_partitions: int,
 ) -> "ray.data.Dataset":
     """The frontier loop: (s, node) seed rows → materialized (s, node,
     dist) rows, the minimum directed hop distance from each source ``s``.
@@ -954,7 +901,6 @@ def _bfs(
             "src",
             {"node": pa.string(), "s": pa.string()},
             {"src": pa.string(), "dst": pa.string()},
-            num_partitions=num_partitions,
             how="inner",
         )
         nxt = coarse_grouped_map(
@@ -966,8 +912,9 @@ def _bfs(
             ),
             ["s", "node"],
             pandas_reducer(lambda df: df.drop_duplicates(["s", "node"])),
-            num_partitions=num_partitions,
         )
+        # the distance column is added inside the join's reduce tasks, so
+        # a frontier without new nodes is a typed empty table
         fresh = repartition_join(
             keyed(nxt),
             keyed(visited),
@@ -975,17 +922,17 @@ def _bfs(
             "k",
             {"k": pa.string(), "s": pa.string(), "node": pa.string()},
             {"k": pa.string()},
-            num_partitions=num_partitions,
             how="anti",
-        ).map_batches(
-            lambda b, _d=depth: pa.table({
+            post_fn=lambda b, _d=depth: pa.table({
                 "s": b.column("s"),
                 "node": b.column("node"),
                 "dist": pa.array(np.full(b.num_rows, _d, np.int64)),
             }),
-            batch_format="pyarrow",
-        ).materialize()
-        visited = visited.union(fresh).materialize()
+        )
+        # only blocks with rows: a zero-row block would skip the callers'
+        # projections and reach them with the wrong columns
+        old, new = blocks_of(visited, fresh)
+        visited = dataset_of(old + new)
         frontier = fresh.select_columns(["s", "node"]).materialize()
 
     return visited
@@ -995,7 +942,6 @@ def harmonic_closeness(
     edges: "ray.data.Dataset",
     n_landmarks: int = 5,
     max_depth: int = 3,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Landmark harmonic closeness: H(v) = Σ_s 1/dist(s→v) over the
     ``n_landmarks`` lexicographically-smallest source nodes (dist > 0,
@@ -1073,8 +1019,7 @@ def harmonic_closeness(
     )
     seeds = ray.data.from_pandas(pd.DataFrame({"node": lm}))
 
-    dists = multi_source_bfs(e, seeds, max_depth=max_depth,
-                             num_partitions=num_partitions)
+    dists = multi_source_bfs(e, seeds, max_depth=max_depth)
 
     def weight(b: pa.Table) -> pa.Table:
         d = b.column("dist").to_numpy(zero_copy_only=False)
@@ -1100,5 +1045,4 @@ def harmonic_closeness(
         dists.map_batches(weight, batch_format="pyarrow"),
         "node",
         pandas_reducer(reduce_node),
-        num_partitions=num_partitions,
     )

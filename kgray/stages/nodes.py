@@ -115,9 +115,7 @@ def unary_node_mentions(batch: pa.Table) -> pa.Table:
     return _mentions(batch, ((0, "name"),))
 
 
-def measure_top_key_share(
-    mentions: "ray.data.Dataset", num_partitions: int = 8
-) -> Tuple[float, int]:
+def measure_top_key_share(mentions: "ray.data.Dataset") -> Tuple[float, int]:
     """(top-key row share, total rows) of the post-combiner mentions table.
 
     Rows per name == number of map blocks the name appeared in (the
@@ -137,7 +135,6 @@ def measure_top_key_share(
         "name",
         lambda t: t.group_by("name").aggregate([("c", "sum")])
         .rename_columns(["name", "c"]),
-        num_partitions=num_partitions,
     )
     total = mentions.count()
     if total == 0:
@@ -300,12 +297,10 @@ def first_seen_names(
                 lambda t: t.group_by(["name", "salt"]).aggregate(
                     [("first_key", "min")]
                 ).rename_columns(["name", "salt", "first_key"]),
-                num_partitions=8,
             )
         parts = [(mentions, _route_mentions)]
     tagged = coarse_grouped_map(
-        parts + [(urls, _route_urls)], "route", _canonicalize,
-        num_partitions=8,
+        parts + [(urls, _route_urls)], "route", _canonicalize
     )
     names, entries = map_blocks(tagged, _names, _entries)
     return dataset_of(names, NAMES), dataset_of(entries, schemas.URL_AGG)

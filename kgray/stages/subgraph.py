@@ -34,7 +34,6 @@ def khop_subgraph(
     edges: "ray.data.Dataset",
     seeds: "ray.data.Dataset",
     k: int = 1,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Evidence-keyed k-hop neighborhood of ``seeds`` over ``edges``.
 
@@ -46,7 +45,8 @@ def khop_subgraph(
     ``graph_algos.bfs_distances`` over the doubled edge list (frontier
     joins, never a broadcast of the graph), then each edge row picks up
     d(subj) and d(obj) through two repartition LEFT joins with the
-    distance table and keeps ``min(d_subj, d_obj) <= k-1``.  Nothing is
+    distance table and keeps ``min(d_subj, d_obj) <= k-1``.  Every
+    exchange has ``utils.coarse_grouped_map``'s one width.  Nothing is
     collected on the driver; output adds one ``hop`` column.
     """
     if k < 1:
@@ -67,10 +67,9 @@ def khop_subgraph(
         batch_format="pyarrow",
     )
     # distances 0..k-1 are the ones that admit an edge; bfs_distances
-    # dedups the doubled edge list itself
-    dist = bfs_distances(
-        und, seeds, max_depth=k - 1, num_partitions=num_partitions
-    ).materialize()  # consumed by two joins below (node/dist rows only)
+    # dedups the doubled edge list itself; ``dist`` is consumed by two
+    # joins below (node/dist rows only)
+    dist = bfs_distances(und, seeds, max_depth=k - 1).materialize()
 
     etypes = {
         "doc_id": pa.string(),
@@ -88,7 +87,6 @@ def khop_subgraph(
             "node",
             types,
             {"node": pa.string(), "dist": pa.int64()},
-            num_partitions=num_partitions,
             how="left",
             post_fn=post_fn,
         )
@@ -114,7 +112,6 @@ def khop_subgraph(
 def subgraph_evidence(
     subgraph: "ray.data.Dataset",
     chunks: "ray.data.Dataset",
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Attach each retrieved edge's evidence paragraph: subgraph rows
     join the chunk table on (doc_id, span_seq) — the reference keeps the
@@ -157,7 +154,6 @@ def subgraph_evidence(
             "hop": pa.int64(),
         },
         {"ekey": pa.string(), "evidence": pa.string()},
-        num_partitions=num_partitions,
         post_fn=lambda t: t.drop_columns(["ekey"]),
     )
 

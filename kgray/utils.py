@@ -16,11 +16,11 @@ modules' pandas reducers go through ``pandas_reducer``.
 *Blocks* are (ref, metadata) pairs: every exchange task returns its
 block's metadata beside the block, so the driver holds row counts without
 another task, and ``dataset_of`` wraps blocks in a Dataset once, where a
-caller needs one.  Fan-in is input blocks × width; a hash exchange's
-width is ``min(num_partitions, max(8, cluster CPUs))``.  Map outputs stay in
-the object store until their reduce tasks have run: the exchange has no
-streaming backpressure.  ``recorded_exchanges`` lists the exchanges a
-block of code launches.
+caller needs one.  Fan-in is input blocks × width.  The width is one rule,
+``_max_width``: a hash exchange has ``max(8, cluster CPUs)`` ranges, and
+no caller sets it.  Map outputs stay in the object store until their
+reduce tasks have run: the exchange has no streaming backpressure.
+``recorded_exchanges`` lists the exchanges a block of code launches.
 """
 from __future__ import annotations
 
@@ -58,7 +58,8 @@ def _record(kind: str, parts: int, blocks: int, width: int) -> None:
 
 
 def _max_width() -> int:
-    """``max(8, cluster CPUs)``, read once per exchange (32 CPUs before
+    """The width of every hash exchange and the cap of a range exchange's:
+    ``max(8, cluster CPUs)``, read once per exchange (32 CPUs before
     ``ray.init``)."""
     res = ray.cluster_resources() if ray.is_initialized() else {"CPU": 32}
     return max(8, int(res.get("CPU", 8)))
@@ -147,9 +148,8 @@ def map_blocks(blocks, *fns) -> list:
             for i in range(k)]
 
 
-def _hash_ranges(t: pa.Table, keys, P: int, bounds) -> np.ndarray:
-    """Each row's reduce range: its key hash's bucket in ``[0, P)``,
-    then the range of whole buckets holding that bucket."""
+def _hash_ranges(t: pa.Table, keys, width: int) -> np.ndarray:
+    """Each row's reduce range: its key hash modulo ``width``."""
     from pandas.util import hash_array
 
     acc = np.zeros(t.num_rows, dtype=np.uint64)
@@ -159,25 +159,22 @@ def _hash_ranges(t: pa.Table, keys, P: int, bounds) -> np.ndarray:
             acc = acc * np.uint64(0x9E3779B97F4A7C15) + hash_array(
                 np.asarray(v)
             )
-    return np.searchsorted(bounds, (acc % np.uint64(P)).astype(np.int64),
-                           side="right")
+    return (acc % np.uint64(width)).astype(np.int64)
 
 
 @ray.remote
-def _split(block, pre, keys, P, bounds):
+def _split(block, pre, keys, width):
     """Map side: ``pre`` on one block, then its rows as one slice per
     reduce range."""
     t = BlockAccessor.for_block(block).to_arrow()
     if pre is not None:
         t = pre(t)
     t = t.replace_schema_metadata(None)
-    width = len(bounds) + 1
-    r = _hash_ranges(t, keys, P, bounds)
+    r = _hash_ranges(t, keys, width)
     order = np.argsort(r, kind="stable")
     t = t.take(order)
     ends = np.searchsorted(r[order], np.arange(width), side="right")
-    slices = [t.slice(a, b - a) for a, b in zip(np.r_[0, ends[:-1]], ends)]
-    return slices if width > 1 else slices[0]
+    return [t.slice(a, b - a) for a, b in zip(np.r_[0, ends[:-1]], ends)]
 
 
 @ray.remote
@@ -217,26 +214,25 @@ def _parts(ds) -> list:
     ]
 
 
-def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
+def coarse_grouped_map(ds, key_cols, fn):
     """Keyed aggregation/transform with VECTORIZED per-partition reduce.
 
     ``ds.groupby(keys).aggregate`` and ``.map_groups`` pay a
     per-GROUP Python cost in the reduce phase — ~0.5 ms per group, which is
     15+ seconds for a 20k-group aggregate (measured) and grows with key
     cardinality, i.e. with data scale.  This helper instead hashes the
-    group keys into ``num_partitions`` coarse buckets and hands each
-    reduce range — thousands of whole groups — to ``fn`` as one
-    ``pa.Table``, so the reduce is one C-speed ``pa.Table.group_by`` (or
-    a loop over whole groups) per range.  Every row of a group lands in
-    the same bucket by construction.
+    group keys into a few coarse ranges and hands each range — thousands
+    of whole groups — to ``fn`` as one ``pa.Table``, so the reduce is one
+    C-speed ``pa.Table.group_by`` (or a loop over whole groups) per range.
+    Every row of a group lands in the same range by construction.
 
     ``ds`` is a part or a list of parts with one schema (a co-group, e.g.
     parts made by ``tag``); a part's per-block function runs in the map
     task, before the hash.  The exchange is plain Ray tasks: one map task
-    per input block with rows splits it into ``min(num_partitions, max(8,
-    cluster CPUs))`` ranges of whole buckets, and one reduce task per range
-    calls ``fn`` once.  Its fan-in is input blocks × ranges.  Raise
-    ``num_partitions`` at scale so a range fits in a worker's heap.
+    per input block with rows sends each row to range ``hash(keys) %
+    width``, ``width`` being ``max(8, cluster CPUs)``, and one reduce task
+    per range calls ``fn`` once.  Its fan-in is input blocks × width, and
+    a range holds about 1/width of the input.
 
     ``fn(pa.Table) -> pa.Table`` must itself group by ``key_cols``: it
     sees all rows of each of its groups, nothing else is guaranteed about
@@ -249,16 +245,14 @@ def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
     when this is called.
     """
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-    P = num_partitions
-    width = min(P, _max_width())
-    bounds = np.array([P * i // width for i in range(1, width)], np.int64)
+    width = _max_width()
     parts = _parts(ds)
     split = _split.options(num_returns=width)
     maps, empty = [], None
     for blocks, pre in parts:
         for ref, meta in blocks:
             if meta.num_rows:
-                maps.append(split.remote(ref, pre, keys, P, bounds))
+                maps.append(split.remote(ref, pre, keys, width))
             elif empty is None and getattr(meta.schema, "names", None):
                 empty = (pre, ref)
     _record("hash", len(parts), len(maps), width)
@@ -270,8 +264,6 @@ def coarse_grouped_map(ds, key_cols, fn, num_partitions: int = 32):
         return dataset_of(_finish(
             [_apply.options(num_returns=2).remote([run], ref)]
         ))
-    if width == 1:
-        maps = [[m] for m in maps]
     reduce = _reduce.options(num_returns=2)
     return dataset_of(_finish(
         [reduce.remote(fn, *[m[i] for m in maps]) for i in range(width)]
@@ -392,7 +384,6 @@ def repartition_join(
     right_on: str,
     left_types: dict,
     right_types: dict,
-    num_partitions: int = 64,
     how: str = "inner",
     post_fn=None,
 ):
@@ -422,15 +413,15 @@ def repartition_join(
     list<…> is not supported in join non-key field", pyarrow 16.1).
 
     Why not ``Dataset.join``: Ray 2.49's hash-join aggregators (a) reserve
-    half the cluster's CPUs per join operator regardless of
-    ``num_partitions`` (deadlocks pipelines that also hold actor pools on
+    half the cluster's CPUs per join operator regardless of its
+    partition count (deadlocks pipelines that also hold actor pools on
     small CPU budgets) and (b) finalize EMPTY partitions as zero-column
     Arrow tables, which the underlying acero join rejects ("No match for
     key field") whenever a partition receives no rows — i.e. whenever the
     build side is sparse.  This helper uses only ``coarse_grouped_map``'s
     task exchange (empty-range tolerant) and scales the same way: both
-    sides move through one exchange partitioned on ``hash(key) %
-    num_partitions``, and each partition joins in memory.
+    sides move through one exchange partitioned on ``hash(key) % width``,
+    and each partition joins in memory.
 
     ``left_types`` / ``right_types``: {column: pyarrow type} for each
     side INCLUDING its key column (schemas are declared, not inferred, so
@@ -501,7 +492,6 @@ def repartition_join(
         [side(left, left_on, 0), side(right, right_on, 1)],
         "_jkey",
         merge_partition,
-        num_partitions,
     )
 
 

@@ -127,8 +127,8 @@ def test_auto_salt_decision_boundary(ray_session, monkeypatch, salt_path):
     chosen = {}
     orig = nodes_mod.measure_top_key_share
 
-    def spy(mentions, num_partitions=8):
-        share, total = orig(mentions, num_partitions)
+    def spy(mentions):
+        share, total = orig(mentions)
         chosen["share"] = share
         return share, total
 

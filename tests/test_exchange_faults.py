@@ -33,9 +33,9 @@ def test_coarse_grouped_map_survives_reduce_kill(tmp_path):
     flag = str(tmp_path / "killed.flag")
 
     reduce = pandas_reducer(_summarize)
-    want = _sorted(coarse_grouped_map(ds, "k", reduce, 8), ["k"])
+    want = _sorted(coarse_grouped_map(ds, "k", reduce), ["k"])
     got = _sorted(
-        coarse_grouped_map(ds, "k", KillOnceReduce(flag, reduce), 8),
+        coarse_grouped_map(ds, "k", KillOnceReduce(flag, reduce)),
         ["k"],
     )
     assert os.path.exists(flag)  # the kill fired

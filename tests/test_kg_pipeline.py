@@ -162,7 +162,7 @@ def test_co_group_is_one_sort_with_bounded_output(pipeline_result):
     the gold corpus split into 12 blocks launches a single hash exchange
     of its three parts (one map task per input block) and no
     ``Repartition``; and ``coarse_grouped_map`` over a 32-block input
-    yields at most ``min(P, max(8, CPUs))`` reduce blocks."""
+    has ``max(8, CPUs)`` ranges and yields at most that many blocks."""
     from kgray.stages.graph import build_document_graphs
     from kgray.utils import coarse_grouped_map, recorded_exchanges
     from perfbench.trace import Tracer
@@ -192,14 +192,43 @@ def test_co_group_is_one_sort_with_bounded_output(pipeline_result):
     assert not [o for o in ops if o.startswith("Repartition")], ops
 
     ds = ray.data.range(640).repartition(32).materialize()
-    for P in (4, 64):
+    with recorded_exchanges() as ex:
         out = coarse_grouped_map(
             ds, "id",
             lambda t: t.group_by("id").aggregate([([], "count_all")]),
-            num_partitions=P,
         ).materialize()
-        assert out.num_blocks() <= min(P, max(8, cpus)), (P, out.num_blocks())
-        assert sorted(out.to_pandas()["id"]) == list(range(640))
+    assert [e["width"] for e in ex] == [max(8, cpus)], ex
+    assert out.num_blocks() <= max(8, cpus), out.num_blocks()
+    assert sorted(out.to_pandas()["id"]) == list(range(640))
+
+
+def test_node_tables_do_not_depend_on_the_exchange_width(
+    pipeline_result, monkeypatch
+):
+    """The exchange width only moves keys between ranges: ``node_tables``
+    at width 13 gives the nodes (ids included) and the URL aggregate it
+    gives at width 8."""
+    import kgray.utils
+    from kgray.stages.nodes import node_tables
+
+    _, _, _, res = pipeline_result
+
+    def tables(width):
+        monkeypatch.setattr(kgray.utils, "_max_width", lambda: width)
+        with kgray.utils.recorded_exchanges() as ex:
+            nodes, url_agg = node_tables(
+                res.edges, res.unary_nodes, res.annotation_urls
+            )
+            out = [sorted(str(r) for r in ds.take_all())
+                   for ds in (nodes, url_agg)]
+        assert [e["width"] for e in ex if e["kind"] == "hash"] == [width], ex
+        return out
+
+    nodes8, urls8 = tables(8)
+    nodes13, urls13 = tables(13)
+    assert nodes8 and urls8
+    assert nodes13 == nodes8
+    assert urls13 == urls8
 
 
 def test_node_tables_blocks_have_hashable_schemas(pipeline_result):

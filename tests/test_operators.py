@@ -166,7 +166,7 @@ def test_repartition_join_types():
     for left in (plain, dictionary):
         def join(how):
             return repartition_join(
-                left, right, "k", "rk", lt, rt, num_partitions=4, how=how
+                left, right, "k", "rk", lt, rt, how=how
             )
 
         def run(how):
@@ -228,7 +228,7 @@ def test_coarse_grouped_map_edge_cases():
             [([], "count_all"), ("v", "sum")]
         ).rename_columns(["k", "n", "s"])
 
-    out = coarse_grouped_map(ds, "k", summarize, num_partitions=4).to_pandas()
+    out = coarse_grouped_map(ds, "k", summarize).to_pandas()
     assert len(out) == 20  # one row per distinct key: no group was split
     assert out.set_index("k").loc[7, "n"] == 501  # 500 hot + 1 from range
 
@@ -242,7 +242,6 @@ def test_coarse_grouped_map_edge_cases():
         ray.data.from_arrow(t2), ["a", "b"],
         lambda t: t.group_by(["a", "b"]).aggregate([("v", "sum")])
         .rename_columns(["a", "b", "s"]),
-        num_partitions=3,
     ).to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
     assert list(out2.s) == [3.0, 3.0]
 
@@ -261,7 +260,6 @@ def test_coarse_grouped_map_without_rows_returns_fn_typed_empty_table():
         out = coarse_grouped_map(
             ds, "k",
             lambda t: t.group_by("k").aggregate([("v", "sum")]),
-            num_partitions=4,
         ).materialize()
         assert out.count() == 0
         schema = out.schema()
@@ -270,15 +268,20 @@ def test_coarse_grouped_map_without_rows_returns_fn_typed_empty_table():
         assert schema.types == [pa.string(), pa.int64()]
 
 
-def test_coarse_grouped_map_equals_pandas_groupby():
-    """Randomized equivalence: coarse keyed reduce == plain pandas."""
+def test_coarse_grouped_map_equals_pandas_groupby(monkeypatch):
+    """Randomized equivalence: coarse keyed reduce == plain pandas, at
+    the default exchange width and at an odd one."""
+    import itertools
+
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray.data
+    import kgray.utils
     from kgray.utils import coarse_grouped_map, pandas_reducer
 
-    for seed in (0, 1, 2):
+    for width, seed in itertools.product((8, 13), (0, 1, 2)):
+        monkeypatch.setattr(kgray.utils, "_max_width", lambda w=width: w)
         rng = np.random.RandomState(seed)
         df = pd.DataFrame({
             "k": rng.randint(0, 50, 400),
@@ -290,7 +293,6 @@ def test_coarse_grouped_map_equals_pandas_groupby():
             ds, ["k", "s"],
             pandas_reducer(lambda g: g.groupby(["k", "s"], as_index=False).agg(
                 n=("v", "size"), lo=("v", "min"))),
-            num_partitions=5,
         ).to_pandas().sort_values(["k", "s"]).reset_index(drop=True)
         want = df.groupby(["k", "s"], as_index=False).agg(
             n=("v", "size"), lo=("v", "min")
@@ -300,15 +302,20 @@ def test_coarse_grouped_map_equals_pandas_groupby():
         )
 
 
-def test_repartition_join_equals_pandas_merge():
-    """Randomized equivalence for all four join types vs pandas."""
+def test_repartition_join_equals_pandas_merge(monkeypatch):
+    """Randomized equivalence for all four join types vs pandas, at the
+    default exchange width and at an odd one."""
+    import itertools
+
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import ray.data
+    import kgray.utils
     from kgray.utils import repartition_join
 
-    for seed in (3, 4):
+    for width, seed in itertools.product((8, 13), (3, 4)):
+        monkeypatch.setattr(kgray.utils, "_max_width", lambda w=width: w)
         rng = np.random.RandomState(seed)
         l = pd.DataFrame({
             "k": rng.randint(0, 30, 120).astype("int64"),
@@ -323,23 +330,22 @@ def test_repartition_join_equals_pandas_merge():
         lt = {"k": pa.int64(), "lv": pa.float64()}
         rt = {"rk": pa.int64(), "rv": pa.float64()}
 
-        inner = repartition_join(lds, rds, "k", "rk", lt, rt,
-                                 num_partitions=6).to_pandas()
+        inner = repartition_join(lds, rds, "k", "rk", lt, rt).to_pandas()
         want_inner = l.merge(r, left_on="k", right_on="rk")
         assert len(inner) == len(want_inner)
         assert abs(inner.rv.sum() - want_inner.rv.sum()) < 1e-9
 
         semi = repartition_join(lds, rds, "k", "rk", lt, rt,
-                                num_partitions=6, how="semi").to_pandas()
+                                how="semi").to_pandas()
         want_semi = l[l.k.isin(r.rk)]
         assert len(semi) == len(want_semi)
 
         anti = repartition_join(lds, rds, "k", "rk", lt, rt,
-                                num_partitions=6, how="anti").to_pandas()
+                                how="anti").to_pandas()
         assert len(anti) == len(l) - len(want_semi)
 
         left = repartition_join(lds, rds, "k", "rk", lt, rt,
-                                num_partitions=6, how="left").to_pandas()
+                                how="left").to_pandas()
         want_left = l.merge(r, left_on="k", right_on="rk", how="left")
         assert len(left) == len(want_left)
         assert left.rv.isna().sum() == want_left.rv.isna().sum()
@@ -381,7 +387,6 @@ def test_post_fn_fusion_equals_join_then_reduce():
             l, r, "k", "rk",
             {"k": pa.int64(), "lv": pa.int64()},
             {"rk": pa.int64(), "rv": pa.int64()},
-            num_partitions=8,
             post_fn=pandas_reducer(reduce_fn) if post else None,
         )
         out = j if post else coarse_grouped_map(

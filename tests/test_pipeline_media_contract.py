@@ -5,8 +5,8 @@ span or a text span under 20 characters, pub.py:51-58) must come out of
 ``extractions`` as an untouched row with empty ``results``, under the
 span-sequence invariant (kind, text, media_ref, order).  Each corpus shape
 runs in one block and in 3, 4 and 7 blocks, and the graph it yields must
-not depend on the split.  Seeded random span lists, split at random, must
-keep the same contract.  A corpus with no admitted span at all must still
+not depend on the split.  Random span lists (seeded, and drawn by
+hypothesis), split at random, must keep the same contract.  A corpus with no admitted span at all must still
 give typed, empty graph tables.
 """
 import functools
@@ -16,6 +16,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 import ray.data
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgray import schemas
 from kgray.pipelines.kg import run_kg_pipeline
@@ -95,7 +97,8 @@ def _rows(ds):
 
 def _run(docs, n_blocks):
     """Run ``docs`` split into ``n_blocks`` blocks, check the span
-    contract on its extractions, and return its sorted edges and nodes."""
+    contract on its extractions, and return its sorted edges, nodes and
+    URL aggregate."""
     res = run_kg_pipeline(ray.data.from_arrow(docs).repartition(n_blocks))
     ext = _arrow(res.extractions)
 
@@ -112,15 +115,15 @@ def _run(docs, n_blocks):
             assert not admitted
         if not admitted:
             assert not results, kind
-    return _rows(res.edges), _rows(res.nodes)
+    return _rows(res.edges), _rows(res.nodes), _rows(res.annotation_url_agg)
 
 
 @functools.lru_cache(maxsize=None)
 def _graph(shape, n_blocks):
     spans, has_edges = SHAPES[shape]
-    edges, nodes = _run(_corpus(spans), n_blocks)
-    assert has_edges == any(e[0] == "PMC0000002" for e in edges)
-    return edges, nodes
+    graph = _run(_corpus(spans), n_blocks)
+    assert has_edges == any(e[0] == "PMC0000002" for e in graph[0])
+    return graph
 
 
 # 7 blocks for 4 documents leaves some blocks empty
@@ -147,6 +150,34 @@ def test_random_span_lists_keep_the_contract_at_any_block_split(seed):
         for d in range(rng.randint(2, 6))
     ])
     n_blocks = rng.randint(2, 7)
+    assert _run(docs, n_blocks) == _run(docs, 1), n_blocks
+
+
+# a text is a relation sentence, one at or under the admission bound, or
+# any short or long string of gene-name characters
+TEXTS = st.one_of(
+    st.sampled_from([REL_A, REL_B, UNARY, TEXT_19, TEXT_20]),
+    st.text(alphabet="TP53AKT1 binds.", max_size=40),
+)
+SPANS = st.one_of(
+    TEXTS.map(_text),
+    st.tuples(st.sampled_from(["title", "ref"]), TEXTS, st.just("")),
+    st.just(None),  # a fresh media span
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    span_lists=st.lists(st.lists(SPANS, max_size=6), min_size=1, max_size=6),
+    n_blocks=st.integers(2, 7),
+)
+def test_drawn_span_lists_keep_the_contract_at_any_block_split(
+    span_lists, n_blocks
+):
+    docs = _documents([
+        (f"PMC{d:07d}", [s or _media(f"{d}-{i}") for i, s in enumerate(spans)])
+        for d, spans in enumerate(span_lists)
+    ])
     assert _run(docs, n_blocks) == _run(docs, 1), n_blocks
 
 
